@@ -194,6 +194,64 @@ def state_dim(field) -> int:
     return 2 if isinstance(field, SineFeedbackField) else 1
 
 
+# One in-place kernel per field: ``kernel(field, out, x, xd, xi, work)``
+# writes the right-hand side into ``out`` using ``work`` (shaped like
+# ``out``) for intermediates.  ``out`` and ``work`` must not alias the
+# inputs.  The operand order is fixed, so a kernel gives the same bits
+# whether it runs over one state or a batch.
+
+def _linear_rhs(field, out, x, xd, xi, work):
+    np.multiply(field.a, x, out=out)
+    np.multiply(field.b, xd, out=work)
+    np.add(out, work, out=out)
+
+
+def _tent_rhs(field, out, x, xd, xi, work):
+    np.subtract(1.0, xd, out=work)
+    np.minimum(xd, work, out=work)
+    np.multiply(field.a, work, out=work)
+    np.multiply(-field.alpha, x, out=out)
+    np.add(out, work, out=out)
+
+
+def _circle_rhs(field, out, x, xd, xi, work):
+    np.multiply(field.a, xd, out=work)
+    np.add(work, field.b, out=work)
+    if xi is not None:
+        np.add(work, xi, out=work)
+    # d - floor(d) is np.mod(d, 1.0) bit for bit (the exact fractional
+    # part rounded once, +0.0 at integers) and far cheaper
+    np.floor(work, out=out)
+    np.subtract(work, out, out=work)
+    np.multiply(field.alpha, work, out=work)
+    np.multiply(-field.alpha, x, out=out)
+    np.add(out, work, out=out)
+
+
+def _sine_feedback_rhs(field, out, x, xd, xi, work):
+    v, dv, s = x[..., 1], out[..., 1], work[..., 1]
+    np.multiply(2.0 * np.pi * field.beta, xd[..., 1], out=s)
+    np.sin(s, out=s)
+    np.multiply(-field.gamma, v, out=dv)
+    np.add(dv, s, out=dv)
+    out[..., 0] = v
+
+
+_KERNELS = (
+    (LinearDelayField, _linear_rhs),
+    (TentDelayField, _tent_rhs),
+    (AffineCircleDelayField, _circle_rhs),
+    (SineFeedbackField, _sine_feedback_rhs),
+)
+
+
+def _kernel(field):
+    for cls, kernel in _KERNELS:
+        if isinstance(field, cls):
+            return kernel
+    raise TypeError(f"not a recognized delay field: {type(field).__name__}")
+
+
 def eval_field(field, x, x_delayed, t: float = 0.0, noise_value=None):
     """Right-hand side of the delay equation at one instant.
 
@@ -203,23 +261,20 @@ def eval_field(field, x, x_delayed, t: float = 0.0, noise_value=None):
     fields that carry a noise process and is ignored otherwise.  Pure
     evaluation: nothing is advanced or sampled here.
     """
+    kernel = _kernel(field)
     x = np.asarray(x, dtype=float)
     xd = np.asarray(x_delayed, dtype=float)
-    if isinstance(field, LinearDelayField):
-        return field.a * x + field.b * xd
-    if isinstance(field, TentDelayField):
-        return -field.alpha * x + field.a * np.minimum(xd, 1.0 - xd)
-    if isinstance(field, AffineCircleDelayField):
-        drive = field.a * xd + field.b
-        if noise_value is not None:
-            drive = drive + noise_value
-        return -field.alpha * x + field.alpha * np.mod(drive, 1.0)
-    if isinstance(field, SineFeedbackField):
-        v = x[..., 1]
-        vd = xd[..., 1]
-        dv = -field.gamma * v + np.sin((2.0 * np.pi * field.beta) * vd)
-        return np.stack([v, dv], axis=-1)
-    raise TypeError(f"not a recognized delay field: {type(field).__name__}")
+    xi = None
+    if noise_value is not None and kernel is _circle_rhs:
+        xi = np.asarray(noise_value, dtype=float)
+    if kernel is _sine_feedback_rhs:
+        shape = np.broadcast_shapes(x.shape[:-1], xd.shape[:-1]) + (2,)
+    else:
+        shape = np.broadcast_shapes(
+            x.shape, xd.shape, () if xi is None else xi.shape)
+    out = np.empty(shape)
+    kernel(field, out, x, xd, xi, np.empty(shape))
+    return out if out.ndim else out[()]
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +310,20 @@ def _mid_stencil(j: int, m: int):
     return _MID_CENTERED, j - 1
 
 
+def _stencil(w, rows, out, work):
+    """``((w0 r0 + w1 r1) + w2 r2) + w3 r3`` into ``out``."""
+    np.multiply(w[0], rows[0], out=out)
+    for wi, row in zip(w[1:], rows[1:]):
+        np.multiply(wi, row, out=work)
+        np.add(out, work, out=out)
+
+
+def _axpy(y, a, k, out):
+    """``y + a k`` into ``out``."""
+    np.multiply(a, k, out=out)
+    np.add(y, out, out=out)
+
+
 def integrate_batch(field, samples, tau: float, T: float, *, t0: float = 0.0,
                     noise_table=None, observer=None) -> np.ndarray:
     """Advance a stack of histories together; returns the final states.
@@ -269,7 +338,10 @@ def integrate_batch(field, samples, tau: float, T: float, *, t0: float = 0.0,
     is freshly allocated per step and may be kept without copying.
 
     Every trajectory in the stack sees exactly the arithmetic it would see
-    alone, so splitting a batch across workers cannot change results.
+    alone, so integrating any split of the rows (each part with its own
+    rows of ``noise_table``) and concatenating gives the same bits.  All
+    work runs on the calling thread, stepping in place in buffers
+    allocated once per call.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim == 2:
@@ -293,7 +365,7 @@ def integrate_batch(field, samples, tau: float, T: float, *, t0: float = 0.0,
         raise ValueError("T must be a positive whole number of steps tau/m")
 
     noise = getattr(field, "noise", None)
-    seg_dt = None
+    noise_rows = None
     if noise is not None:
         if noise_table is None:
             raise ValueError("field carries a noise process; supply noise_table")
@@ -304,9 +376,16 @@ def integrate_batch(field, samples, tau: float, T: float, *, t0: float = 0.0,
                 or noise_table.shape[1] < needed:
             raise ValueError(
                 f"noise_table must be shaped ({nb}, >= {needed})")
+        # one contiguous row of levels per segment, and the segment of each
+        # step's start, midpoint and end
+        noise_rows = np.ascontiguousarray(noise_table.T)
+        rel = np.arange(n_steps) * h
+        seg0, segm, seg1 = (((rel + off) / seg_dt + 1e-9).astype(np.int64)
+                            for off in (0.0, 0.5 * h, h))
     elif noise_table is not None:
         raise ValueError("noise_table given but the field has no noise process")
 
+    kernel = _kernel(field)
     # Ring buffer over absolute node index i (slot (i + m) % size); m + 4
     # slots retain exactly the nodes the widest stencil can reach back to.
     size = m + 4
@@ -317,36 +396,41 @@ def integrate_batch(field, samples, tau: float, T: float, *, t0: float = 0.0,
     if observer is not None:
         observer(0, y.copy())
 
-    sixth = h / 6.0
+    # Stage buffers shared by all steps; only the new state is allocated
+    # per step, because the observer may keep it.
+    k1, k2, k3, k4, yt, xdm, work = (np.empty((nb, d)) for _ in range(7))
+    xi0 = xim = xi1 = None
+    half, sixth = 0.5 * h, h / 6.0
     for n in range(n_steps):
         j = n - m
-        t = t0 + n * h
         xd0 = ring[(j + m) % size]
         if j + 1 == 0:
             # Right edge of the delayed window is the one two-valued node;
             # this step wants its left limit.
-            xd1 = (_NODE_EXTRAP[0] * ring[m - 4] + _NODE_EXTRAP[1] * ring[m - 3]
-                   + _NODE_EXTRAP[2] * ring[m - 2]
-                   + _NODE_EXTRAP[3] * ring[m - 1])
+            xd1 = np.empty((nb, d))
+            _stencil(_NODE_EXTRAP, ring[m - 4:m], xd1, work)
         else:
             xd1 = ring[(j + 1 + m) % size]
         w, base = _mid_stencil(j, m)
-        xdm = (w[0] * ring[(base + m) % size]
-               + w[1] * ring[(base + 1 + m) % size]
-               + w[2] * ring[(base + 2 + m) % size]
-               + w[3] * ring[(base + 3 + m) % size])
-        if seg_dt is None:
-            xi0 = xim = xi1 = None
-        else:
-            rel = n * h
-            xi0 = noise_table[:, int(rel / seg_dt + 1e-9)][:, None]
-            xim = noise_table[:, int((rel + 0.5 * h) / seg_dt + 1e-9)][:, None]
-            xi1 = noise_table[:, int((rel + h) / seg_dt + 1e-9)][:, None]
-        k1 = eval_field(field, y, xd0, t, xi0)
-        k2 = eval_field(field, y + (0.5 * h) * k1, xdm, t + 0.5 * h, xim)
-        k3 = eval_field(field, y + (0.5 * h) * k2, xdm, t + 0.5 * h, xim)
-        k4 = eval_field(field, y + h * k3, xd1, t + h, xi1)
-        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        _stencil(w, [ring[(base + i + m) % size] for i in range(4)], xdm, work)
+        if noise_rows is not None:
+            xi0 = noise_rows[seg0[n], :, None]
+            xim = noise_rows[segm[n], :, None]
+            xi1 = noise_rows[seg1[n], :, None]
+        kernel(field, k1, y, xd0, xi0, work)
+        _axpy(y, half, k1, yt)
+        kernel(field, k2, yt, xdm, xim, work)
+        _axpy(y, half, k2, yt)
+        kernel(field, k3, yt, xdm, xim, work)
+        _axpy(y, h, k3, yt)
+        kernel(field, k4, yt, xd1, xi1, work)
+        # y + sixth * ((k1 + 2 (k2 + k3)) + k4), accumulated in k2
+        np.add(k2, k3, out=k2)
+        np.multiply(2.0, k2, out=k2)
+        np.add(k1, k2, out=k2)
+        np.add(k2, k4, out=k2)
+        np.multiply(sixth, k2, out=k2)
+        y = y + k2
         if not np.all(np.isfinite(y)):
             bad = np.where(~np.isfinite(y).all(axis=1))[0]
             raise DivergenceError(t0 + (n + 1) * h, index=int(bad[0]))

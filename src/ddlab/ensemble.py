@@ -14,12 +14,11 @@ into it before counting, so every snapshot accounts for all n
 trajectories and its density integrates to one exactly.
 
 Determinism: per-trajectory noise streams are seeded from (seed, global
-trajectory index), so results are independent of chunking and of the
-thread count used to split the batch.
+trajectory index), so results are independent of chunking.  All work runs
+on the calling thread.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -184,15 +183,13 @@ def _resolve_seed(seed):
     return seed
 
 
-def ensemble_values(histories, field, times, *, seed=None,
-                    threads=1) -> np.ndarray:
+def ensemble_values(histories, field, times, *, seed=None) -> np.ndarray:
     """First state component of every trajectory at the given grid times.
 
     Returns an (n_trajectories, len(times)) array.  Times at or before
     zero are read from the histories; positive times come from one
-    integration pass to the latest requested node.  Splitting the batch
-    across threads does not change a single bit of the result, because
-    trajectory i's noise stream depends only on (seed, i).
+    integration pass to the latest requested node.  Trajectory i's noise
+    stream depends only on (seed, i).
     """
     stacked, tau, m = _stack_histories(histories)
     h = tau / m
@@ -216,32 +213,17 @@ def ensemble_values(histories, field, times, *, seed=None,
         return out
 
     noise = getattr(field, "noise", None)
-    base_seed = _resolve_seed(seed) if noise is not None else None
-    T = k_max * h
-    n_chunks = max(1, min(int(threads), B))
-    bounds = np.linspace(0, B, n_chunks + 1).astype(int)
+    table = None
+    if noise is not None:
+        table = _noise_block(noise, k_max * h, _resolve_seed(seed), range(B))
 
-    def work(c):
-        lo, hi = bounds[c], bounds[c + 1]
-        table = None
-        if noise is not None:
-            table = _noise_block(noise, T, base_seed, range(lo, hi))
+    def obs(k, y):
+        cols = wanted.get(k)
+        if cols is not None and k > 0:
+            out[:, cols] = y[:, :1]
 
-        def obs(k, y):
-            cols = wanted.get(k)
-            if cols is not None and k > 0:
-                col_vals = y[:, 0]
-                for col in cols:
-                    out[lo:hi, col] = col_vals
-
-        integrate_batch(field, stacked[lo:hi], tau, T,
-                        noise_table=table, observer=obs)
-
-    if n_chunks == 1:
-        work(0)
-    else:
-        with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-            list(pool.map(work, range(n_chunks)))
+    integrate_batch(field, stacked, tau, k_max * h,
+                    noise_table=table, observer=obs)
     return out
 
 
@@ -330,7 +312,7 @@ class DensitySnapshot:
 
 
 def evolve_ensemble(histories, field, T, snapshot_times, *, bins=100,
-                    seed=None, threads=1, joint=True):
+                    seed=None, joint=True):
     """Integrate the ensemble and histogram it at each snapshot time.
 
     The first listed snapshot sets the bin range for the whole sequence.
@@ -349,8 +331,7 @@ def evolve_ensemble(histories, field, T, snapshot_times, *, bins=100,
     query = list(snapshot_times)
     if joint:
         query += [t - tau for t in snapshot_times]
-    vals = ensemble_values(histories, field, query,
-                           seed=seed, threads=threads)
+    vals = ensemble_values(histories, field, query, seed=seed)
     B = vals.shape[0]
 
     first = Histogram.from_samples(vals[:, 0], bins)

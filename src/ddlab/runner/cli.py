@@ -29,7 +29,8 @@ def _build_parser():
         sp.add_argument("--config", required=True, metavar="FILE",
                         help="run configuration file")
         sp.add_argument("--threads", type=int, default=None, metavar="N",
-                        help="worker threads (overrides the config's key)")
+                        help="accepted for compatibility; all work runs on "
+                             "the calling thread and outputs do not change")
         sp.add_argument("--dry-run", action="store_true",
                         help="validate and write the manifest only")
         sp.add_argument("--out", default=None, metavar="DIR",

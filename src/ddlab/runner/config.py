@@ -2,7 +2,8 @@
 
 Config files are line oriented: ``key = value`` pairs grouped under
 ``[params]``, ``[ensemble]`` and ``[output]`` headers, with ``kind`` (and
-optionally ``threads``) above the first header.  Unknown keys, type
+optionally ``threads``, a positive integer accepted for compatibility that
+changes nothing) above the first header.  Unknown keys, type
 mismatches, and missing required keys are collected and reported together
 rather than one at a time.
 

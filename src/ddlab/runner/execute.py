@@ -3,8 +3,10 @@
 Every engine writes plain CSV (plot data, not plots) into one output
 directory, and ``run`` records a ``manifest.json`` holding the normalized
 config, its hash, and a content hash per output file.  Outputs are byte
-reproducible: the same config produces the same files regardless of the
-worker-thread count, so manifests can be compared across machines.
+reproducible: the same config produces the same files, so manifests can be
+compared across machines.  All work runs on the calling thread; the
+``threads`` setting is accepted and validated for compatibility but changes
+nothing, so no output byte depends on it.
 """
 
 import hashlib
@@ -87,7 +89,7 @@ def _initial_spec(e):
 # engines: config -> list of written files
 
 
-def _run_map_iterate(cfg, out, threads):
+def _run_map_iterate(cfg, out):
     p = cfg.params
     if p["map"] == "tent":
         map_obj = TentMap(p["a"])
@@ -99,7 +101,7 @@ def _run_map_iterate(cfg, out, threads):
     return [path]
 
 
-def _run_dde_ensemble(cfg, out, threads):
+def _run_dde_ensemble(cfg, out):
     p, e, o = cfg.params, cfg.ensemble, cfg.output
     if p["field"] == "hat":
         field = TentDelayField(p["alpha"], p["a"])
@@ -117,8 +119,7 @@ def _run_dde_ensemble(cfg, out, threads):
     histories = sample_initial(_initial_spec(e), e["n"], p["m"], p["tau"],
                                seed=e["seed"])
     snaps = evolve_ensemble(histories, field, float(times[-1]), times,
-                            bins=o["bins"], seed=e["seed"], threads=threads,
-                            joint=p["joint"])
+                            bins=o["bins"], seed=e["seed"], joint=p["joint"])
     written = [out / "snapshots.csv"]
     write_snapshot_csv(written[0], snaps)
     if p["joint"]:
@@ -133,7 +134,7 @@ def _run_dde_ensemble(cfg, out, threads):
     return written
 
 
-def _run_gaussian(cfg, out, threads):
+def _run_gaussian(cfg, out):
     p = cfg.params
     curve = sigma2_curve(_kernel(p["kernel"], p["tau"]),
                          LinearDdeParams(p["a"], p["b"], p["tau"]),
@@ -143,7 +144,7 @@ def _run_gaussian(cfg, out, threads):
     return [path]
 
 
-def _run_brownian(cfg, out, threads):
+def _run_brownian(cfg, out):
     p, e, o = cfg.params, cfg.ensemble, cfg.output
     field = SineFeedbackField(p["gamma"], p["beta"])
     histories = as_velocity_histories(
@@ -168,7 +169,7 @@ def _run_brownian(cfg, out, threads):
     return written
 
 
-def _run_kicked(cfg, out, threads):
+def _run_kicked(cfg, out):
     p = cfg.params
     reports = ou_limit_suite(p["gamma"], list(p["taus"]), p["n_kicks"],
                              ensemble=p["streams"])
@@ -177,7 +178,7 @@ def _run_kicked(cfg, out, threads):
     return [path]
 
 
-def _run_compare(cfg, out, threads):
+def _run_compare(cfg, out):
     p, e = cfg.params, cfg.ensemble
     tau = p["tau"]
     kernel = _kernel(p["kernel"], tau)
@@ -186,8 +187,7 @@ def _run_compare(cfg, out, threads):
     analytic = np.array([r_t(kernel, lp, float(t), 0.0, 0.0) for t in times])
 
     # Stream the ensemble in fixed-size chunks so a large run never holds
-    # every history at once; the chunk size, not the thread count, fixes
-    # the substream seeds, keeping outputs byte-identical across pools.
+    # every history at once; the chunk size fixes the substream seeds.
     field = LinearDelayField(p["a"], p["b"])
     n, chunk = e["n"], p["chunk"]
     n_chunks = -(-n // chunk)
@@ -199,7 +199,7 @@ def _run_compare(cfg, out, threads):
         block = min(chunk, n - c * chunk)
         histories = sample_initial(GaussianHistory(kernel), block, p["m"],
                                    tau, seed=int(seeds[c]))
-        vals = ensemble_values(histories, field, times, threads=threads)
+        vals = ensemble_values(histories, field, times)
         total += vals.sum(axis=0)
         total_sq += np.square(vals).sum(axis=0)
     mean = total / n
@@ -230,17 +230,20 @@ def run(config: RunConfig, *, threads=None, dry_run=False,
         outdir=None) -> RunManifest:
     """Execute ``config`` and write its outputs plus ``manifest.json``.
 
-    ``threads`` overrides the config's worker count and ``outdir`` its
-    output directory; neither affects the recorded config or its hash.
-    With ``dry_run`` the manifest is written but no computation happens.
+    ``outdir`` overrides the config's output directory and does not affect
+    the recorded config or its hash.  ``threads`` is accepted for
+    compatibility (it must be positive) and changes nothing: all work runs
+    on the calling thread.  With ``dry_run`` the manifest is written but no
+    computation happens.
     """
+    if threads is not None and int(threads) < 1:
+        raise ValueError("threads must be positive")
     text = normalize(config)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     if outdir is None:
         outdir = config.output.get("directory")
     out = Path(outdir) if outdir is not None else default_outdir(config, digest)
     out.mkdir(parents=True, exist_ok=True)
-    n_threads = config.threads if threads is None else int(threads)
 
     start = time.perf_counter()
     if dry_run:
@@ -249,7 +252,7 @@ def run(config: RunConfig, *, threads=None, dry_run=False,
         # blow-ups surface as DivergenceError; the transient overflow
         # warnings on the way there are not actionable
         with np.errstate(over="ignore", invalid="ignore"):
-            written = _ENGINES[config.kind](config, out, n_threads)
+            written = _ENGINES[config.kind](config, out)
     wall = time.perf_counter() - start
 
     outputs = sorted(({"name": p.name, "sha256": _file_hash(p)}

@@ -30,8 +30,6 @@ from ddlab.kicked import fp_decay_check, ou_limit_suite
 from ddlab.maps import TentMap, detect_asymptotic_period, iterate
 from ddlab.runner import parse_config, run
 
-THREADS = 8
-
 
 def random_density(seed, n=4096):
     rng = np.random.default_rng(seed)
@@ -78,8 +76,7 @@ def test_03_hat_dde_density_cycle_uniform_and_mixture():
                                  (IidUniformPath(0.35, 0.45), 5500)]))]:
         hist = sample_initial(spec, 22500, 128, 1.0, seed=1013)
         snaps = evolve_ensemble(hist, field, float(times[-1]), times,
-                                bins=50, seed=1013, threads=THREADS,
-                                joint=False)
+                                bins=50, seed=1013, joint=False)
         periods[name] = detect_density_period(snaps, 0.125, tol=0.65)
     assert periods["uniform"] is not None
     assert periods["uniform"] == pytest.approx(2.125)
@@ -109,8 +106,7 @@ def test_04_noisy_circle_dde_period_appears_with_noise_width():
         hist = sample_initial(IidUniformPath(0.0, 1.0), 22500, 64, 1.0,
                               seed=2029)
         snaps = evolve_ensemble(hist, field, float(times[-1]), times,
-                                bins=50, seed=2029, threads=THREADS,
-                                joint=False)
+                                bins=50, seed=2029, joint=False)
         period = detect_density_period(snaps, 0.5, tol=0.2)
         assert (period is not None) == want_finite
     assert time.perf_counter() - t0 < 600.0

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from ddlab.dde import (AffineCircleDelayField, History, LinearDelayField,
+from ddlab.dde import (_NODE_EXTRAP, _mid_stencil,
+                       AffineCircleDelayField, History, LinearDelayField,
                        PiecewiseConstantUniform, SineFeedbackField,
                        TentDelayField, Trajectory, convergence_order,
                        eval_field, fundamental_history, integrate,
@@ -280,6 +281,104 @@ def test_batch_matches_single_runs_bitwise():
         assert np.array_equal(stacked[i], singles[i])
 
 
+def _reference_rhs(field, x, xd, xi):
+    """Allocate-per-call right-hand sides, with the np.mod wrap."""
+    if isinstance(field, LinearDelayField):
+        return field.a * x + field.b * xd
+    if isinstance(field, TentDelayField):
+        return -field.alpha * x + field.a * np.minimum(xd, 1.0 - xd)
+    if isinstance(field, AffineCircleDelayField):
+        drive = field.a * xd + field.b
+        if xi is not None:
+            drive = drive + xi
+        return -field.alpha * x + field.alpha * np.mod(drive, 1.0)
+    dv = -field.gamma * x[..., 1] + np.sin(
+        (2.0 * np.pi * field.beta) * xd[..., 1])
+    return np.stack([x[..., 1], dv], axis=-1)
+
+
+def _reference_nodes(field, samples, tau, T, noise_table=None):
+    """Allocate-per-stage method-of-steps RK4; the states at every node.
+
+    The stepper must reproduce this loop bit for bit: same stencils, same
+    noise segments, same operand order in every stage.
+    """
+    arr = samples[:, :, None] if samples.ndim == 2 else samples
+    nb, m, d = arr.shape[0], arr.shape[1] - 1, arr.shape[2]
+    h, size = tau / m, m + 4
+    ring = np.empty((size, nb, d))
+    for i in range(m + 1):
+        ring[i] = arr[:, i]
+    y = ring[m].copy()
+    nodes = [y]
+    noise = getattr(field, "noise", None)
+    for n in range(int(round(T / h))):
+        j = n - m
+        xd0 = ring[(j + m) % size]
+        if j + 1 == 0:
+            xd1 = (_NODE_EXTRAP[0] * ring[m - 4] + _NODE_EXTRAP[1] * ring[m - 3]
+                   + _NODE_EXTRAP[2] * ring[m - 2]
+                   + _NODE_EXTRAP[3] * ring[m - 1])
+        else:
+            xd1 = ring[(j + 1 + m) % size]
+        w, base = _mid_stencil(j, m)
+        b = [ring[(base + i + m) % size] for i in range(4)]
+        xdm = w[0] * b[0] + w[1] * b[1] + w[2] * b[2] + w[3] * b[3]
+        xi0 = xim = xi1 = None
+        if noise is not None:
+            seg_dt, rel = noise.resample_interval, n * h
+            xi0 = noise_table[:, int(rel / seg_dt + 1e-9)][:, None]
+            xim = noise_table[:, int((rel + 0.5 * h) / seg_dt + 1e-9)][:, None]
+            xi1 = noise_table[:, int((rel + h) / seg_dt + 1e-9)][:, None]
+        k1 = _reference_rhs(field, y, xd0, xi0)
+        k2 = _reference_rhs(field, y + (0.5 * h) * k1, xdm, xim)
+        k3 = _reference_rhs(field, y + (0.5 * h) * k2, xdm, xim)
+        k4 = _reference_rhs(field, y + h * k3, xd1, xi1)
+        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        ring[(n + 1 + m) % size] = y
+        nodes.append(y)
+    return nodes
+
+
+def _reference_case(name, m, rng):
+    """(field, samples, noise table) for one bitwise-reference case."""
+    circle = (10.0, 0.5, 0.567)
+    if name == "tent":
+        return (TentDelayField(10.0, 13.0),
+                rng.uniform(0.0, 1.0, (5, m + 1)), None)
+    if name == "linear-jump":
+        jump = fundamental_history(1.0, m).samples
+        return (LinearDelayField(-0.5, -1.7),
+                np.stack([c * jump for c in (1.0, -0.3, 2.5)]), None)
+    if name == "circle":
+        return (AffineCircleDelayField(*circle),
+                rng.uniform(0.0, 1.0, (5, m + 1)), None)
+    if name == "circle-noise":
+        # a resample interval off the step grid, so segment ends fall
+        # strictly inside steps
+        noise = PiecewiseConstantUniform(0.0, 0.2, 0.3)
+        return (AffineCircleDelayField(*circle, noise=noise),
+                rng.uniform(0.0, 1.0, (5, m + 1)),
+                rng.uniform(0.0, 0.2, (5, 11)))
+    return (SineFeedbackField(1.0, 10.0),
+            rng.uniform(-0.5, 0.5, (4, m + 1, 2)), None)
+
+
+@pytest.mark.parametrize("m", [4, 64])
+@pytest.mark.parametrize("name", ["tent", "linear-jump", "circle",
+                                  "circle-noise", "sine-feedback"])
+def test_stepper_matches_allocating_reference_bitwise(name, m):
+    field, samples, table = _reference_case(name, m, np.random.default_rng(m))
+    nodes = []
+    final = integrate_batch(field, samples, 1.0, 3.0, noise_table=table,
+                            observer=lambda k, y: nodes.append(y))
+    want = _reference_nodes(field, samples, 1.0, 3.0, table)
+    assert len(nodes) == len(want) == 3 * m + 1
+    for got, ref in zip(nodes, want):
+        assert np.array_equal(got, ref)
+    assert np.array_equal(final, want[-1])
+
+
 def test_batch_final_states_match_observer_tail():
     field = LinearDelayField(-0.3, 0.2)
     samples = np.vstack([np.linspace(0.2, 0.8, 17), np.full(17, 0.5)])
@@ -343,6 +442,21 @@ def test_trajectory_accessors():
 
 # ---------------------------------------------------------------------------
 # properties
+
+
+_WRAP_EDGES = [0.0, -0.0, 1e-300, -1e-300, -1e-20, 1.0, -1.0, 3.0, -7.0,
+               2.0 ** 53, -(2.0 ** 60), np.nextafter(1.0, 0.0),
+               -np.nextafter(1.0, 0.0)]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(x=st.one_of(st.sampled_from(_WRAP_EDGES),
+                   st.floats(allow_nan=False, allow_infinity=False)))
+def test_floor_wrap_equals_mod_in_value_and_sign(x):
+    got = np.float64(x) - np.floor(np.float64(x))
+    want = np.mod(np.float64(x), 1.0)
+    assert got == want
+    assert np.signbit(got) == np.signbit(want)
 
 
 @settings(max_examples=20, deadline=None)

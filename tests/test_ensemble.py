@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from ddlab.dde import LinearDelayField, PiecewiseConstantUniform, \
-    AffineCircleDelayField, SineFeedbackField, TentDelayField, Trajectory
+    AffineCircleDelayField, SineFeedbackField, TentDelayField, Trajectory, \
+    integrate_batch
 from ddlab.density import Histogram
 from ddlab.ensemble import (
     ConstantPath,
@@ -177,13 +178,15 @@ KEENER = AffineCircleDelayField(10.0, 0.5, 0.567,
                                 noise=PiecewiseConstantUniform(0.0, 0.2, 1.0))
 
 
-def test_thread_split_is_bitwise_invariant():
-    hs = sample_initial(IidUniformPath(0.0, 1.0), 60, 16, 1.0, seed=8)
-    one = ensemble_values(hs, KEENER, [2.0, 4.0], seed=21, threads=1)
-    three = ensemble_values(hs, KEENER, [2.0, 4.0], seed=21, threads=3)
-    eight = ensemble_values(hs, KEENER, [2.0, 4.0], seed=21, threads=8)
-    assert np.array_equal(one, three)
-    assert np.array_equal(one, eight)
+def test_row_split_is_bitwise_invariant():
+    samples = np.random.default_rng(8).uniform(0.0, 1.0, (60, 17))
+    table = np.random.default_rng(21).uniform(0.0, 0.2, (60, 5))
+    whole = integrate_batch(KEENER, samples, 1.0, 4.0, noise_table=table)
+    cuts = [0, 1, 8, 31, 60]
+    parts = [integrate_batch(KEENER, samples[lo:hi], 1.0, 4.0,
+                             noise_table=table[lo:hi])
+             for lo, hi in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.concatenate(parts), whole)
 
 
 def test_trajectory_chunking_is_bitwise_invariant():

@@ -315,7 +315,7 @@ def test_cli_divergence_exits_3(tmp_path, capsys):
 
 
 def test_cli_numerical_failure_exits_4(tmp_path, monkeypatch):
-    def explode(cfg, out, threads):
+    def explode(cfg, out):
         raise QuadratureError("tolerance not reached")
 
     monkeypatch.setitem(execute._ENGINES, "map-iterate", explode)
