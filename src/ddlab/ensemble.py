@@ -26,6 +26,7 @@ import numpy as np
 
 from .dde import History, Trajectory, integrate_batch
 from .density import Histogram
+from .fit import r_squared, tail_line_fit
 from .gaussian import sample_gaussian_history
 from .tabular import write_csv
 
@@ -430,17 +431,9 @@ def msd_curve(trajectories: Iterable[Trajectory], *, tau=None,
     if tau is not None and span < 100.0 * tau - 1e-9:
         raise ValueError("window too short: need at least 100 delays")
     msd = acc / count
-
-    mask = t >= t[0] + 0.5 * span
-    slope, intercept = np.polyfit(t[mask], msd[mask], 1)
-    fit = slope * t[mask] + intercept
-    resid = msd[mask] - fit
-    total = msd[mask] - msd[mask].mean()
-    denom = float(total @ total)
-    r2 = 1.0 - float(resid @ resid) / denom if denom > 0 else 1.0
-    return MsdCurve(t=t, msd=msd, slope=float(slope),
-                    intercept=float(intercept), r_squared=float(r2),
-                    n_trajectories=count)
+    slope, intercept, r2 = tail_line_fit(t, msd)
+    return MsdCurve(t=t, msd=msd, slope=slope, intercept=intercept,
+                    r_squared=r2, n_trajectories=count)
 
 
 @dataclass(frozen=True)
@@ -487,14 +480,10 @@ def velocity_stats(trajectories: Iterable[Trajectory], burn_in, *,
     logd = np.log(hist[keep])
     design = np.stack([-mids[keep] ** 2, np.ones(keep.sum())], axis=1)
     coef, *_ = np.linalg.lstsq(design, logd, rcond=None)
-    fitted = design @ coef
-    resid = logd - fitted
-    total = logd - logd.mean()
-    denom = float(total @ total)
-    r2 = 1.0 - float(resid @ resid) / denom if denom > 0 else 1.0
     return VelocityStats(std=std, support_bound=bound,
                          fit_curvature=float(coef[0]),
-                         fit_r_squared=float(r2), n_samples=count)
+                         fit_r_squared=r_squared(logd, design @ coef),
+                         n_samples=count)
 
 
 # ---------------------------------------------------------------------------

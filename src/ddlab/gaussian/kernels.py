@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import KernelPositivityError
 from ..tabular import read_csv, write_csv
 
 
@@ -45,21 +44,6 @@ class CovKernel:
     def eta(self):
         """``(eta(r, s), r_support)`` factorization per unit rank, or None."""
         return None
-
-    # ---- validation --------------------------------------------------------
-
-    def check_grid(self, tau, n=16, tol=1e-8):
-        """Verify symmetry and near-PSD-ness of the Gram matrix on a grid."""
-        s = np.linspace(-tau, 0.0, n)
-        gram = self.value(s[:, None], s[None, :])
-        asym = np.abs(gram - gram.T).max()
-        if asym > 1e-12:
-            raise KernelPositivityError(f"kernel asymmetry {asym:.2e}")
-        w = np.linalg.eigvalsh(gram)
-        if w.min() < -tol:
-            raise KernelPositivityError(
-                f"smallest Gram eigenvalue {w.min():.2e} on {n}x{n} grid")
-        return float(w.min())
 
 
 class CosineKernel(CovKernel):

@@ -12,6 +12,9 @@ point at 0 within ~53 steps.  The stream therefore iterates the
 conjugate angle-doubling map in exact rational arithmetic (numerators
 over a fixed odd denominator stay exact under doubling mod 1) and only
 rounds at readout, through the triangle wave x = 1 - 2|theta - 1/2|.
+`evolve_kicked` keeps one `Fraction` angle, so any rational seed works;
+`ou_limit_suite` runs a whole ensemble of angles as one uint64 array of
+numerators over the fixed denominator 5**27 (`_double_mod`).
 
 `fp_decay_check` transports signed grid functions with the same exact
 transfer operators the density side uses, for testing how fast the
@@ -26,14 +29,17 @@ from fractions import Fraction
 
 import numpy as np
 
+from .fit import tail_line_fit
 from .maps import AffineCircleMap, TentMap, push_circle_values, \
     push_tent_values
 from .tabular import write_csv
 
 # odd prime power: doubling mod _SEED_DEN is a bijection, and the orbit
-# period (the multiplicative order of 2) is about 7e20 -- effectively
-# aperiodic for any run we can afford
-_SEED_DEN = 5 ** 30
+# period (the multiplicative order of 2, 4 * 5**26) is about 6e18 --
+# effectively aperiodic for any run we can afford.  _SEED_DEN < 2**63, so
+# a numerator p < _SEED_DEN doubles to 2p < 2**64 without uint64 overflow.
+_SEED_DEN = 5 ** 27
+_DEN_U64 = np.uint64(_SEED_DEN)
 
 
 def centered_identity(x):
@@ -250,15 +256,11 @@ class OuReport:
     n_samples: int
 
 
-def _tail_fit(t, y):
-    mask = t >= t[0] + 0.5 * (t[-1] - t[0])
-    slope, intercept = np.polyfit(t[mask], y[mask], 1)
-    fit = slope * t[mask] + intercept
-    resid = y[mask] - fit
-    centered = y[mask] - y[mask].mean()
-    denom = float(centered @ centered)
-    r2 = 1.0 - float(resid @ resid) / denom if denom > 0 else 1.0
-    return float(slope), r2
+def _double_mod(p: np.ndarray) -> np.ndarray:
+    """Exact angle doubling of uint64 numerators over `_SEED_DEN`, in place."""
+    p <<= 1
+    np.subtract(p, _DEN_U64, out=p, where=p >= _DEN_U64)
+    return p
 
 
 def ou_limit_suite(gamma, tau_list, n_kicks, *, ensemble: int = 256) \
@@ -272,12 +274,19 @@ def ou_limit_suite(gamma, tau_list, n_kicks, *, ensemble: int = 256) \
     the slope and R^2 of the tail fit to the mean-square displacement.
     Fully deterministic: no random numbers are involved anywhere.
     """
+    gamma = float(gamma)
     tau_list = [float(t) for t in tau_list]
+    for name, val in [("gamma", gamma)] + [("tau", t) for t in tau_list]:
+        if not (math.isfinite(val) and val > 0.0):
+            raise ValueError(f"{name} must be finite and positive, "
+                             f"got {val!r}")
     if any(b >= a for a, b in zip(tau_list, tau_list[1:])):
         raise ValueError("tau_list must decrease")
     n_kicks = int(n_kicks)
     seeds = equidistributed_seeds(ensemble)
-    nums = [s.numerator * (_SEED_DEN // s.denominator) for s in seeds]
+    nums = np.array([s.numerator * (_SEED_DEN // s.denominator)
+                     for s in seeds], dtype=np.uint64)
+    den = float(_SEED_DEN)
 
     reports = []
     for tau in tau_list:
@@ -290,32 +299,32 @@ def ou_limit_suite(gamma, tau_list, n_kicks, *, ensemble: int = 256) \
         decay = math.exp(-gamma * tau)
         drift = (1.0 - decay) / gamma
 
-        p = list(nums)  # seeds are the starting angles of each stream
+        p = nums.copy()  # seeds are the starting angles of each stream
         x = np.zeros(ensemble)
         v = np.zeros(ensemble)
-        v_pool = []
+        v_pool = np.empty((n_kicks - burn + 1, ensemble))
         msd = np.empty(n_kicks - burn + 1)
-        x_ref = None
         for j in range(1, n_kicks + 1):
             x = x + v * drift
-            p = [(pp * 2) % _SEED_DEN for pp in p]
-            theta = np.array([pp / _SEED_DEN for pp in p])
+            theta = _double_mod(p) / den
             xi = 1.0 - 2.0 * np.abs(theta - 0.5)
             v = v * decay + kappa * (xi - 0.5)
             if j == burn:
                 x_ref = x.copy()
             if j >= burn:
                 msd[j - burn] = np.mean((x - x_ref) ** 2)
-                v_pool.append(v.copy())
-        pooled = np.concatenate(v_pool)
-        var_v = float(pooled.var())
+                v_pool[j - burn] = v
+        pooled = v_pool.ravel()
         mu = pooled.mean()
-        m2 = ((pooled - mu) ** 2).mean()
-        m4 = ((pooled - mu) ** 4).mean()
+        dev = pooled - mu
+        np.square(dev, out=dev)
+        m2 = dev.mean()  # the variance, as pooled.var() computes it
+        np.square(dev, out=dev)  # fourth powers, as squares of squares
+        m4 = dev.mean()
         kurt = m4 / m2 ** 2 - 3.0
         t_axis = np.arange(len(msd)) * tau
-        slope, r2 = _tail_fit(t_axis, msd)
-        reports.append(OuReport(tau=tau, var_v=var_v,
+        slope, _, r2 = tail_line_fit(t_axis, msd)
+        reports.append(OuReport(tau=tau, var_v=float(m2),
                                 normality_stat=abs(float(kurt)),
                                 msd_slope=slope, msd_r2=r2,
                                 mean_v=float(mu), n_samples=len(pooled)))

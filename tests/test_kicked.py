@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from ddlab.kicked import (
+    _SEED_DEN,
     KickConfig,
+    _double_mod,
     centered_identity,
     equidistributed_seeds,
     evolve_kicked,
@@ -133,6 +135,21 @@ def test_seed_list_is_stable_and_nondyadic():
         assert s.denominator % 2 == 1  # never dyadic
 
 
+def test_uint64_doubling_matches_exact_integer_orbit():
+    den = _SEED_DEN
+    assert den % 2 == 1
+    assert 2 * den < 2 ** 64  # doubling a numerator never overflows
+    starts = [s.numerator * (den // s.denominator)
+              for s in equidistributed_seeds(64)]
+    starts += [1, (den - 1) // 2, (den + 1) // 2, den - 1]
+    p = np.array(starts, dtype=np.uint64)
+    exact = list(starts)
+    for _ in range(1000):
+        _double_mod(p)
+        exact = [(2 * q) % 5 ** 27 for q in exact]
+        assert [int(q) for q in p] == exact
+
+
 # ---------------------------------------------------------------------------
 # transfer-operator decay
 
@@ -223,6 +240,71 @@ def test_suite_validation():
         ou_limit_suite(1.0, [0.1, 0.2], 4000)
     with pytest.raises(ValueError):
         ou_limit_suite(1.0, [0.1], 150)  # all transient at this tau
+    for gamma in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            ou_limit_suite(gamma, [0.1], 4000)
+    for tau in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tau"):
+            ou_limit_suite(1.0, [tau], 4000)
+    with pytest.raises(ValueError, match="tau"):
+        ou_limit_suite(1.0, [0.2, -0.1], 4000)
+
+
+def _big_int_suite(gamma, tau_list, n_kicks, ensemble):
+    # test-only copy of the former list-of-big-ints loop, with the current
+    # denominator and the readout float(p) / float(D) of the uint64 orbit
+    den = _SEED_DEN
+    nums = [s.numerator * (den // s.denominator)
+            for s in equidistributed_seeds(ensemble)]
+    reports = []
+    for tau in tau_list:
+        burn = int(10.0 / (gamma * tau)) + 1
+        kappa = math.sqrt(tau)
+        decay = math.exp(-gamma * tau)
+        drift = (1.0 - decay) / gamma
+        p = list(nums)
+        x = np.zeros(ensemble)
+        v = np.zeros(ensemble)
+        v_pool = []
+        msd = np.empty(n_kicks - burn + 1)
+        for j in range(1, n_kicks + 1):
+            x = x + v * drift
+            p = [(pp * 2) % den for pp in p]
+            theta = np.array([float(pp) / float(den) for pp in p])
+            xi = 1.0 - 2.0 * np.abs(theta - 0.5)
+            v = v * decay + kappa * (xi - 0.5)
+            if j == burn:
+                x_ref = x.copy()
+            if j >= burn:
+                msd[j - burn] = np.mean((x - x_ref) ** 2)
+                v_pool.append(v.copy())
+        pooled = np.concatenate(v_pool)
+        mu = pooled.mean()
+        m2 = ((pooled - mu) ** 2).mean()
+        m4 = ((pooled - mu) ** 4).mean()
+        t = np.arange(len(msd)) * tau
+        mask = t >= t[0] + 0.5 * (t[-1] - t[0])
+        slope, intercept = np.polyfit(t[mask], msd[mask], 1)
+        resid = msd[mask] - (slope * t[mask] + intercept)
+        centered = msd[mask] - msd[mask].mean()
+        r2 = 1.0 - float(resid @ resid) / float(centered @ centered)
+        reports.append(dict(tau=tau, var_v=float(pooled.var()),
+                            normality_stat=abs(float(m4 / m2 ** 2 - 3.0)),
+                            msd_slope=float(slope), msd_r2=r2,
+                            mean_v=float(mu), n_samples=len(pooled)))
+    return reports
+
+
+def test_suite_matches_big_int_reference():
+    got = ou_limit_suite(1.0, [0.2, 0.1], 1500, ensemble=64)
+    want = _big_int_suite(1.0, [0.2, 0.1], 1500, ensemble=64)
+    assert len(got) == len(want) == 2
+    for rep, ref in zip(got, want):
+        # the fourth moment is now a square of squares, not pow(d, 4)
+        stat = ref.pop("normality_stat")
+        assert rep.normality_stat == pytest.approx(stat, rel=1e-12, abs=0.0)
+        for field, value in ref.items():
+            assert getattr(rep, field) == value, field
 
 
 def test_report_csv(tmp_path):
