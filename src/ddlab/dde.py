@@ -28,7 +28,7 @@ from .tabular import write_csv
 __all__ = [
     "History", "Trajectory", "LinearDelayField", "TentDelayField",
     "AffineCircleDelayField", "SineFeedbackField", "PiecewiseConstantUniform",
-    "eval_field", "state_dim", "integrate", "integrate_batch",
+    "eval_field", "state_dim", "integrate", "integrate_batch", "check_block",
     "convergence_order", "make_history", "fundamental_history",
 ]
 
@@ -324,14 +324,35 @@ def _axpy(y, a, k, out):
     np.add(y, out, out=out)
 
 
+def check_block(samples, tau: float) -> np.ndarray:
+    """An ensemble block as a validated float array shaped ``(B, m+1, d)``.
+
+    ``samples`` holds one history per row on the grid of step ``tau / m``,
+    shaped ``(B, m+1)`` for a scalar state (returned with ``d = 1``) or
+    ``(B, m+1, d)``.  Needs ``B >= 1``, ``m >= 4``, finite samples and a
+    finite ``tau > 0``.
+    """
+    arr = np.asarray(samples, dtype=float)
+    if arr.ndim not in (2, 3):
+        raise ValueError("samples must be shaped (B, m+1) or (B, m+1, d)")
+    if arr.shape[0] < 1:
+        raise ValueError("empty ensemble")
+    if arr.shape[1] - 1 < _MIN_SUBSTEPS:
+        raise ValueError(f"need at least {_MIN_SUBSTEPS} substeps per delay")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("history samples must be finite")
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError("tau must be positive")
+    return arr if arr.ndim == 3 else arr[:, :, None]
+
+
 def integrate_batch(field, samples, tau: float, T: float, *, t0: float = 0.0,
                     noise_table=None, observer=None) -> np.ndarray:
     """Advance a stack of histories together; returns the final states.
 
-    ``samples`` holds one history per row, shaped ``(B, m+1)`` for scalar
-    fields or ``(B, m+1, d)``, all rows sharing the grid of step ``tau / m``;
-    ``T`` must be a whole number of steps.  For a field with a noise
-    process, ``noise_table`` supplies one row of segment levels per
+    ``samples`` is an ensemble block as :func:`check_block` accepts it,
+    and ``T`` must be a whole number of steps ``tau / m``.  For a field with
+    a noise process, ``noise_table`` supplies one row of segment levels per
     trajectory (see :class:`PiecewiseConstantUniform`; the segment clock
     starts at ``t0``).  ``observer(k, states)`` is called for every node
     index ``k = 0 .. n`` with the ``(B, d)`` states at that node; the array
@@ -343,22 +364,12 @@ def integrate_batch(field, samples, tau: float, T: float, *, t0: float = 0.0,
     work runs on the calling thread, stepping in place in buffers
     allocated once per call.
     """
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
-    if arr.ndim != 3:
-        raise ValueError("samples must be shaped (B, m+1) or (B, m+1, d)")
+    arr = check_block(samples, tau)
     nb, rows, d = arr.shape
     m = rows - 1
-    if m < _MIN_SUBSTEPS:
-        raise ValueError(f"need at least {_MIN_SUBSTEPS} substeps per delay")
     if d != state_dim(field):
         raise ValueError(
             f"field wants state dimension {state_dim(field)}, got {d}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("history samples must be finite")
-    if not (tau > 0.0):
-        raise ValueError("tau must be positive")
     h = tau / m
     n_steps = int(round(T / h))
     if n_steps < 1 or abs(n_steps * h - T) > 1e-9 * max(1.0, abs(T)):

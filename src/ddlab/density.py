@@ -13,10 +13,38 @@ import numpy as np
 from .tabular import write_csv
 
 
+def edge_prefix(values: np.ndarray, w: float) -> np.ndarray:
+    """Running integral of cell values (cell width ``w``) at the cell edges.
+
+    ``prefix[0] == 0``; the prefix sums of nonnegative values never
+    decrease.
+    """
+    p = np.empty(values.size + 1)
+    p[0] = 0.0
+    np.cumsum(values * w, out=p[1:])
+    return p
+
+
+def cumulative(values: np.ndarray, prefix: np.ndarray, lo: float, w: float,
+               x) -> np.ndarray:
+    """Integral of a piecewise-constant function over ``[lo, x]``, vectorized.
+
+    ``values`` are the function's values on cells of width ``w`` starting
+    at ``lo``, ``prefix`` is ``edge_prefix(values, w)``, and ``x`` is
+    clipped to the grid.  Signed functions are fine.
+    """
+    x = np.asarray(x, dtype=float)
+    n = values.size
+    pos = np.clip((x - lo) / w, 0.0, float(n))
+    idx = np.minimum(pos.astype(int), n - 1)
+    frac = np.clip(x - (lo + idx * w), 0.0, w)
+    return prefix[idx] + values[idx] * frac
+
+
 class GridDensity:
     """Cell-averaged density on a uniform grid over ``[lo, hi]``."""
 
-    __slots__ = ("values", "lo", "hi", "_prefix")
+    __slots__ = ("values", "lo", "hi")
 
     def __init__(self, values, lo=0.0, hi=1.0):
         values = np.ascontiguousarray(values, dtype=float)
@@ -31,7 +59,6 @@ class GridDensity:
         self.values = values
         self.lo = float(lo)
         self.hi = float(hi)
-        self._prefix = None
 
     # -- construction ------------------------------------------------------
 
@@ -84,29 +111,14 @@ class GridDensity:
             raise ValueError("cannot normalize a zero density")
         return GridDensity(self.values / m, self.lo, self.hi)
 
-    def prefix(self) -> np.ndarray:
-        """Cumulative integral at cell edges; ``prefix[0] == 0``."""
-        if self._prefix is None:
-            p = np.empty(self.n + 1)
-            p[0] = 0.0
-            np.cumsum(self.values * self.cell_width, out=p[1:])
-            self._prefix = p
-        return self._prefix
-
-    def cumulative(self, x) -> np.ndarray:
-        """Integral of the density over ``[lo, min(x, hi)]``, vectorized."""
-        x = np.asarray(x, dtype=float)
-        w = self.cell_width
-        pos = np.clip((x - self.lo) / w, 0.0, float(self.n))
-        idx = np.minimum(pos.astype(int), self.n - 1)
-        frac = np.clip(x - (self.lo + idx * w), 0.0, w)
-        return self.prefix()[idx] + self.values[idx] * frac
-
     def integrate(self, a, b) -> float:
         """Integral over ``[a, b]`` intersected with the domain."""
         if b < a:
             a, b = b, a
-        return float(self.cumulative(b) - self.cumulative(a))
+        w = self.cell_width
+        c = cumulative(self.values, edge_prefix(self.values, w), self.lo, w,
+                       [a, b])
+        return float(c[1] - c[0])
 
     def l1_distance(self, other: "GridDensity") -> float:
         self._check_same_grid(other)

@@ -8,6 +8,11 @@ interrogate the resulting histogram snapshots with
 displacement, stationary velocity moments) come from
 `evolve_trajectories` + `msd_curve` / `velocity_stats`.
 
+An ensemble is one float block, ``(n, m+1)`` for a scalar state or
+``(n, m+1, d)``: row i holds trajectory i's history on the m-interval grid
+of width tau, which travels next to the block.  Every consumer validates
+it once with `ddlab.dde.check_block`.
+
 Binning convention: the first snapshot in the requested schedule fixes
 the histogram range, which is then frozen; later samples are clipped
 into it before counting, so every snapshot accounts for all n
@@ -20,14 +25,14 @@ on the calling thread.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .dde import History, Trajectory, integrate_batch
+from .dde import Trajectory, check_block, integrate_batch
 from .density import Histogram
 from .fit import r_squared, tail_line_fit
-from .gaussian import sample_gaussian_history
+from .gaussian import sample_gaussian_paths
 from .tabular import write_csv
 
 _GRID_RTOL = 1e-9
@@ -98,11 +103,7 @@ def _sample_block(spec, n, m, tau, seedseq):
     if isinstance(spec, ConstantPath):
         return np.full((n, m + 1), float(spec.value))
     if isinstance(spec, GaussianHistory):
-        rows = [
-            sample_gaussian_history(spec.kernel, m, tau, child).values
-            for child in seedseq.spawn(n)
-        ]
-        return np.array(rows)
+        return sample_gaussian_paths(spec.kernel, n, m, tau, seedseq)
     if isinstance(spec, Mixture):
         blocks = [
             _sample_block(sub, count, m, tau, child)
@@ -113,12 +114,13 @@ def _sample_block(spec, n, m, tau, seedseq):
     raise TypeError(f"unknown ensemble description {type(spec).__name__}")
 
 
-def sample_initial(spec, n, m, tau, seed=None) -> list[History]:
+def sample_initial(spec, n, m, tau, seed=None) -> np.ndarray:
     """Draw ``n`` initial histories on the m-interval grid of width tau.
 
-    ``Mixture`` components keep their listed order in the returned list,
-    and ``n`` must equal the mixture's total count.  Reproducible for a
-    fixed integer seed regardless of the composition of the ensemble.
+    Returns the ``(n, m+1)`` block.  ``Mixture`` components keep their
+    listed order in its rows, and ``n`` must equal the mixture's total
+    count.  Reproducible for a fixed integer seed regardless of the
+    composition of the ensemble.
     """
     n = int(n)
     if n < 1:
@@ -126,41 +128,24 @@ def sample_initial(spec, n, m, tau, seed=None) -> list[History]:
     if isinstance(spec, Mixture) and spec.total != n:
         raise ValueError(
             f"mixture counts sum to {spec.total}, but n = {n}")
-    block = _sample_block(spec, n, m, tau, np.random.SeedSequence(seed))
-    return [History(tau, row) for row in block]
+    return _sample_block(spec, n, m, tau, np.random.SeedSequence(seed))
 
 
-def as_velocity_histories(histories: Sequence[History]) -> list[History]:
-    """Lift scalar histories to (position, velocity) pairs.
+def as_velocity_histories(samples) -> np.ndarray:
+    """Lift an ``(n, m+1)`` block of scalar histories to ``(n, m+1, 2)``.
 
     The scalar path becomes the velocity component; position starts at
     rest at the origin.  This is the natural preparation for fields
     whose state is (x, v) but whose feedback involves only delayed v.
     """
-    out = []
-    for h in histories:
-        if h.dim != 1:
-            raise ValueError("histories are already multi-component")
-        stacked = np.stack([np.zeros_like(h.samples), h.samples], axis=-1)
-        out.append(History(h.tau, stacked, t_now=h.t_now))
-    return out
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2:
+        raise ValueError("histories are already multi-component")
+    return np.stack([np.zeros_like(samples), samples], axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # pushing ensembles through a field
-
-
-def _stack_histories(histories):
-    if not histories:
-        raise ValueError("empty ensemble")
-    tau = histories[0].tau
-    shape = histories[0].samples.shape
-    for h in histories:
-        if abs(h.tau - tau) > 1e-12 * tau:
-            raise ValueError("histories disagree on the delay")
-        if h.samples.shape != shape:
-            raise ValueError("histories disagree on the grid")
-    return np.stack([h.samples for h in histories]), tau, shape[0] - 1
 
 
 def _grid_index(t, h):
@@ -184,21 +169,20 @@ def _resolve_seed(seed):
     return seed
 
 
-def ensemble_values(histories, field, times, *, seed=None) -> np.ndarray:
+def ensemble_values(samples, tau, field, times, *, seed=None) -> np.ndarray:
     """First state component of every trajectory at the given grid times.
 
     Returns an (n_trajectories, len(times)) array.  Times at or before
-    zero are read from the histories; positive times come from one
+    zero are read from the history block; positive times come from one
     integration pass to the latest requested node.  Trajectory i's noise
     stream depends only on (seed, i).
     """
-    stacked, tau, m = _stack_histories(histories)
+    block = check_block(samples, tau)
+    B, m = block.shape[0], block.shape[1] - 1
     h = tau / m
     ks = [_grid_index(t, h) for t in times]
     if min(ks) < -m:
         raise ValueError("requested time precedes the stored history")
-    B = stacked.shape[0]
-    d = 1 if stacked.ndim == 2 else stacked.shape[2]
     out = np.empty((B, len(times)))
 
     wanted = {}
@@ -206,8 +190,7 @@ def ensemble_values(histories, field, times, *, seed=None) -> np.ndarray:
         wanted.setdefault(k, []).append(col)
     for k, cols in wanted.items():
         if k <= 0:
-            node = stacked[:, k + m] if d == 1 else stacked[:, k + m, 0]
-            out[:, cols] = node[:, None]
+            out[:, cols] = block[:, k + m, :1]
 
     k_max = max(ks)
     if k_max <= 0:
@@ -223,22 +206,21 @@ def ensemble_values(histories, field, times, *, seed=None) -> np.ndarray:
         if cols is not None and k > 0:
             out[:, cols] = y[:, :1]
 
-    integrate_batch(field, stacked, tau, k_max * h,
+    integrate_batch(field, block, tau, k_max * h,
                     noise_table=table, observer=obs)
     return out
 
 
-def evolve_trajectories(histories, field, T, *, seed=None, chunk=256):
-    """Integrate every history and yield full `Trajectory` records.
+def evolve_trajectories(samples, tau, field, T, *, seed=None, chunk=256):
+    """Integrate every history of the block and yield `Trajectory` records.
 
     A generator, so statistics can stream without holding the whole
     ensemble's paths in memory; integration happens in batches of
     ``chunk`` trajectories.
     """
-    stacked, tau, m = _stack_histories(histories)
+    stacked = check_block(samples, tau)
+    B, m, d = stacked.shape[0], stacked.shape[1] - 1, stacked.shape[2]
     h = tau / m
-    B = stacked.shape[0]
-    d = 1 if stacked.ndim == 2 else stacked.shape[2]
     n_steps = _grid_index(T, h)
     if n_steps < 1:
         raise ValueError("T must cover at least one step")
@@ -312,7 +294,7 @@ class DensitySnapshot:
     n: int
 
 
-def evolve_ensemble(histories, field, T, snapshot_times, *, bins=100,
+def evolve_ensemble(samples, tau, field, T, snapshot_times, *, bins=100,
                     seed=None, joint=True):
     """Integrate the ensemble and histogram it at each snapshot time.
 
@@ -324,7 +306,6 @@ def evolve_ensemble(histories, field, T, snapshot_times, *, bins=100,
     snapshot_times = [float(t) for t in snapshot_times]
     if not snapshot_times:
         raise ValueError("no snapshot times given")
-    tau = histories[0].tau
     for t in snapshot_times:
         if t < 0.0 or t > T + 1e-9 * max(1.0, T):
             raise ValueError(f"snapshot time {t:g} outside [0, T]")
@@ -332,7 +313,7 @@ def evolve_ensemble(histories, field, T, snapshot_times, *, bins=100,
     query = list(snapshot_times)
     if joint:
         query += [t - tau for t in snapshot_times]
-    vals = ensemble_values(histories, field, query, seed=seed)
+    vals = ensemble_values(samples, tau, field, query, seed=seed)
     B = vals.shape[0]
 
     first = Histogram.from_samples(vals[:, 0], bins)

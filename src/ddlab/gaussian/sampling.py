@@ -1,14 +1,16 @@
-"""Draw sample paths of the initial Gaussian history measures.
+"""Draw blocks of sample paths of the initial Gaussian history measures.
 
-Each named kernel has an explicit pathwise construction (amplitude-phase
-cosine, cumulative-sum Wiener, time-changed Wiener), so sampling is exact in
-distribution at the grid nodes; kernels without structure fall back to a
-Cholesky factor of the node Gram matrix.  Paths are deterministic per seed.
+`sample_gaussian_paths` returns ``n`` paths on the grid
+``s_j = -tau + j tau / m`` as one ``(n, m+1)`` array, drawn from one
+generator in one vectorized call per block.  Each named kernel has an
+explicit pathwise construction (amplitude-phase cosine, cumulative-sum
+Wiener, time-changed Wiener), so sampling is exact in distribution at the
+grid nodes; kernels without structure fall back to a Cholesky factor of the
+node Gram matrix.  Blocks are deterministic per seed.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,40 +18,32 @@ from ..errors import KernelPositivityError
 from .kernels import (CosineKernel, DegenerateCosineKernel,
                       ProductSeparableKernel, ShiftedWienerKernel)
 
-__all__ = ["SampledHistory", "sample_gaussian_history"]
+__all__ = ["sample_gaussian_paths"]
 
 
-@dataclass(frozen=True)
-class SampledHistory:
-    """History values on the uniform grid s_j = -tau + j tau / m."""
-
-    values: np.ndarray
-    tau: float
-
-    @property
-    def m(self) -> int:
-        return len(self.values) - 1
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return -self.tau + np.arange(self.m + 1) * (self.tau / self.m)
-
-    def __call__(self, s):
-        """Piecewise-linear evaluation on [-tau, 0]."""
-        pos = (np.asarray(s, dtype=float) + self.tau) / self.tau * self.m
-        pos = np.clip(pos, 0.0, self.m)
-        j = np.minimum(pos.astype(int), self.m - 1)
-        frac = pos - j
-        out = (1.0 - frac) * self.values[j] + frac * self.values[j + 1]
-        return float(out) if out.ndim == 0 else out
+def _cumsum_paths(rng, n, scale):
+    """Rows ``0, cumsum(scale * z)`` for ``(n, m)`` standard normals ``z``."""
+    out = np.empty((n, scale.size + 1))
+    out[:, 0] = 0.0
+    out[:, 1:] = rng.standard_normal((n, scale.size))
+    out[:, 1:] *= scale
+    np.cumsum(out, axis=1, out=out)
+    return out
 
 
-def sample_gaussian_history(kernel, m: int, tau: float,
-                            seed) -> SampledHistory:
-    """One path of the centered Gaussian measure with covariance ``kernel``."""
+def sample_gaussian_paths(kernel, n: int, m: int, tau: float,
+                          seed) -> np.ndarray:
+    """``n`` paths of the centered Gaussian measure with covariance ``kernel``.
+
+    Returns an ``(n, m+1)`` block; row ``i`` holds path ``i`` at the nodes
+    ``s_j``.  ``seed`` is anything ``np.random.default_rng`` accepts.
+    """
+    n = int(n)
+    if n < 1:
+        raise ValueError("need at least one path")
     if m < 2:
         raise ValueError("need at least two history intervals")
-    if tau <= 0.0:
+    if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError("tau must be positive")
     own_tau = getattr(kernel, "tau", None)
     if own_tau is not None and abs(own_tau - tau) > 1e-12 * tau:
@@ -59,33 +53,28 @@ def sample_gaussian_history(kernel, m: int, tau: float,
 
     if isinstance(kernel, CosineKernel):
         # amplitude from the Rayleigh law by inverse CDF, phase uniform
-        amp = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        values = amp * np.cos(s - theta)
-    elif isinstance(kernel, DegenerateCosineKernel):
-        values = rng.standard_normal() * np.cos(s)
-    elif isinstance(kernel, ShiftedWienerKernel):
-        h = tau / m
-        steps = rng.standard_normal(m) * math.sqrt(h)
-        values = np.concatenate([[0.0], np.cumsum(steps)])
-    elif isinstance(kernel, ProductSeparableKernel):
-        clock = np.asarray(kernel.u(s), dtype=float) / np.asarray(
-            kernel.v(s), dtype=float)
-        d = np.diff(clock)
+        u = rng.random(n)
+        theta = rng.uniform(0.0, 2.0 * math.pi, n)
+        amp = np.sqrt(-2.0 * np.log(1.0 - u))
+        return amp[:, None] * np.cos(s[None, :] - theta[:, None])
+    if isinstance(kernel, DegenerateCosineKernel):
+        return rng.standard_normal(n)[:, None] * np.cos(s)
+    if isinstance(kernel, ShiftedWienerKernel):
+        return _cumsum_paths(rng, n, np.full(m, math.sqrt(tau / m)))
+    if isinstance(kernel, ProductSeparableKernel):
+        v = np.asarray(kernel.v(s), dtype=float)
+        d = np.diff(np.asarray(kernel.u(s), dtype=float) / v)
         if np.any(d < -1e-12):
             raise ValueError("u/v must be nondecreasing on the window")
-        steps = rng.standard_normal(m) * np.sqrt(np.maximum(d, 0.0))
-        w = np.concatenate([[0.0], np.cumsum(steps)])
-        values = np.asarray(kernel.v(s), dtype=float) * w
-    else:
-        gram = np.asarray(kernel.value(s[:, None], s[None, :]), dtype=float)
-        gram = 0.5 * (gram + gram.T)
-        try:
-            chol = np.linalg.cholesky(gram + 1e-12 * np.eye(m + 1))
-        except np.linalg.LinAlgError as exc:
-            raise KernelPositivityError(
-                "Gram matrix is not positive semidefinite "
-                "(Cholesky failed after jitter)") from exc
-        values = chol @ rng.standard_normal(m + 1)
-
-    return SampledHistory(values=values, tau=float(tau))
+        out = _cumsum_paths(rng, n, np.sqrt(np.maximum(d, 0.0)))
+        out *= v
+        return out
+    gram = np.asarray(kernel.value(s[:, None], s[None, :]), dtype=float)
+    gram = 0.5 * (gram + gram.T)
+    try:
+        chol = np.linalg.cholesky(gram + 1e-12 * np.eye(m + 1))
+    except np.linalg.LinAlgError as exc:
+        raise KernelPositivityError(
+            "Gram matrix is not positive semidefinite "
+            "(Cholesky failed after jitter)") from exc
+    return rng.standard_normal((n, m + 1)) @ chol.T

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import GridDensity
+from .density import GridDensity, cumulative, edge_prefix
 
 __all__ = [
     "TentMap", "DensityCoupledTentMap", "AffineCircleMap",
@@ -37,23 +37,6 @@ __all__ = [
     "circular_smooth_values", "iterate", "detect_asymptotic_period",
     "PeriodReport",
 ]
-
-
-def _prefix_of(values: np.ndarray, w: float) -> np.ndarray:
-    p = np.empty(values.size + 1)
-    p[0] = 0.0
-    np.cumsum(values * w, out=p[1:])
-    return p
-
-
-def _cumulative(values: np.ndarray, prefix: np.ndarray, w: float,
-                x: np.ndarray) -> np.ndarray:
-    """Integral of the piecewise-constant function over [0, x], x in [0, 1]."""
-    n = values.size
-    pos = np.clip(x / w, 0.0, float(n))
-    idx = np.minimum(pos.astype(int), n - 1)
-    frac = np.clip(x - idx * w, 0.0, w)
-    return prefix[idx] + values[idx] * frac
 
 
 def push_tent_values(values, a: float) -> np.ndarray:
@@ -67,12 +50,12 @@ def push_tent_values(values, a: float) -> np.ndarray:
     w = 1.0 / n
     if not 0.0 < a <= 2.0:
         raise ValueError("tent slope must lie in (0, 2]")
-    prefix = _prefix_of(values, w)
+    prefix = edge_prefix(values, w)
     edges = np.linspace(0.0, 1.0, n + 1)
     # cells beyond a/2 have empty preimage; clip their edges to a/2
     e = np.minimum(edges, 0.5 * a)
-    left = _cumulative(values, prefix, w, e / a)
-    right = _cumulative(values, prefix, w, 1.0 - e / a)
+    left = cumulative(values, prefix, 0.0, w, e / a)
+    right = cumulative(values, prefix, 0.0, w, 1.0 - e / a)
     out = (left[1:] - left[:-1]) + (right[:-1] - right[1:])
     return out / w
 
@@ -86,14 +69,14 @@ def push_circle_values(values, a: float, b: float) -> np.ndarray:
         raise ValueError("require 0 < a < 1")
     if not 0.0 <= b < 1.0:
         raise ValueError("require 0 <= b < 1")
-    prefix = _prefix_of(values, w)
+    prefix = edge_prefix(values, w)
     edges = np.linspace(0.0, 1.0, n + 1)
     out = np.zeros(n)
     for k in (0.0, 1.0):
         xlo = np.clip((edges[:-1] + k - b) / a, 0.0, 1.0)
         xhi = np.clip((edges[1:] + k - b) / a, 0.0, 1.0)
-        out += (_cumulative(values, prefix, w, xhi)
-                - _cumulative(values, prefix, w, xlo))
+        out += (cumulative(values, prefix, 0.0, w, xhi)
+                - cumulative(values, prefix, 0.0, w, xlo))
     return out / w
 
 

@@ -116,9 +116,9 @@ def _run_dde_ensemble(cfg, out):
                 p["tau"] if interval is None else interval)
         field = AffineCircleDelayField(p["alpha"], p["a"], p["b"], noise=noise)
     times = o["snapshots"].times()
-    histories = sample_initial(_initial_spec(e), e["n"], p["m"], p["tau"],
-                               seed=e["seed"])
-    snaps = evolve_ensemble(histories, field, float(times[-1]), times,
+    samples = sample_initial(_initial_spec(e), e["n"], p["m"], p["tau"],
+                             seed=e["seed"])
+    snaps = evolve_ensemble(samples, p["tau"], field, float(times[-1]), times,
                             bins=o["bins"], seed=e["seed"], joint=p["joint"])
     written = [out / "snapshots.csv"]
     write_snapshot_csv(written[0], snaps)
@@ -147,10 +147,10 @@ def _run_gaussian(cfg, out):
 def _run_brownian(cfg, out):
     p, e, o = cfg.params, cfg.ensemble, cfg.output
     field = SineFeedbackField(p["gamma"], p["beta"])
-    histories = as_velocity_histories(
+    samples = as_velocity_histories(
         sample_initial(_initial_spec(e), e["n"], p["m"], p["tau"],
                        seed=e["seed"]))
-    trajectories = list(evolve_trajectories(histories, field, p["T"],
+    trajectories = list(evolve_trajectories(samples, p["tau"], field, p["T"],
                                             seed=e["seed"]))
     burn_in = 0.2 * p["T"] if p["burn_in"] is None else p["burn_in"]
     curve = msd_curve(trajectories, tau=p["tau"],
@@ -197,9 +197,9 @@ def _run_compare(cfg, out):
     total_sq = np.zeros(times.size)
     for c in range(n_chunks):
         block = min(chunk, n - c * chunk)
-        histories = sample_initial(GaussianHistory(kernel), block, p["m"],
-                                   tau, seed=int(seeds[c]))
-        vals = ensemble_values(histories, field, times)
+        samples = sample_initial(GaussianHistory(kernel), block, p["m"],
+                                 tau, seed=int(seeds[c]))
+        vals = ensemble_values(samples, tau, field, times)
         total += vals.sum(axis=0)
         total_sq += np.square(vals).sum(axis=0)
     mean = total / n

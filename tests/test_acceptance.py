@@ -75,7 +75,7 @@ def test_03_hat_dde_density_cycle_uniform_and_mixture():
             ("mixture", Mixture([(IidUniformPath(0.65, 0.75), 17000),
                                  (IidUniformPath(0.35, 0.45), 5500)]))]:
         hist = sample_initial(spec, 22500, 128, 1.0, seed=1013)
-        snaps = evolve_ensemble(hist, field, float(times[-1]), times,
+        snaps = evolve_ensemble(hist, 1.0, field, float(times[-1]), times,
                                 bins=50, seed=1013, joint=False)
         periods[name] = detect_density_period(snaps, 0.125, tol=0.65)
     assert periods["uniform"] is not None
@@ -83,7 +83,8 @@ def test_03_hat_dde_density_cycle_uniform_and_mixture():
     assert periods["mixture"] == periods["uniform"]
     # exchanged slopes: pathwise contraction, no finite period
     hist = sample_initial(IidUniformPath(0.65, 0.75), 400, 16, 1.0, seed=1013)
-    vals = ensemble_values(hist, TentDelayField(13.0, 10.0), [30.0, 60.0])
+    vals = ensemble_values(hist, 1.0, TentDelayField(13.0, 10.0),
+                           [30.0, 60.0])
     assert np.max(np.abs(vals[:, 1])) < 1e-4
     assert np.max(np.abs(vals[:, 1])) < 1e-2 * np.max(np.abs(vals[:, 0]))
     assert time.perf_counter() - t0 < 600.0
@@ -105,7 +106,7 @@ def test_04_noisy_circle_dde_period_appears_with_noise_width():
             noise=PiecewiseConstantUniform(0.0, width, 1.0))
         hist = sample_initial(IidUniformPath(0.0, 1.0), 22500, 64, 1.0,
                               seed=2029)
-        snaps = evolve_ensemble(hist, field, float(times[-1]), times,
+        snaps = evolve_ensemble(hist, 1.0, field, float(times[-1]), times,
                                 bins=50, seed=2029, joint=False)
         period = detect_density_period(snaps, 0.5, tol=0.2)
         assert (period is not None) == want_finite
@@ -129,7 +130,7 @@ def test_05_sine_feedback_velocity_statistics():
     histories = as_velocity_histories(
         sample_initial(IidUniformPath(-0.05, 0.05), 500, 32, 1.0, seed=77))
     trajectories = list(evolve_trajectories(
-        histories, SineFeedbackField(gamma, beta), 500.0, seed=77))
+        histories, 1.0, SineFeedbackField(gamma, beta), 500.0, seed=77))
     curve = msd_curve(trajectories, tau=1.0)
     stats = velocity_stats(trajectories, 100.0)
     elapsed = time.perf_counter() - t0

@@ -36,16 +36,13 @@ from ddlab.tabular import read_csv
 
 
 def test_constant_path_gives_identical_histories():
-    hs = sample_initial(ConstantPath(0.7), 3, 8, 1.0)
-    assert len(hs) == 3
-    for h in hs:
-        assert h.m == 8 and h.tau == 1.0
-        assert np.all(h.samples == 0.7)
+    block = sample_initial(ConstantPath(0.7), 3, 8, 1.0)
+    assert block.shape == (3, 9)
+    assert np.all(block == 0.7)
 
 
 def test_iid_uniform_node_statistics():
-    hs = sample_initial(IidUniformPath(0.65, 0.75), 22500, 8, 1.0, seed=5)
-    block = np.stack([h.samples for h in hs])
+    block = sample_initial(IidUniformPath(0.65, 0.75), 22500, 8, 1.0, seed=5)
     assert block.min() >= 0.65 and block.max() <= 0.75
     se = (0.1 / math.sqrt(12.0)) / math.sqrt(block.size)
     assert abs(block.mean() - 0.70) < 3 * se
@@ -54,9 +51,8 @@ def test_iid_uniform_node_statistics():
 def test_mixture_keeps_component_order_and_counts():
     spec = Mixture(((IidUniformPath(0.65, 0.75), 17000),
                     (IidUniformPath(0.35, 0.45), 5500)))
-    hs = sample_initial(spec, 22500, 4, 1.0, seed=2)
-    hi = np.stack([h.samples for h in hs[:17000]])
-    lo = np.stack([h.samples for h in hs[17000:]])
+    block = sample_initial(spec, 22500, 4, 1.0, seed=2)
+    hi, lo = block[:17000], block[17000:]
     assert hi.min() >= 0.65 and hi.max() <= 0.75
     assert lo.min() >= 0.35 and lo.max() <= 0.45
 
@@ -84,9 +80,8 @@ def test_uniform_spec_validation():
 
 
 def test_gaussian_history_sampling():
-    hs = sample_initial(GaussianHistory(ShiftedWienerKernel(1.0)),
-                        200, 16, 1.0, seed=11)
-    block = np.stack([h.samples for h in hs])
+    block = sample_initial(GaussianHistory(ShiftedWienerKernel(1.0)),
+                           200, 16, 1.0, seed=11)
     assert np.all(block[:, 0] == 0.0)  # pinned at the left end
     var_end = block[:, -1].var()
     assert abs(var_end - 1.0) < 0.45
@@ -96,18 +91,24 @@ def test_sampling_is_reproducible():
     a = sample_initial(IidUniformPath(0.0, 1.0), 40, 6, 1.0, seed=9)
     b = sample_initial(IidUniformPath(0.0, 1.0), 40, 6, 1.0, seed=9)
     c = sample_initial(IidUniformPath(0.0, 1.0), 40, 6, 1.0, seed=10)
-    assert all(np.array_equal(x.samples, y.samples) for x, y in zip(a, b))
-    assert any(not np.array_equal(x.samples, y.samples)
-               for x, y in zip(a, c))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed", [11, 901, 2029])
+def test_uniform_block_is_one_generator_stream(seed):
+    # the hat, circle and brownian runs start from exactly this stream
+    block = sample_initial(IidUniformPath(0.65, 0.75), 50, 16, 1.0, seed=seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    assert np.array_equal(block, rng.uniform(0.65, 0.75, (50, 17)))
 
 
 def test_velocity_lift():
     hs = sample_initial(IidUniformPath(-0.5, 0.5), 4, 8, 1.0, seed=1)
     lifted = as_velocity_histories(hs)
-    for h, l in zip(hs, lifted):
-        assert l.dim == 2
-        assert np.all(l.samples[:, 0] == 0.0)
-        assert np.array_equal(l.samples[:, 1], h.samples)
+    assert lifted.shape == (4, 9, 2)
+    assert np.all(lifted[:, :, 0] == 0.0)
+    assert np.array_equal(lifted[:, :, 1], hs)
     with pytest.raises(ValueError):
         as_velocity_histories(lifted)
 
@@ -118,7 +119,7 @@ def test_velocity_lift():
 
 def test_pure_decay_point_mass_at_exp_minus_one():
     hs = sample_initial(ConstantPath(1.0), 50, 32, 1.0)
-    snaps = evolve_ensemble(hs, LinearDelayField(-1.0, 0.0), 1.0, [1.0])
+    snaps = evolve_ensemble(hs, 1.0, LinearDelayField(-1.0, 0.0), 1.0, [1.0])
     snap = snaps[0]
     assert snap.n == 50
     occupied = np.nonzero(snap.marginal.counts)[0]
@@ -129,7 +130,7 @@ def test_pure_decay_point_mass_at_exp_minus_one():
 
 def test_snapshot_mass_and_joint_marginal_are_exact():
     hs = sample_initial(IidUniformPath(-1.0, 1.0), 4000, 16, 1.0, seed=3)
-    snaps = evolve_ensemble(hs, LinearDelayField(-0.5, 0.3), 2.0,
+    snaps = evolve_ensemble(hs, 1.0, LinearDelayField(-0.5, 0.3), 2.0,
                             [0.5, 1.0, 2.0], bins=37)
     for snap in snaps:
         assert int(snap.marginal.counts.sum()) == snap.n
@@ -144,7 +145,7 @@ def test_snapshot_mass_and_joint_marginal_are_exact():
 def test_bins_frozen_from_first_snapshot():
     hs = sample_initial(IidUniformPath(0.9, 1.1), 500, 8, 1.0, seed=4)
     # growing solutions drift out of the initial range and get clipped
-    snaps = evolve_ensemble(hs, LinearDelayField(0.2, 0.0), 6.0,
+    snaps = evolve_ensemble(hs, 1.0, LinearDelayField(0.2, 0.0), 6.0,
                             [0.0, 6.0], bins=20)
     assert snaps[0].marginal.lo == snaps[1].marginal.lo
     assert snaps[0].marginal.hi == snaps[1].marginal.hi
@@ -156,18 +157,38 @@ def test_snapshot_time_validation():
     hs = sample_initial(ConstantPath(0.5), 10, 8, 1.0)
     field = LinearDelayField(-1.0, 0.0)
     with pytest.raises(ValueError):
-        evolve_ensemble(hs, field, 1.0, [0.3])  # not on the tau/8 grid
+        evolve_ensemble(hs, 1.0, field, 1.0, [0.3])  # not on the tau/8 grid
     with pytest.raises(ValueError):
-        evolve_ensemble(hs, field, 1.0, [1.5])
+        evolve_ensemble(hs, 1.0, field, 1.0, [1.5])
     with pytest.raises(ValueError):
-        evolve_ensemble(hs, field, 1.0, [])
+        evolve_ensemble(hs, 1.0, field, 1.0, [])
 
 
 def test_history_side_values_read_back():
     hs = sample_initial(ConstantPath(0.25), 6, 8, 1.0)
-    vals = ensemble_values(hs, LinearDelayField(-1.0, 0.0),
+    vals = ensemble_values(hs, 1.0, LinearDelayField(-1.0, 0.0),
                            [-1.0, -0.5, 0.0])
     assert np.all(vals == 0.25)
+
+
+@pytest.mark.parametrize("samples, tau", [
+    (np.empty((0, 9)), 1.0),                        # empty block
+    (np.array([[0.1] * 4 + [np.nan] + [0.1] * 4]), 1.0),  # NaN node
+    (np.full((3, 9), 0.1), 0.0),                    # tau <= 0
+    (np.full((3, 9), 0.1), -1.0),
+    (np.full((3, 4), 0.1), 1.0),                    # m = 3 < 4
+])
+def test_history_side_reads_validate_the_block(samples, tau):
+    # every requested time is <= 0, so integrate_batch is never reached
+    with pytest.raises(ValueError):
+        ensemble_values(samples, tau, LinearDelayField(-1.0, 0.0),
+                        [-0.5, 0.0])
+
+
+def test_empty_ensemble_is_a_value_error():
+    with pytest.raises(ValueError):
+        evolve_ensemble(np.empty((0, 9)), 1.0, LinearDelayField(-1.0, 0.0),
+                        1.0, [0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +212,8 @@ def test_row_split_is_bitwise_invariant():
 
 def test_trajectory_chunking_is_bitwise_invariant():
     hs = sample_initial(IidUniformPath(0.0, 1.0), 23, 16, 1.0, seed=8)
-    small = list(evolve_trajectories(hs, KEENER, 3.0, seed=5, chunk=7))
-    big = list(evolve_trajectories(hs, KEENER, 3.0, seed=5, chunk=64))
+    small = list(evolve_trajectories(hs, 1.0, KEENER, 3.0, seed=5, chunk=7))
+    big = list(evolve_trajectories(hs, 1.0, KEENER, 3.0, seed=5, chunk=64))
     assert len(small) == len(big) == 23
     for a, b in zip(small, big):
         assert np.array_equal(a.states, b.states)
@@ -200,8 +221,8 @@ def test_trajectory_chunking_is_bitwise_invariant():
 
 def test_noise_seed_changes_noisy_results():
     hs = sample_initial(ConstantPath(0.4), 12, 16, 1.0)
-    a = ensemble_values(hs, KEENER, [3.0], seed=1)
-    b = ensemble_values(hs, KEENER, [3.0], seed=2)
+    a = ensemble_values(hs, 1.0, KEENER, [3.0], seed=1)
+    b = ensemble_values(hs, 1.0, KEENER, [3.0], seed=2)
     assert not np.array_equal(a, b)
 
 
@@ -255,7 +276,7 @@ def test_hat_ensemble_cycles_inside_the_folding_window():
     # drive/relaxation ratio 1.3 lies in the (1, 2] folding window
     hs = sample_initial(IidUniformPath(0.65, 0.75), 800, 32, 1.0, seed=6)
     times = [200.0 + 0.125 * i for i in range(24)]
-    snaps = evolve_ensemble(hs, TentDelayField(10.0, 13.0), 203.0, times,
+    snaps = evolve_ensemble(hs, 1.0, TentDelayField(10.0, 13.0), 203.0, times,
                             bins=40, joint=False)
     period = detect_density_period(snaps, 0.125, tol=0.35)
     assert period is not None
@@ -266,7 +287,7 @@ def test_hat_ensemble_below_the_window_contracts_to_a_point():
     # ratio 10/13 < 1: the fold never engages and everything decays
     hs = sample_initial(IidUniformPath(0.65, 0.75), 400, 32, 1.0, seed=6)
     times = [60.0 + 0.125 * i for i in range(24)]
-    snaps = evolve_ensemble(hs, TentDelayField(13.0, 10.0), 63.0, times,
+    snaps = evolve_ensemble(hs, 1.0, TentDelayField(13.0, 10.0), 63.0, times,
                             joint=False)
     assert snaps[0].marginal.hi < 1e-4
     assert detect_density_period(snaps, 0.125) is None
@@ -287,7 +308,7 @@ def test_density_error_shrinks_like_root_n():
 
     def l1_error(n, seed):
         hs = sample_initial(spec, n, 32, 1.0, seed=seed)
-        snap = evolve_ensemble(hs, field, 1.0, [1.0], bins=40,
+        snap = evolve_ensemble(hs, 1.0, field, 1.0, [1.0], bins=40,
                                joint=False)[0]
         edges = snap.marginal.edges
         cdf = np.array([0.5 * (1.0 + math.erf(e / (sigma * math.sqrt(2.0))))
@@ -303,7 +324,7 @@ def test_density_error_shrinks_like_root_n():
     assert -0.65 <= slope <= -0.35
 
     hs = sample_initial(spec, 100000, 32, 1.0, seed=100000)
-    vals = ensemble_values(hs, field, [1.0])[:, 0]
+    vals = ensemble_values(hs, 1.0, field, [1.0])[:, 0]
     var_mc = vals.var()
     se = var * math.sqrt(2.0 / len(vals))
     assert abs(var_mc - var) < 4 * se
@@ -406,7 +427,8 @@ def test_velocity_spread_decreases_with_feedback_frequency():
         hs = as_velocity_histories(
             sample_initial(IidUniformPath(-0.5, 0.5), 120, 16, 1.0,
                            seed=17))
-        trs = evolve_trajectories(hs, SineFeedbackField(1.0, beta), 30.0)
+        trs = evolve_trajectories(hs, 1.0, SineFeedbackField(1.0, beta),
+                                  30.0)
         stats = velocity_stats(trs, 10.0, min_samples=30_000)
         stds.append(stats.std)
     assert all(a > b for a, b in zip(stds, stds[1:]))
@@ -418,7 +440,7 @@ def test_velocity_spread_decreases_with_feedback_frequency():
 
 def test_snapshot_csv_roundtrip(tmp_path):
     hs = sample_initial(IidUniformPath(0.0, 1.0), 300, 8, 1.0, seed=2)
-    snaps = evolve_ensemble(hs, LinearDelayField(-0.5, 0.1), 2.0,
+    snaps = evolve_ensemble(hs, 1.0, LinearDelayField(-0.5, 0.1), 2.0,
                             [1.0, 2.0], bins=12)
     path = tmp_path / "snaps.csv"
     write_snapshot_csv(path, snaps)

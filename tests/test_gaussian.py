@@ -14,7 +14,7 @@ from ddlab.gaussian import (CosineKernel, DegenerateCosineKernel,
                             factorized_sigma2, fundamental_prefix,
                             fundamental_solution, hayes_stable, joint_density,
                             lag_cov_curve, marginal_density, propagate_state,
-                            r_t, rightmost_root, sample_gaussian_history,
+                            r_t, rightmost_root, sample_gaussian_paths,
                             sigma2_curve, wiener_closed_form, write_r_slice)
 from ddlab.quadrature import adaptive_simpson
 from ddlab.tabular import read_csv
@@ -472,18 +472,18 @@ def test_conditional_mean_scale_invariance():
 
 
 def test_sampler_is_deterministic_per_seed():
-    a = sample_gaussian_history(WIENER, 32, 1.0, 123)
-    b = sample_gaussian_history(WIENER, 32, 1.0, 123)
-    c = sample_gaussian_history(WIENER, 32, 1.0, 124)
-    np.testing.assert_array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, c.values)
+    a = sample_gaussian_paths(WIENER, 5, 32, 1.0, 123)
+    b = sample_gaussian_paths(WIENER, 5, 32, 1.0, 123)
+    c = sample_gaussian_paths(WIENER, 5, 32, 1.0, 124)
+    assert a.shape == (5, 33)
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_cosine_sampler_statistics():
     tau = math.pi / 2
     n = 20000
-    vals = np.array([sample_gaussian_history(COSINE, 8, tau, s).values
-                     for s in range(n)])
+    vals = sample_gaussian_paths(COSINE, n, 8, tau, 0)
     se_var = math.sqrt(2.0 / n)
     assert np.all(np.abs(vals.var(axis=0) - 1.0) < 3 * se_var + 0.02)
     corr = np.corrcoef(vals[:, 0], vals[:, -1])[0, 1]
@@ -492,22 +492,30 @@ def test_cosine_sampler_statistics():
 
 def test_wiener_sampler_statistics():
     n = 20000
-    vals = np.array([sample_gaussian_history(WIENER, 16, 1.0, s).values
-                     for s in range(n)])
+    vals = sample_gaussian_paths(WIENER, n, 16, 1.0, 0)
     assert np.all(vals[:, 0] == 0.0)
     assert vals[:, -1].var() == pytest.approx(1.0, abs=3 * math.sqrt(2.0 / n))
 
 
-def test_sampler_gram_covariance_matches_kernel():
-    # empirical node covariance of the generic Cholesky path reproduces the
-    # tabulated kernel within Monte Carlo error
-    grid = np.linspace(-1.0, 0.0, 5)
-    tab = TabulatedKernel(np.cos(grid[:, None] - grid[None, :]), 1.0)
+_GRID = np.linspace(-1.0, 0.0, 5)
+
+
+@pytest.mark.parametrize("kernel", [
+    COSINE,
+    DegenerateCosineKernel(),
+    WIENER,
+    ProductSeparableKernel(lambda s: s + 1.0, np.ones_like, 1.0),
+    TabulatedKernel(np.cos(_GRID[:, None] - _GRID[None, :]), 1.0),
+], ids=["cosine", "degenerate-cosine", "wiener", "product-separable",
+        "tabulated"])
+def test_sampler_gram_covariance_matches_kernel(kernel):
+    # empirical node covariance of one batch reproduces the kernel within
+    # Monte Carlo error (every kernel has variance at most one here)
     n = 20000
-    vals = np.array([sample_gaussian_history(tab, 4, 1.0, s).values
-                     for s in range(n)])
+    vals = sample_gaussian_paths(kernel, n, 4, 1.0, 7)
+    assert vals.shape == (n, 5)
     emp = vals.T @ vals / n
-    want = np.cos(grid[:, None] - grid[None, :])
+    want = kernel.value(_GRID[:, None], _GRID[None, :])
     assert np.abs(emp - want).max() < 5 * math.sqrt(2.0 / n)
 
 
@@ -515,16 +523,7 @@ def test_sampler_rejects_indefinite_tabulated_kernel():
     values = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
     tab = TabulatedKernel(values, 1.0)
     with pytest.raises(KernelPositivityError):
-        sample_gaussian_history(tab, 2, 1.0, 0)
-
-
-def test_sampled_history_interpolates_linearly():
-    hist = sample_gaussian_history(WIENER, 4, 1.0, 5)
-    mid = 0.5 * (hist.nodes[1] + hist.nodes[2])
-    assert hist(mid) == pytest.approx(
-        0.5 * (hist.values[1] + hist.values[2]), rel=1e-12)
-    assert hist(0.0) == hist.values[-1]
-    assert hist(-1.0) == hist.values[0]
+        sample_gaussian_paths(tab, 1, 2, 1.0, 0)
 
 
 @settings(max_examples=25, deadline=None)
