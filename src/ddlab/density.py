@@ -41,10 +41,36 @@ def cumulative(values: np.ndarray, prefix: np.ndarray, lo: float, w: float,
     return prefix[idx] + values[idx] * frac
 
 
-class GridDensity:
+class UniformGrid:
+    """``n`` equal cells over ``[lo, hi]``: the geometry shared by
+    :class:`GridDensity`, :class:`Histogram` and the ensemble's joint
+    histogram."""
+
+    __slots__ = ("lo", "hi", "n")
+
+    def __init__(self, lo, hi, n):
+        self.lo = float(lo)
+        self.hi = float(hi)
+        self.n = int(n)
+
+    @property
+    def bin_width(self) -> float:
+        return (self.hi - self.lo) / self.n
+
+    @property
+    def edges(self) -> np.ndarray:
+        return np.linspace(self.lo, self.hi, self.n + 1)
+
+    def _check_same_grid(self, other, message) -> None:
+        if (self.n != other.n or abs(self.lo - other.lo) > 1e-12
+                or abs(self.hi - other.hi) > 1e-12):
+            raise ValueError(message)
+
+
+class GridDensity(UniformGrid):
     """Cell-averaged density on a uniform grid over ``[lo, hi]``."""
 
-    __slots__ = ("values", "lo", "hi")
+    __slots__ = ("values",)
 
     def __init__(self, values, lo=0.0, hi=1.0):
         values = np.ascontiguousarray(values, dtype=float)
@@ -56,9 +82,8 @@ class GridDensity:
             raise ValueError("density values must be nonnegative")
         if not hi > lo:
             raise ValueError("require hi > lo")
+        super().__init__(lo, hi, values.size)
         self.values = values
-        self.lo = float(lo)
-        self.hi = float(hi)
 
     # -- construction ------------------------------------------------------
 
@@ -66,34 +91,9 @@ class GridDensity:
     def uniform(cls, n, lo=0.0, hi=1.0):
         return cls(np.full(n, 1.0 / (hi - lo)), lo, hi)
 
-    @classmethod
-    def from_values(cls, values, lo=0.0, hi=1.0, normalize=False):
-        d = cls(values, lo, hi)
-        return d.normalized() if normalize else d
-
-    @classmethod
-    def point_mass(cls, x, n, lo=0.0, hi=1.0):
-        """All mass in the single cell containing ``x``."""
-        d = cls.uniform(n, lo, hi)
-        w = d.cell_width
-        idx = min(int((x - lo) / w), n - 1)
-        v = np.zeros(n)
-        v[idx] = 1.0 / w
-        return cls(v, lo, hi)
-
     # -- basic geometry ----------------------------------------------------
 
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-    @property
-    def cell_width(self) -> float:
-        return (self.hi - self.lo) / self.n
-
-    @property
-    def edges(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.n + 1)
+    cell_width = UniformGrid.bin_width
 
     @property
     def centers(self) -> np.ndarray:
@@ -121,13 +121,8 @@ class GridDensity:
         return float(c[1] - c[0])
 
     def l1_distance(self, other: "GridDensity") -> float:
-        self._check_same_grid(other)
+        self._check_same_grid(other, "densities live on different grids")
         return float(np.abs(self.values - other.values).sum() * self.cell_width)
-
-    def _check_same_grid(self, other: "GridDensity") -> None:
-        if (self.n != other.n or abs(self.lo - other.lo) > 1e-12
-                or abs(self.hi - other.hi) > 1e-12):
-            raise ValueError("densities live on different grids")
 
     # -- io ----------------------------------------------------------------
 
@@ -141,15 +136,14 @@ class GridDensity:
                 f"mass={self.mass():.6g})")
 
 
-class Histogram:
+class Histogram(UniformGrid):
     """Counts over frozen uniform bins, with a density view."""
 
-    __slots__ = ("counts", "lo", "hi", "total")
+    __slots__ = ("counts", "total")
 
     def __init__(self, counts, lo, hi, total=None):
         self.counts = np.asarray(counts, dtype=np.int64)
-        self.lo = float(lo)
-        self.hi = float(hi)
+        super().__init__(lo, hi, self.counts.size)
         self.total = int(total) if total is not None else int(self.counts.sum())
 
     @classmethod
@@ -170,18 +164,6 @@ class Histogram:
         counts, _ = np.histogram(samples, bins=bins, range=(lo, hi))
         return cls(counts, lo, hi, total=samples.size)
 
-    @property
-    def n(self) -> int:
-        return self.counts.size
-
-    @property
-    def bin_width(self) -> float:
-        return (self.hi - self.lo) / self.n
-
-    @property
-    def edges(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.n + 1)
-
     def densities(self) -> np.ndarray:
         """Counts normalized by total sample count and bin width.
 
@@ -194,8 +176,6 @@ class Histogram:
         return GridDensity(self.densities(), self.lo, self.hi)
 
     def l1_distance(self, other: "Histogram") -> float:
-        if (self.n != other.n or abs(self.lo - other.lo) > 1e-12
-                or abs(self.hi - other.hi) > 1e-12):
-            raise ValueError("histograms use different binnings")
+        self._check_same_grid(other, "histograms use different binnings")
         return float(np.abs(self.densities() - other.densities()).sum()
                      * self.bin_width)

@@ -5,8 +5,9 @@ The workflow is: describe an initial ensemble (`IidUniformPath`,
 `sample_initial`, push it through a field with `evolve_ensemble`, and
 interrogate the resulting histogram snapshots with
 `detect_density_period`.  Trajectory-level statistics (mean-square
-displacement, stationary velocity moments) come from
-`evolve_trajectories` + `msd_curve` / `velocity_stats`.
+displacement, stationary velocity moments) come from one
+`evolve_trajectories` pass, which streams the displacement sum and the
+velocity pool, fed to `msd_curve` and `velocity_stats`.
 
 An ensemble is one float block, ``(n, m+1)`` for a scalar state or
 ``(n, m+1, d)``: row i holds trajectory i's history on the m-interval grid
@@ -18,19 +19,18 @@ the histogram range, which is then frozen; later samples are clipped
 into it before counting, so every snapshot accounts for all n
 trajectories and its density integrates to one exactly.
 
-Determinism: per-trajectory noise streams are seeded from (seed, global
-trajectory index), so results are independent of chunking.  All work runs
-on the calling thread.
+Determinism: per-trajectory noise streams are seeded from (seed, row
+index), so a trajectory's noise does not depend on the rest of the block.
+All work runs on the calling thread.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .dde import Trajectory, check_block, integrate_batch
-from .density import Histogram
+from .dde import check_block, integrate_batch
+from .density import Histogram, UniformGrid
 from .fit import r_squared, tail_line_fit
 from .gaussian import sample_gaussian_paths
 from .tabular import write_csv
@@ -155,18 +155,12 @@ def _grid_index(t, h):
     return k
 
 
-def _noise_block(noise, T, seed, indices):
+def _noise_block(noise, T, seed, n):
     count = int(np.floor(T / noise.resample_interval + 1e-9)) + 1
     return np.stack([
-        noise.segment_values(np.random.default_rng((seed, int(i))), count)
-        for i in indices
+        noise.segment_values(np.random.default_rng((seed, i)), count)
+        for i in range(n)
     ])
-
-
-def _resolve_seed(seed):
-    if seed is None:
-        return int(np.random.default_rng().integers(2 ** 62))
-    return seed
 
 
 def ensemble_values(samples, tau, field, times, *, seed=None) -> np.ndarray:
@@ -199,7 +193,9 @@ def ensemble_values(samples, tau, field, times, *, seed=None) -> np.ndarray:
     noise = getattr(field, "noise", None)
     table = None
     if noise is not None:
-        table = _noise_block(noise, k_max * h, _resolve_seed(seed), range(B))
+        if seed is None:
+            seed = int(np.random.default_rng().integers(2 ** 62))
+        table = _noise_block(noise, k_max * h, seed, B)
 
     def obs(k, y):
         cols = wanted.get(k)
@@ -211,48 +207,53 @@ def ensemble_values(samples, tau, field, times, *, seed=None) -> np.ndarray:
     return out
 
 
-def evolve_trajectories(samples, tau, field, T, *, seed=None, chunk=256):
-    """Integrate every history of the block and yield `Trajectory` records.
+def evolve_trajectories(samples, tau, field, T, burn_in):
+    """Integrate the whole block once, keeping only what the statistics need.
 
-    A generator, so statistics can stream without holding the whole
-    ensemble's paths in memory; integration happens in batches of
-    ``chunk`` trajectories.
+    ``samples`` carries a velocity component, ``(B, m+1, d)`` with
+    ``d >= 2`` (see `as_velocity_histories`).  Returns ``(t, sq_disp,
+    pool)``: the node times ``t[k] = k h``; ``sq_disp[k]``, the sum over
+    trajectories, in row order, of ``(x_i(t_k) - x_i(0))^2``; and the
+    ``(B, n_post)`` pool whose row i holds ``v_i(t_k)`` at every node with
+    ``t_k > burn_in``.  No path is stored, so memory is the pool plus one
+    integration's buffers.
     """
-    stacked = check_block(samples, tau)
-    B, m, d = stacked.shape[0], stacked.shape[1] - 1, stacked.shape[2]
+    block = check_block(samples, tau)
+    B, m = block.shape[0], block.shape[1] - 1
+    if block.shape[2] < 2:
+        raise ValueError("trajectory statistics need a velocity component")
     h = tau / m
     n_steps = _grid_index(T, h)
     if n_steps < 1:
         raise ValueError("T must cover at least one step")
-    noise = getattr(field, "noise", None)
-    base_seed = _resolve_seed(seed) if noise is not None else None
+    t = h * np.arange(n_steps + 1)
+    first = n_steps + 1 - int(np.count_nonzero(t > burn_in))
+    sq_disp = np.empty(n_steps + 1)
+    pool = np.empty((B, n_steps + 1 - first))
+    x0 = block[:, m, 0].copy()
+    sq, running = np.empty(B), np.empty(B)
 
-    for start in range(0, B, int(chunk)):
-        block = stacked[start:start + int(chunk)]
-        b = block.shape[0]
-        rec = np.empty((n_steps + 1, b, d))
+    def obs(k, y):
+        np.subtract(y[:, 0], x0, out=sq)
+        np.multiply(sq, sq, out=sq)
+        # a cumulative sum folds strictly in row order, as adding one
+        # trajectory at a time does; sum() would add pairwise
+        sq_disp[k] = np.cumsum(sq, out=running)[-1]
+        if k >= first:
+            pool[:, k - first] = y[:, 1]
 
-        def obs(k, y):
-            rec[k] = y
-
-        table = None
-        if noise is not None:
-            table = _noise_block(noise, T, base_seed,
-                                 range(start, start + b))
-        integrate_batch(field, block, tau, T,
-                        noise_table=table, observer=obs)
-        for i in range(b):
-            yield Trajectory(0.0, h, rec[:, i].copy())
+    integrate_batch(field, block, tau, T, observer=obs)
+    return t, sq_disp, pool
 
 
 # ---------------------------------------------------------------------------
 # density snapshots
 
 
-class JointHistogram:
+class JointHistogram(UniformGrid):
     """Square 2-D histogram of (x(t), x(t - tau)) pairs on shared edges."""
 
-    __slots__ = ("counts", "lo", "hi", "total")
+    __slots__ = ("counts", "total")
 
     def __init__(self, counts, lo, hi):
         counts = np.asarray(counts, dtype=np.int64)
@@ -260,22 +261,9 @@ class JointHistogram:
             raise ValueError("joint counts must be a square matrix")
         if not hi > lo:
             raise ValueError("need hi > lo")
+        super().__init__(lo, hi, counts.shape[0])
         self.counts = counts
-        self.lo = float(lo)
-        self.hi = float(hi)
         self.total = int(counts.sum())
-
-    @property
-    def n(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def bin_width(self) -> float:
-        return (self.hi - self.lo) / self.n
-
-    @property
-    def edges(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.n + 1)
 
     def densities(self) -> np.ndarray:
         return self.counts / (self.total * self.bin_width ** 2)
@@ -382,39 +370,26 @@ class MsdCurve:
     n_trajectories: int
 
 
-def msd_curve(trajectories: Iterable[Trajectory], *, tau=None,
+def msd_curve(t, sq_disp, n_trajectories, *, tau=None,
               min_trajectories=100) -> MsdCurve:
     """Mean-square displacement of the first component, with a tail fit.
 
-    The linear fit runs over the second half of the time window; its
-    slope estimates twice the diffusion coefficient when the motion is
-    diffusive.  Pass ``tau`` to enforce that the window spans at least
-    100 delays.
+    ``t`` and ``sq_disp`` are the first two results of
+    `evolve_trajectories` over ``n_trajectories`` paths.  The linear fit
+    runs over the second half of the time window; its slope estimates
+    twice the diffusion coefficient when the motion is diffusive.  Pass
+    ``tau`` to enforce that the window spans at least 100 delays.
     """
-    acc = None
-    t = None
-    step = None
-    count = 0
-    for tr in trajectories:
-        x = tr.states[:, 0]
-        if acc is None:
-            acc = np.zeros_like(x)
-            t = tr.times
-            step = tr.step
-        elif len(x) != len(acc) or abs(tr.step - step) > 1e-12:
-            raise ValueError("trajectories disagree on the time grid")
-        acc += (x - x[0]) ** 2
-        count += 1
-    if count < min_trajectories:
-        raise ValueError(
-            f"need at least {min_trajectories} trajectories, got {count}")
+    if n_trajectories < min_trajectories:
+        raise ValueError(f"need at least {min_trajectories} trajectories, "
+                         f"got {n_trajectories}")
     span = t[-1] - t[0]
     if tau is not None and span < 100.0 * tau - 1e-9:
         raise ValueError("window too short: need at least 100 delays")
-    msd = acc / count
+    msd = sq_disp / n_trajectories
     slope, intercept, r2 = tail_line_fit(t, msd)
     return MsdCurve(t=t, msd=msd, slope=slope, intercept=intercept,
-                    r_squared=r2, n_trajectories=count)
+                    r_squared=r2, n_trajectories=n_trajectories)
 
 
 @dataclass(frozen=True)
@@ -426,26 +401,20 @@ class VelocityStats:
     n_samples: int
 
 
-def velocity_stats(trajectories: Iterable[Trajectory], burn_in, *,
-                   bins=60, min_samples=1_000_000) -> VelocityStats:
+def velocity_stats(pool, *, bins=60, min_samples=1_000_000) -> VelocityStats:
     """Pooled stationary statistics of the velocity component.
 
-    Pools v(t) for t > burn_in over all trajectories, then reports the
-    standard deviation, the largest |v| seen, and a least-squares fit of
-    log density against -C v^2 over the central 80% of the support (a
+    ``pool`` is the velocity pool of `evolve_trajectories`, read in
+    row-major order (trajectory by trajectory).  Reports the standard
+    deviation, the largest |v| seen, and a least-squares fit of log
+    density against -C v^2 over the central 80% of the support (a
     Gaussian-shape check: curvature C and the R^2 of that fit).
     """
-    pools = []
-    count = 0
-    for tr in trajectories:
-        v = tr.v
-        keep = v[tr.times > burn_in]
-        pools.append(keep)
-        count += len(keep)
+    pooled = np.asarray(pool, dtype=float).reshape(-1)
+    count = pooled.size
     if count < min_samples:
         raise ValueError(
             f"pooled {count} samples, need at least {min_samples}")
-    pooled = np.concatenate(pools)
 
     std = float(pooled.std())
     bound = float(np.abs(pooled).max())

@@ -388,11 +388,6 @@ class GaussianState:
     def det(self) -> float:
         return self.sigma2_t * self.sigma2_lag - self.cross ** 2
 
-    @property
-    def q_matrix(self) -> np.ndarray:
-        return np.array([[self.sigma2_t, self.cross],
-                         [self.cross, self.sigma2_lag]])
-
 
 def propagate_state(kernel: CovKernel, p: LinearDdeParams, t: float,
                     *, tol: float = 1e-9) -> GaussianState:

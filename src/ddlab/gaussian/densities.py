@@ -1,8 +1,9 @@
 """Gaussian densities of the evolved one- and two-time distributions.
 
 The pair (x(t), x(t - tau)) is centered Gaussian with covariance matrix
-Q assembled in :class:`~ddlab.gaussian.covariance.GaussianState`; the joint
-density uses the inverse of Q in the exponent,
+Q = [[s_t, c], [c, s_lag]] built from the ``sigma2_t``, ``cross`` and
+``sigma2_lag`` fields of :class:`~ddlab.gaussian.covariance.GaussianState`;
+the joint density uses the inverse of Q in the exponent,
 
     f(x, y) = exp(-(s_lag x^2 - 2 c x y + s_t y^2) / (2 det Q)) / (2 pi sqrt(det Q)),
 

@@ -150,13 +150,12 @@ def _run_brownian(cfg, out):
     samples = as_velocity_histories(
         sample_initial(_initial_spec(e), e["n"], p["m"], p["tau"],
                        seed=e["seed"]))
-    trajectories = list(evolve_trajectories(samples, p["tau"], field, p["T"],
-                                            seed=e["seed"]))
     burn_in = 0.2 * p["T"] if p["burn_in"] is None else p["burn_in"]
-    curve = msd_curve(trajectories, tau=p["tau"],
+    t, sq_disp, pool = evolve_trajectories(samples, p["tau"], field, p["T"],
+                                           burn_in)
+    curve = msd_curve(t, sq_disp, e["n"], tau=p["tau"],
                       min_trajectories=min(100, e["n"]))
-    stats = velocity_stats(trajectories, burn_in, bins=o["bins"],
-                           min_samples=p["min_samples"])
+    stats = velocity_stats(pool, bins=o["bins"], min_samples=p["min_samples"])
     written = [out / "msd.csv", out / "stats.csv"]
     write_csv(written[0], ["t", "msd"], [curve.t, curve.msd])
     write_csv(written[1],

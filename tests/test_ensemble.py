@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ddlab.dde import LinearDelayField, PiecewiseConstantUniform, \
-    AffineCircleDelayField, SineFeedbackField, TentDelayField, Trajectory, \
+    AffineCircleDelayField, SineFeedbackField, TentDelayField, \
     integrate_batch
 from ddlab.density import Histogram
 from ddlab.ensemble import (
@@ -210,13 +210,49 @@ def test_row_split_is_bitwise_invariant():
     assert np.array_equal(np.concatenate(parts), whole)
 
 
-def test_trajectory_chunking_is_bitwise_invariant():
-    hs = sample_initial(IidUniformPath(0.0, 1.0), 23, 16, 1.0, seed=8)
-    small = list(evolve_trajectories(hs, 1.0, KEENER, 3.0, seed=5, chunk=7))
-    big = list(evolve_trajectories(hs, 1.0, KEENER, 3.0, seed=5, chunk=64))
-    assert len(small) == len(big) == 23
-    for a, b in zip(small, big):
-        assert np.array_equal(a.states, b.states)
+def _reference_trajectory_statistics(samples, tau, field, T, burn_in):
+    """Per-path reference: record every state, then add trajectories one at
+    a time to the displacement sum and concatenate their late velocities."""
+    m = samples.shape[1] - 1
+    h = tau / m
+    n = round(T / h)
+    rec = np.empty((n + 1, samples.shape[0], samples.shape[2]))
+
+    def obs(k, y):
+        rec[k] = y
+
+    integrate_batch(field, samples, tau, T, observer=obs)
+    t = 0.0 + h * np.arange(n + 1)
+    acc = np.zeros(n + 1)
+    pools = []
+    for i in range(samples.shape[0]):
+        x, v = rec[:, i, 0], rec[:, i, 1]
+        acc += (x - x[0]) ** 2
+        pools.append(v[t > burn_in])
+    return t, acc, np.concatenate(pools)
+
+
+@pytest.mark.parametrize("m", [4, 32])
+def test_trajectory_statistics_match_per_path_reference_bitwise(m):
+    # B = 37 is not a multiple of 8, positions start away from the origin,
+    # and burn_in = 5 falls on a node, which must be left out of the pool
+    samples = np.random.default_rng(m).uniform(-0.5, 0.5, (37, m + 1, 2))
+    field = SineFeedbackField(1.0, 10.0)
+    t_ref, acc, pooled = _reference_trajectory_statistics(
+        samples, 1.0, field, 20.0, 5.0)
+    t, sq_disp, pool = evolve_trajectories(samples, 1.0, field, 20.0, 5.0)
+    assert np.array_equal(t, t_ref)
+    assert np.array_equal(sq_disp, acc)
+    assert pool.shape == (37, 15 * m)
+    assert np.array_equal(pool.reshape(-1), pooled)
+    _, _, head = evolve_trajectories(samples[:11], 1.0, field, 20.0, 5.0)
+    assert np.array_equal(head, pool[:11])
+
+
+def test_trajectory_statistics_need_a_velocity_component():
+    hs = sample_initial(IidUniformPath(0.0, 1.0), 5, 16, 1.0, seed=8)
+    with pytest.raises(ValueError, match="velocity component"):
+        evolve_trajectories(hs, 1.0, LinearDelayField(-1.0, 0.5), 3.0, 1.0)
 
 
 def test_noise_seed_changes_noisy_results():
@@ -334,18 +370,23 @@ def test_density_error_shrinks_like_root_n():
 # mean-square displacement
 
 
-def _decay_trajectory(v0, gamma, T, step):
+def _decay_position(v0, gamma, T, step):
     t = np.arange(round(T / step) + 1) * step
-    x = v0 * (1.0 - np.exp(-gamma * t)) / gamma
-    v = v0 * np.exp(-gamma * t)
-    return Trajectory(0.0, step, np.stack([x, v], axis=1))
+    return v0 * (1.0 - np.exp(-gamma * t)) / gamma
+
+
+def _msd_inputs(paths, step):
+    """``(t, sq_disp)`` of position paths stacked one per row."""
+    paths = np.asarray(paths)
+    t = step * np.arange(paths.shape[1])
+    return t, ((paths - paths[:, :1]) ** 2).sum(axis=0)
 
 
 def test_msd_plateau_for_pure_decay():
     rng = np.random.default_rng(12)
-    trs = [_decay_trajectory(rng.standard_normal(), 1.0, 40.0, 0.05)
-           for _ in range(120)]
-    curve = msd_curve(trs)
+    xs = [_decay_position(rng.standard_normal(), 1.0, 40.0, 0.05)
+          for _ in range(120)]
+    curve = msd_curve(*_msd_inputs(xs, 0.05), 120)
     assert curve.n_trajectories == 120
     assert abs(curve.slope) < 1e-6
     assert abs(curve.msd[-1] - curve.intercept) < 1e-4
@@ -355,49 +396,41 @@ def test_msd_recovers_diffusive_slope():
     rng = np.random.default_rng(7)
     step, n = 0.05, 2000
     d_coef = 0.5
-    trs = []
+    xs = []
     for _ in range(150):
         incr = rng.standard_normal(n) * math.sqrt(2 * d_coef * step)
-        x = np.concatenate([[0.0], np.cumsum(incr)])
-        trs.append(Trajectory(0.0, step, x[:, None]))
-    curve = msd_curve(trs)
+        xs.append(np.concatenate([[0.0], np.cumsum(incr)]))
+    curve = msd_curve(*_msd_inputs(xs, step), 150)
     assert 0.6 * 2 * d_coef < curve.slope < 1.4 * 2 * d_coef
     assert curve.r_squared > 0.9
 
 
 def test_msd_preconditions():
-    trs = [_decay_trajectory(1.0, 1.0, 40.0, 0.05) for _ in range(20)]
+    x = _decay_position(1.0, 1.0, 40.0, 0.05)
     with pytest.raises(ValueError):
-        msd_curve(trs)
-    trs = [_decay_trajectory(1.0, 1.0, 40.0, 0.05) for _ in range(120)]
+        msd_curve(*_msd_inputs([x] * 20, 0.05), 20)
     with pytest.raises(ValueError):
-        msd_curve(trs, tau=1.0)  # 40 time units < 100 delays
-    mixed = trs[:-1] + [_decay_trajectory(1.0, 1.0, 40.0, 0.04)]
-    with pytest.raises(ValueError):
-        msd_curve(mixed)
+        # 40 time units < 100 delays
+        msd_curve(*_msd_inputs([x] * 120, 0.05), 120, tau=1.0)
 
 
 # ---------------------------------------------------------------------------
 # velocity statistics
 
 
-def _gaussian_velocity_trajectories(sigma, n_traj, n_nodes, seed):
-    rng = np.random.default_rng(seed)
-    trs = []
-    for _ in range(n_traj):
-        v = rng.standard_normal(n_nodes) * sigma
-        x = np.zeros(n_nodes)
-        trs.append(Trajectory(0.0, 0.01, np.stack([x, v], axis=1)))
-    return trs
+def _gaussian_velocities(sigma, n_traj, n_nodes, seed):
+    """Velocity paths one per row; column 0 sits at t = 0."""
+    return np.random.default_rng(seed).standard_normal((n_traj, n_nodes)) \
+        * sigma
 
 
 def test_velocity_stats_on_gaussian_samples():
     sigma = 0.1
-    trs = _gaussian_velocity_trajectories(sigma, 30, 50001, seed=3)
-    stats = velocity_stats(trs, 0.0)
+    pool = _gaussian_velocities(sigma, 30, 50001, seed=3)[:, 1:]
+    stats = velocity_stats(pool)
     assert stats.n_samples == 30 * 50000
     assert abs(stats.std - sigma) < 0.005
-    pooled_max = max(np.abs(tr.v[1:]).max() for tr in trs)
+    pooled_max = max(np.abs(v).max() for v in pool)
     assert stats.support_bound == pooled_max
     # Gaussian log-density curvature is 1/(2 sigma^2) = 50
     assert 35.0 < stats.fit_curvature < 65.0
@@ -405,20 +438,19 @@ def test_velocity_stats_on_gaussian_samples():
 
 
 def test_velocity_stats_burn_in_discards_transient():
-    trs = _gaussian_velocity_trajectories(0.05, 25, 50001, seed=4)
-    spiked = []
-    for tr in trs:
-        states = tr.states.copy()
-        states[:100, 1] = 99.0  # garbage before t = 1
-        spiked.append(Trajectory(0.0, 0.01, states))
-    stats = velocity_stats(spiked, 1.0, min_samples=1_000_000)
-    assert stats.support_bound < 1.0
+    # v starts at 99 and relaxes like exp(-gamma t) into |v| <= 1/gamma
+    hs = as_velocity_histories(sample_initial(ConstantPath(99.0), 4, 16, 1.0))
+    field = SineFeedbackField(1.0, 10.0)
+    _, _, late = evolve_trajectories(hs, 1.0, field, 30.0, 10.0)
+    _, _, early = evolve_trajectories(hs, 1.0, field, 30.0, 0.0)
+    assert velocity_stats(late, min_samples=1000).support_bound < 2.0
+    assert velocity_stats(early, min_samples=1000).support_bound >= 90.0
 
 
 def test_velocity_stats_requires_enough_samples():
-    trs = _gaussian_velocity_trajectories(0.1, 5, 101, seed=5)
+    pool = _gaussian_velocities(0.1, 5, 101, seed=5)[:, 1:]
     with pytest.raises(ValueError):
-        velocity_stats(trs, 0.0)
+        velocity_stats(pool)
 
 
 def test_velocity_spread_decreases_with_feedback_frequency():
@@ -427,9 +459,10 @@ def test_velocity_spread_decreases_with_feedback_frequency():
         hs = as_velocity_histories(
             sample_initial(IidUniformPath(-0.5, 0.5), 120, 16, 1.0,
                            seed=17))
-        trs = evolve_trajectories(hs, 1.0, SineFeedbackField(1.0, beta),
-                                  30.0)
-        stats = velocity_stats(trs, 10.0, min_samples=30_000)
+        _, _, pool = evolve_trajectories(hs, 1.0,
+                                         SineFeedbackField(1.0, beta),
+                                         30.0, 10.0)
+        stats = velocity_stats(pool, min_samples=30_000)
         stds.append(stats.std)
     assert all(a > b for a, b in zip(stds, stds[1:]))
 

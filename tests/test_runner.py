@@ -1,5 +1,6 @@
 """Config parsing, manifests, engine dispatch, and the ddlab CLI."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -272,6 +273,15 @@ def test_brownian_kind_outputs(tmp_path):
     msd_header, msd_cols = read_csv(tmp_path / "msd.csv")
     assert msd_header == ["t", "msd"]
     assert np.all(np.isfinite(msd_cols[1]))
+    # pinned bytes: the MSD sum and the velocity pool keep a fixed order
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("msd.csv", "stats.csv")}
+    assert digests == {
+        "msd.csv":
+            "c0482fd05ce2a284e195747485cd07c6ce2569610ca0cddf98165bfca8a67565",
+        "stats.csv":
+            "172c0ff01771246694861b19658847dacfeb7e95cc87f918b51be991c0296c2b",
+    }
 
 
 # ---------------------------------------------------------------------------
