@@ -2,7 +2,7 @@
 
 `sample_gaussian_paths` returns ``n`` paths on the grid
 ``s_j = -tau + j tau / m`` as one ``(n, m+1)`` array, drawn from one
-generator in one vectorized call per block.  Each named kernel has an
+generator in vectorized calls.  Each named kernel has an
 explicit pathwise construction (amplitude-phase cosine, cumulative-sum
 Wiener, time-changed Wiener), so sampling is exact in distribution at the
 grid nodes; kernels without structure fall back to a Cholesky factor of the
@@ -21,12 +21,23 @@ from .kernels import (CosineKernel, DegenerateCosineKernel,
 __all__ = ["sample_gaussian_paths"]
 
 
+_SLAB = 1024  # rows of normals drawn per call; bounds the scratch buffer
+
+
 def _cumsum_paths(rng, n, scale):
-    """Rows ``0, cumsum(scale * z)`` for ``(n, m)`` standard normals ``z``."""
+    """Rows ``0, cumsum(scale * z)`` for ``(n, m)`` standard normals ``z``.
+
+    The normals are drawn in slabs of rows straight into one small buffer;
+    generator draws are sequential, so the block equals a one-shot
+    ``(n, m)`` draw bit for bit without holding that temporary.
+    """
     out = np.empty((n, scale.size + 1))
     out[:, 0] = 0.0
-    out[:, 1:] = rng.standard_normal((n, scale.size))
-    out[:, 1:] *= scale
+    buf = np.empty((min(n, _SLAB), scale.size))
+    for a in range(0, n, _SLAB):
+        z = buf[:min(_SLAB, n - a)]
+        rng.standard_normal(out=z)
+        np.multiply(z, scale, out=out[a:a + z.shape[0], 1:])
     np.cumsum(out, axis=1, out=out)
     return out
 

@@ -312,14 +312,35 @@ def _check_kicked(v, problems):
 
 
 def _check_compare(v, problems):
+    # imported here, so that parsing other kinds stays free of the
+    # numerical layers
+    from ..ensemble import _grid_index
+    from ..gaussian.linear import MAX_HORIZON_DELAYS
+
     p, e = v["params"], v["ensemble"]
-    if p.get("m") is not None and p["m"] < 2:
-        problems.append((None, "m must be at least 2"))
-    if p.get("tau") is not None and p["tau"] <= 0.0:
+    m, tau, times = p.get("m"), p.get("tau"), p.get("times") or ()
+    m_ok = m is not None and m >= 4
+    tau_ok = tau is not None and math.isfinite(tau) and tau > 0.0
+    if m is not None and not m_ok:
+        problems.append((None, "m must be at least 4"))
+    if tau is not None and not tau_ok:
         problems.append((None, "tau must be positive"))
-    times = p.get("times")
-    if times is not None and any(b <= a for a, b in zip(times, times[1:])):
+    if any(b <= a for a, b in zip(times, times[1:])):
         problems.append((None, "times must increase strictly"))
+    # the quadrature curve runs from t = 0 to its horizon and the ensemble
+    # is read off the step grid, by the engines' own rules and tolerances;
+    # checked here so that --dry-run sees it too
+    for t in times:
+        if not (math.isfinite(t) and t >= 0.0):
+            problems.append((None, f"time {t:g} must be finite and >= 0"))
+        elif tau_ok and t > (MAX_HORIZON_DELAYS + 1e-9) * tau:
+            problems.append((None, f"time {t:g} is beyond the horizon "
+                                   f"{MAX_HORIZON_DELAYS:g} tau"))
+        elif m_ok and tau_ok:
+            try:
+                _grid_index(t, tau / m)
+            except ValueError as err:
+                problems.append((None, str(err)))
     if p.get("chunk") is not None and p["chunk"] < 1:
         problems.append((None, "chunk must be positive"))
     if e.get("n") is not None and e["n"] < 2:

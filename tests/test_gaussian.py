@@ -497,6 +497,27 @@ def test_wiener_sampler_statistics():
     assert vals[:, -1].var() == pytest.approx(1.0, abs=3 * math.sqrt(2.0 / n))
 
 
+@pytest.mark.parametrize("kernel", [
+    WIENER, ProductSeparableKernel(lambda s: s + 1.0, np.ones_like, 1.0),
+], ids=["wiener", "product-separable"])
+def test_slab_draws_equal_one_shot_draw(kernel):
+    # the sampler draws its normals in slabs of rows; a one-shot (n, m)
+    # draw from the same generator must give the same bits, also when n is
+    # not a multiple of the slab
+    from ddlab.gaussian.sampling import _SLAB
+    n, m, tau, seed = 2 * _SLAB + 37, 16, 1.0, 2024
+    s = -tau + np.arange(m + 1) * (tau / m)
+    if kernel is WIENER:
+        scale, v = np.full(m, math.sqrt(tau / m)), 1.0
+    else:
+        v = kernel.v(s)
+        scale = np.sqrt(np.maximum(np.diff(kernel.u(s) / v), 0.0))
+    want = np.zeros((n, m + 1))
+    want[:, 1:] = np.random.default_rng(seed).standard_normal((n, m)) * scale
+    want = np.cumsum(want, axis=1) * v
+    assert np.array_equal(sample_gaussian_paths(kernel, n, m, tau, seed), want)
+
+
 _GRID = np.linspace(-1.0, 0.0, 5)
 
 

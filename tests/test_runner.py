@@ -2,12 +2,20 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ddlab.dde import LinearDelayField
+from ddlab.ensemble import ensemble_values
 from ddlab.errors import ConfigError, QuadratureError
+from ddlab.gaussian import (CosineKernel, DegenerateCosineKernel,
+                            LinearDdeParams, ShiftedWienerKernel, r_t,
+                            sample_gaussian_paths)
 from ddlab.runner import (RunConfig, RunManifest, Schedule, normalize,
                           parse_config, run)
 from ddlab.runner.cli import main
@@ -255,10 +263,83 @@ def test_compare_kind_matches_analytic(tmp_path):
             "[ensemble]\nn = 1200\nseed = 5\n")
     run(parse_config(text), outdir=tmp_path)
     header, cols = read_csv(tmp_path / "compare.csv")
-    assert header == ["t", "sigma2_analytic", "sigma2_mc", "mc_stderr"]
-    t, analytic, mc, se = cols
+    assert header == ["t", "sigma2_analytic", "sigma2_discrete", "sigma2_mc",
+                      "mc_stderr"]
+    t, analytic, discrete, mc, se = cols
     assert analytic[1] == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert np.all(np.abs(mc - analytic) < 5.0 * se)
+    assert np.all(np.abs(discrete - analytic) < 1e-3 * analytic)
+
+
+@pytest.mark.parametrize("kernel", [
+    ShiftedWienerKernel(1.0), CosineKernel(), DegenerateCosineKernel(),
+], ids=["wiener", "cosine", "degenerate-cosine"])
+def test_discrete_variance_matches_quadrature(kernel):
+    # w(t)^T G w(t) carries only grid and integrator bias, far below what
+    # a Monte Carlo run can resolve
+    times = np.array([0.25, 0.5, 1.0])
+    wt = execute._response_weights(LinearDelayField(0.0, -1.0), 1.0, 512,
+                                   times)
+    discrete = execute._sigma2_discrete(kernel, wt, 1.0)
+    lp = LinearDdeParams(0.0, -1.0, 1.0)
+    for t, got in zip(times, discrete):
+        want = r_t(kernel, lp, float(t), 0.0, 0.0)
+        assert abs(got - want) <= 1e-5 * want
+
+
+_HASH_CHUNK = """
+import hashlib
+import numpy as np
+from ddlab.dde import LinearDelayField
+from ddlab.gaussian import ShiftedWienerKernel, sample_gaussian_paths
+from ddlab.runner import execute
+times = np.array([0.25, 0.5, 1.0])
+wt = execute._response_weights(LinearDelayField(0.0, -1.0), 1.0, 512, times)
+samples = sample_gaussian_paths(ShiftedWienerKernel(1.0), 20000, 512, 1.0, 77)
+vals = execute._project(samples, 1.0, wt)
+print(hashlib.sha256(vals.tobytes()).hexdigest())
+"""
+
+
+def test_projection_bytes_are_stable():
+    # the compare engine's projection agrees with the integrator and keeps
+    # its bytes under row splits, operand alignment and BLAS thread count
+    tau, times = 1.0, np.array([0.25, 0.5, 1.0])
+    field = LinearDelayField(0.0, -1.0)
+    wt = execute._response_weights(field, tau, 512, times)
+    samples = sample_gaussian_paths(ShiftedWienerKernel(tau), 20000, 512,
+                                    tau, 77)
+    vals = execute._project(samples, tau, wt)
+    want = ensemble_values(samples, tau, field, times)
+    assert np.abs(vals - want).max() <= 1e-12 * np.abs(want).max()
+
+    def digest(arr):
+        return hashlib.sha256(arr.tobytes()).hexdigest()
+
+    whole = digest(vals)
+    parts = [execute._project(samples[a:b], tau, wt)
+             for a, b in ((0, 7), (7, 9000), (9000, None))]
+    assert digest(np.concatenate(parts)) == whole
+
+    def shifted(arr):
+        buf = np.empty(arr.size + 1)
+        out = buf[1:].reshape(arr.shape)
+        out[...] = arr
+        return out
+
+    assert digest(execute._project(shifted(samples), tau, wt)) == whole
+    assert digest(execute._project(samples, tau, shifted(wt))) == whole
+
+    src = str(Path(execute.__file__).resolve().parents[2])
+    printed = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-c", _HASH_CHUNK], env=env,
+                             capture_output=True, text=True, check=True)
+        printed.add(res.stdout.strip())
+    assert printed == {whole}
 
 
 def test_brownian_kind_outputs(tmp_path):
@@ -322,6 +403,31 @@ def test_cli_divergence_exits_3(tmp_path, capsys):
     cfg = _write(tmp_path, "div.cfg", text)
     assert main(["dde-ensemble", "--config", cfg, "--out", str(tmp_path / "d")]) == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m, times", [
+    (3, "0.5"), (8, "0.3"), (8, "-0.5"), (8, "60"),
+], ids=["m-below-4", "time-off-grid", "time-negative", "time-past-horizon"])
+def test_cli_dry_run_rejects_unrunnable_compare(tmp_path, m, times):
+    text = ("kind = compare\n[params]\nkernel = brownian\na = 0.0\n"
+            f"b = -1.0\nm = {m}\ntimes = {times}\n"
+            "[ensemble]\nn = 100\nseed = 1\n")
+    cfg = _write(tmp_path, "cmp.cfg", text)
+    assert main(["compare", "--config", cfg, "--dry-run",
+                 "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_compare_projection_overflow_exits_3(tmp_path, monkeypatch,
+                                                 capsys):
+    # finite histories through finite weights can still overflow
+    monkeypatch.setattr(execute, "_response_weights",
+                        lambda field, tau, m, times:
+                        np.full((len(times), m + 1), 1e308))
+    text = ("kind = compare\n[params]\nkernel = brownian\na = 0.0\n"
+            "b = -1.0\nm = 8\ntimes = 0.5\n[ensemble]\nn = 100\nseed = 1\n")
+    cfg = _write(tmp_path, "cmp.cfg", text)
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "non-finite state at t = 0.5 (trajectory" in capsys.readouterr().err
 
 
 def test_cli_numerical_failure_exits_4(tmp_path, monkeypatch):
