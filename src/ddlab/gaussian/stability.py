@@ -15,18 +15,25 @@ cusp in the (a, b) plane.
 ``rightmost_root`` gives the independent check: the characteristic root with
 the largest real part is ``a + W_0(b tau e^{-a tau}) / tau`` on the
 principal Lambert-W branch.
+
+Both scalar solvers are plain Python, so importing this module pulls in no
+scipy.  ``_bisect`` is scipy's C bisection (``scipy.optimize.bisect``)
+ported step for step, so kappa keeps every bit.  ``_lambertw0`` is Halley's
+iteration on ``w e^w = z`` from a start value on the principal branch
+(Corless, Gonnet, Hare, Jeffrey and Knuth, "On the Lambert W function",
+Adv. Comput. Math. 5, 1996); tests hold both to scipy.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-
-from scipy.optimize import bisect
-from scipy.special import lambertw
 
 __all__ = ["StabilityClass", "hayes_stable", "rightmost_root"]
 
 _BOUNDARY_TOL = 1e-10
+_BISECT_RTOL = 4 * 2.220446049250313e-16  # scipy.optimize.bisect's default
+_BISECT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -58,6 +65,68 @@ class StabilityClass:
         return min(c for c in self.conditions if not math.isnan(c))
 
 
+def _bisect(f, xa: float, xb: float, xtol: float) -> float:
+    """Root of ``f`` in ``[xa, xb]``, step for step as scipy's C bisection.
+
+    The caller has checked that ``f(xa)`` and ``f(xb)`` differ in sign.
+    """
+    fa = f(xa)
+    if fa == 0.0:
+        return xa
+    if f(xb) == 0.0:
+        return xb
+    dm = xb - xa
+    for _ in range(_BISECT_MAXITER):
+        dm *= 0.5
+        xm = xa + dm
+        fm = f(xm)
+        if fm * fa >= 0.0:
+            xa = xm
+        if fm == 0.0 or abs(dm) < xtol + _BISECT_RTOL * abs(xm):
+            return xm
+    raise ArithmeticError(
+        f"bisection did not converge in {_BISECT_MAXITER} steps")
+
+
+def _lambertw0(z: float) -> complex:
+    """Principal branch ``W_0(z)`` for real ``z``: Halley's iteration on
+    ``w e^w = z``.
+
+    The start value decides the branch and whether the iteration converges
+    at all (started at ``log z``, z = 0.352 runs off past w = 1e4): the
+    branch-point series near ``-1/e``, ``log(1 + z)`` for ``0 < z <= 3``,
+    else ``log z`` less ``log log z`` for ``|z| > 3``.  These starts are
+    chosen for real ``z``; complex ``z`` is refused (``float`` raises
+    ``TypeError``).  It stops as scipy's ``lambertw`` does, one step after
+    the change falls below 1e-8 relative, which cubic convergence leaves at
+    rounding level; it returns early when the residual is zero or at the
+    branch point ``w = -1``, where the step would divide by zero.
+    """
+    z = float(z)
+    if z == 0.0:
+        return 0j
+    if abs(z + math.exp(-1.0)) <= 0.5:
+        p = cmath.sqrt(2.0 * (math.e * z + 1.0))
+        w = -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p ** 3
+    elif 0.0 < z <= 3.0:
+        w = complex(math.log1p(z))
+    else:
+        w = cmath.log(z)
+        if abs(z) > 3.0:
+            w -= cmath.log(w)
+    for _ in range(100):
+        # f = w - z e^{-w} is (w e^w - z) / e^w, which keeps the step
+        # finite where e^w alone would overflow.
+        f = w - z * cmath.exp(-w)
+        if f == 0 or w == -1.0:
+            return w
+        wn = w - f / (w + 1.0 - (w + 2.0) * f / (2.0 * w + 2.0))
+        if abs(wn - w) <= 1e-8 * abs(wn):
+            return wn
+        w = wn
+    raise ArithmeticError(f"Lambert W iteration did not converge at z = {z!r}")
+
+
 def _kappa_root(atau: float) -> float:
     """Root of kappa = atau * tan(kappa) in (0, pi); NaN when atau >= 1."""
     if atau == 0.0:
@@ -77,7 +146,7 @@ def _kappa_root(atau: float) -> float:
     if g(lo) * g(hi) > 0.0:
         raise ArithmeticError(
             f"kappa bracket failed for a*tau = {atau!r}")
-    return float(bisect(g, lo, hi, xtol=1e-12))
+    return _bisect(g, lo, hi, xtol=1e-12)
 
 
 def hayes_stable(p) -> StabilityClass:
@@ -112,5 +181,5 @@ def rightmost_root(p) -> complex:
     if p.b == 0.0:
         return complex(p.a)
     z = p.b * p.tau * math.exp(-p.a * p.tau)
-    w = lambertw(z, k=0)
+    w = _lambertw0(z)
     return complex(p.a + w / p.tau)

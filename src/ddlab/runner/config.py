@@ -356,10 +356,19 @@ def _check_map_iterate(v, problems):
 
 
 def _check_gaussian(v, problems):
+    from ..gaussian.linear import MAX_HORIZON_DELAYS
+
     p = v["params"]
     for key in ("tau", "T", "dt"):
         if p.get(key) is not None and p[key] <= 0.0:
             problems.append((None, f"{key} must be positive"))
+    # the curve evaluates the fundamental solution up to T, which stops at
+    # its horizon with the same slack
+    tau, T = p.get("tau"), p.get("T")
+    if (tau is not None and tau > 0.0 and T is not None
+            and T > MAX_HORIZON_DELAYS * tau + 1e-9 * tau):
+        problems.append((None, f"T = {T:g} is beyond the horizon "
+                               f"{MAX_HORIZON_DELAYS:g} tau"))
 
 
 _CHECKS = {

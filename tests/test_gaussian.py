@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddlab.errors import DegenerateCovarianceError, KernelPositivityError
+from ddlab.gaussian.linear import _LOG_FACTORIAL, MAX_HORIZON_DELAYS
+from ddlab.gaussian.stability import _bisect, _kappa_root, _lambertw0
 from ddlab.gaussian import (CosineKernel, DegenerateCosineKernel,
                             GaussianState, LinearDdeParams,
                             ProductSeparableKernel, ShiftedWienerKernel,
@@ -383,6 +385,94 @@ def test_classifier_agrees_with_root_oracle_on_grid():
                 mismatches += 1
     assert checked > 350
     assert mismatches == 0
+
+
+# ---------------------------------------------------------------------------
+# the scalar special functions, held to scipy (a test-only dependency)
+
+
+def test_log_factorial_table_is_scipy_gammaln():
+    from scipy.special import gammaln
+
+    assert len(_LOG_FACTORIAL) == 52
+    for k, value in enumerate(_LOG_FACTORIAL):
+        assert value == float(gammaln(k + 1)), k
+
+
+def test_fundamental_solution_reaches_the_last_delay():
+    # t = 50 tau runs the sum to k = 50, the deepest the horizon cap lets it
+    # go.  At a = 0, b = -1 the terms (-1)^k (50 - k)^k / k! cancel from
+    # about 1e11 down to 1e-7, so the float sum is held to the exact
+    # rational one within rounding of the largest terms.
+    from fractions import Fraction
+
+    p = LinearDdeParams(0.0, -1.0, 1.0)
+    t = MAX_HORIZON_DELAYS * p.tau
+    terms = [Fraction((50 - k) ** k, math.factorial(k)) for k in range(51)]
+    exact = float(sum((-1) ** k * term for k, term in enumerate(terms)))
+    scale = float(sum(terms)) * np.finfo(float).eps
+    assert abs(fundamental_solution(p, t) - exact) <= 16.0 * scale
+    with pytest.raises(ValueError, match="capped"):
+        fundamental_solution(p, t + 0.5)
+
+
+def _scipy_kappa(atau):
+    from scipy.optimize import bisect
+
+    if atau > 0.0:
+        lo, hi = 1e-12, 0.5 * math.pi - 1e-12
+    else:
+        lo, hi = 0.5 * math.pi + 1e-12, math.pi - 1e-12
+    return float(bisect(lambda k: k - atau * math.tan(k), lo, hi,
+                        xtol=1e-12))
+
+
+def test_kappa_root_is_bitwise_scipy_bisect():
+    grid = np.concatenate([np.linspace(-20.0, -1e-9, 4001),
+                           np.linspace(1e-9, 0.999, 2001)])
+    for atau in grid.tolist():
+        assert _kappa_root(atau) == _scipy_kappa(atau), atau
+
+
+def test_bisect_raises_when_it_cannot_converge():
+    # a sign change at x = 0 with no absolute tolerance: the relative one
+    # shrinks with the midpoint, so the steps never get below it
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        _bisect(lambda x: -1.0 if x <= 0.0 else 1.0, -1.0, 1.0, 0.0)
+
+
+def _assert_lambertw_matches_scipy(zs):
+    from scipy.special import lambertw
+
+    for z in zs:
+        if z == -math.exp(-1.0):
+            continue  # scipy gives NaN at the branch point itself
+        ref = complex(lambertw(z, 0))
+        assert abs(_lambertw0(z) - ref) <= 1e-12 * abs(ref), z
+
+
+def test_lambertw0_on_the_stability_grid():
+    grid = np.linspace(-3.0, 1.0, 21)
+    _assert_lambertw_matches_scipy(
+        [float(b) * math.exp(-float(a)) for a in grid for b in grid])
+
+
+def test_lambertw0_on_a_logspace_sweep():
+    mags = np.logspace(-300.0, 300.0, 1201)
+    _assert_lambertw_matches_scipy(np.concatenate([mags, -mags]).tolist())
+
+
+def test_lambertw0_on_a_linspace_through_its_start_regions():
+    # started at log z instead of log(1 + z), 0.352 runs away
+    zs = np.append(np.linspace(-3.0, 3.0, 6001), 0.352)
+    _assert_lambertw_matches_scipy(zs.tolist())
+
+
+def test_lambertw0_at_its_fixed_points():
+    assert _lambertw0(-math.exp(-1.0)) == -1.0
+    assert _lambertw0(0.0) == 0.0
+    with pytest.raises(TypeError):
+        _lambertw0(1j)
 
 
 # ---------------------------------------------------------------------------

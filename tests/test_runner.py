@@ -417,6 +417,16 @@ def test_cli_dry_run_rejects_unrunnable_compare(tmp_path, m, times):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("T, code", [(50.0, 0), (50.5, 2)],
+                         ids=["at-horizon", "past-horizon"])
+def test_cli_dry_run_checks_gaussian_horizon(tmp_path, T, code):
+    text = ("kind = gaussian\n[params]\nkernel = brownian\na = 0.0\n"
+            f"b = -1.0\ntau = 1.0\nT = {T}\ndt = 0.5\n")
+    cfg = _write(tmp_path, "g.cfg", text)
+    assert main(["gaussian", "--config", cfg, "--dry-run",
+                 "--out", str(tmp_path / "dry")]) == code
+
+
 def test_cli_compare_projection_overflow_exits_3(tmp_path, monkeypatch,
                                                  capsys):
     # finite histories through finite weights can still overflow
@@ -448,3 +458,19 @@ def test_cli_dry_run_flag(tmp_path):
     record = json.loads((out / "manifest.json").read_text())
     assert record["outputs"] == []
     assert record["seed"] is None
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; importing it costs most of start-up
+    src = str(Path(execute.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, ddlab, ddlab.runner\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"
