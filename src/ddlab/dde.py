@@ -332,6 +332,18 @@ def check_block(samples, tau: float) -> np.ndarray:
     ``(B, m+1, d)``.  Needs ``B >= 1``, ``m >= 4``, finite samples and a
     finite ``tau > 0``.
     """
+    arr = _block_array(samples, tau)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("history samples must be finite")
+    return arr
+
+
+def _block_array(samples, tau: float) -> np.ndarray:
+    """`check_block` without its pass over the values.
+
+    For callers that hand the block on to `integrate_batch`, which makes
+    that pass itself.
+    """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim not in (2, 3):
         raise ValueError("samples must be shaped (B, m+1) or (B, m+1, d)")
@@ -339,8 +351,6 @@ def check_block(samples, tau: float) -> np.ndarray:
         raise ValueError("empty ensemble")
     if arr.shape[1] - 1 < _MIN_SUBSTEPS:
         raise ValueError(f"need at least {_MIN_SUBSTEPS} substeps per delay")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("history samples must be finite")
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError("tau must be positive")
     return arr if arr.ndim == 3 else arr[:, :, None]

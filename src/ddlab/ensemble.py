@@ -12,7 +12,8 @@ velocity pool, fed to `msd_curve` and `velocity_stats`.
 An ensemble is one float block, ``(n, m+1)`` for a scalar state or
 ``(n, m+1, d)``: row i holds trajectory i's history on the m-interval grid
 of width tau, which travels next to the block.  Every consumer validates
-it once with `ddlab.dde.check_block`.
+it once with `ddlab.dde.check_block`, which `integrate_batch` calls for
+the consumers that integrate.
 
 Binning convention: the first snapshot in the requested schedule fixes
 the histogram range, which is then frozen; later samples are clipped
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dde import check_block, integrate_batch
+from .dde import _block_array, check_block, integrate_batch
 from .density import Histogram, UniformGrid
 from .fit import r_squared, tail_line_fit
 from .gaussian import sample_gaussian_paths
@@ -171,7 +172,7 @@ def ensemble_values(samples, tau, field, times, *, seed=None) -> np.ndarray:
     integration pass to the latest requested node.  Trajectory i's noise
     stream depends only on (seed, i).
     """
-    block = check_block(samples, tau)
+    block = _block_array(samples, tau)
     B, m = block.shape[0], block.shape[1] - 1
     h = tau / m
     ks = [_grid_index(t, h) for t in times]
@@ -188,6 +189,7 @@ def ensemble_values(samples, tau, field, times, *, seed=None) -> np.ndarray:
 
     k_max = max(ks)
     if k_max <= 0:
+        check_block(block, tau)  # otherwise integrate_batch checks it
         return out
 
     noise = getattr(field, "noise", None)
@@ -218,7 +220,7 @@ def evolve_trajectories(samples, tau, field, T, burn_in):
     ``t_k > burn_in``.  No path is stored, so memory is the pool plus one
     integration's buffers.
     """
-    block = check_block(samples, tau)
+    block = _block_array(samples, tau)  # integrate_batch checks the values
     B, m = block.shape[0], block.shape[1] - 1
     if block.shape[2] < 2:
         raise ValueError("trajectory statistics need a velocity component")

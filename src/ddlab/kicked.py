@@ -20,6 +20,15 @@ numerators over the fixed denominator 5**27 (`_double_mod`).
 transfer operators the density side uses, for testing how fast the
 observable's correlations die; `ou_limit_suite` measures the velocity
 statistics as tau shrinks with kappa = sqrt(tau).
+
+The suite works in time blocks of `_KICK_BLOCK` kicks.  Three things
+are serial, one numpy call per kick over all streams, because each is a
+true recurrence: the doubling of the angles (once per suite, since every
+tau restarts from the same seeds), the affine velocity update
+v_j = v_{j-1} e^{-gamma tau} + kappa c_j, and the running position sum
+x_j = x_{j-1} + v_{j-1} drift.  Everything else (the readout of the kick
+offsets c_j, the kick and drift products, the squared displacements and
+their means) runs over a whole block of kicks at once.
 """
 from __future__ import annotations
 
@@ -256,11 +265,60 @@ class OuReport:
     n_samples: int
 
 
-def _double_mod(p: np.ndarray) -> np.ndarray:
-    """Exact angle doubling of uint64 numerators over `_SEED_DEN`, in place."""
-    p <<= 1
-    np.subtract(p, _DEN_U64, out=p, where=p >= _DEN_U64)
-    return p
+# rows of kicks handled as one block wherever no recurrence runs; the
+# reports do not depend on it
+_KICK_BLOCK = 128
+
+
+def burn_in_kicks(gamma, tau) -> int:
+    """Kicks `ou_limit_suite` discards as transient at spacing ``tau``.
+
+    About ten velocity relaxation times 1/gamma; a run needs more than
+    twice this many kicks.
+    """
+    try:
+        return int(10.0 / (gamma * tau)) + 1
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"gamma * tau = {gamma * tau:g} is too small for "
+                         "a finite transient") from None
+
+
+def _double_mod(p: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """Exact angle doubling of uint64 numerators over `_SEED_DEN`.
+
+    Writes ``2 p mod _SEED_DEN`` into ``out``, which defaults to ``p``.
+    """
+    if out is None:
+        out = p
+    np.left_shift(p, 1, out=out)
+    np.subtract(out, _DEN_U64, out=out, where=out >= _DEN_U64)
+    return out
+
+
+def _kick_offsets(nums: np.ndarray, n_kicks: int) -> np.ndarray:
+    """``(n_kicks, streams)`` block of c_j = xi_j - 1/2, j = 1..n_kicks.
+
+    Row j-1 reads out the j-th doubling of the numerators ``nums``
+    through the triangle wave xi = 1 - 2|p/D - 1/2|.  The doubling is
+    serial; the readout runs over `_KICK_BLOCK` rows at a time.
+    """
+    c = np.empty((n_kicks, nums.size))
+    p = np.empty((_KICK_BLOCK + 1, nums.size), dtype=np.uint64)
+    p[0] = nums  # row 0 carries the last angle of the previous block
+    den = float(_SEED_DEN)
+    for a in range(0, n_kicks, _KICK_BLOCK):
+        rows = c[a:a + _KICK_BLOCK]
+        k = len(rows)
+        for i in range(1, k + 1):
+            _double_mod(p[i - 1], out=p[i])
+        np.divide(p[1:k + 1], den, out=rows)
+        np.subtract(rows, 0.5, out=rows)
+        np.abs(rows, out=rows)
+        np.multiply(2.0, rows, out=rows)
+        np.subtract(1.0, rows, out=rows)
+        np.subtract(rows, 0.5, out=rows)
+        p[0] = p[k]
+    return c
 
 
 def ou_limit_suite(gamma, tau_list, n_kicks, *, ensemble: int = 256) \
@@ -271,8 +329,21 @@ def ou_limit_suite(gamma, tau_list, n_kicks, *, ensemble: int = 256) \
     chaotic streams from `equidistributed_seeds` is evolved with
     kappa = sqrt(tau); reported per tau: stationary velocity variance,
     the magnitude of the excess kurtosis of v (0 for a Gaussian), and
-    the slope and R^2 of the tail fit to the mean-square displacement.
-    Fully deterministic: no random numbers are involved anywhere.
+    the slope and R^2 of the tail fit to the mean-square displacement,
+    all taken after the first `burn_in_kicks` kicks.  Fully
+    deterministic: no random numbers are involved anywhere.
+
+    Every tau restarts from the same seeds, so the kick offsets
+    xi_j - 1/2 are built once (`_kick_offsets`) and shared.  Per tau only
+    the two recurrences run kick by kick, each over whole rows of
+    streams: v_j = v_{j-1} e^{-gamma tau} + kappa (xi_j - 1/2), written
+    into one ``(n_kicks + 1, streams)`` velocity buffer shared by all
+    tau, and the running sum x_j = x_{j-1} + v_{j-1} (1 - e^{-gamma
+    tau}) / gamma.  The kick and drift products, the squared
+    displacements and their per-kick means are taken over `_KICK_BLOCK`
+    rows at a time, and the pooled moments in place on the buffer's
+    post-transient rows, so the suite holds two ``(n_kicks, streams)``
+    float blocks however many tau it runs.
     """
     gamma = float(gamma)
     tau_list = [float(t) for t in tau_list]
@@ -283,51 +354,62 @@ def ou_limit_suite(gamma, tau_list, n_kicks, *, ensemble: int = 256) \
     if any(b >= a for a, b in zip(tau_list, tau_list[1:])):
         raise ValueError("tau_list must decrease")
     n_kicks = int(n_kicks)
-    seeds = equidistributed_seeds(ensemble)
-    nums = np.array([s.numerator * (_SEED_DEN // s.denominator)
-                     for s in seeds], dtype=np.uint64)
-    den = float(_SEED_DEN)
-
-    reports = []
-    for tau in tau_list:
-        burn = int(10.0 / (gamma * tau)) + 1
+    burns = [burn_in_kicks(gamma, tau) for tau in tau_list]
+    for tau, burn in zip(tau_list, burns):
         if n_kicks <= 2 * burn:
             raise ValueError(
                 f"n_kicks = {n_kicks} leaves no room after the "
                 f"{burn}-kick transient at tau = {tau:g}")
+    if not tau_list:
+        return []
+    seeds = equidistributed_seeds(ensemble)
+    nums = np.array([s.numerator * (_SEED_DEN // s.denominator)
+                     for s in seeds], dtype=np.uint64)
+    c = _kick_offsets(nums, n_kicks)
+    v = np.zeros((n_kicks + 1, ensemble))  # row j holds v_j; v_0 = 0
+    x = np.empty((_KICK_BLOCK + 1, ensemble))  # row 0 carries x_a
+
+    reports = []
+    for tau, burn in zip(tau_list, burns):
         kappa = math.sqrt(tau)
         decay = math.exp(-gamma * tau)
         drift = (1.0 - decay) / gamma
 
-        p = nums.copy()  # seeds are the starting angles of each stream
-        x = np.zeros(ensemble)
-        v = np.zeros(ensemble)
-        v_pool = np.empty((n_kicks - burn + 1, ensemble))
+        x[0] = 0.0
         msd = np.empty(n_kicks - burn + 1)
-        for j in range(1, n_kicks + 1):
-            x = x + v * drift
-            theta = _double_mod(p) / den
-            xi = 1.0 - 2.0 * np.abs(theta - 0.5)
-            v = v * decay + kappa * (xi - 0.5)
-            if j == burn:
-                x_ref = x.copy()
-            if j >= burn:
-                msd[j - burn] = np.mean((x - x_ref) ** 2)
-                v_pool[j - burn] = v
-        pooled = v_pool.ravel()
+        for a in range(0, n_kicks, _KICK_BLOCK):
+            k = min(_KICK_BLOCK, n_kicks - a)  # kicks a+1 .. a+k
+            kick = kappa * c[a:a + k]
+            for i in range(k):
+                row = v[a + i + 1]
+                np.multiply(v[a + i], decay, out=row)
+                np.add(row, kick[i], out=row)
+            step = v[a:a + k] * drift
+            # a loop, not np.cumsum: the same bits, but cumsum is slower
+            for i in range(k):
+                np.add(x[i], step[i], out=x[i + 1])
+            if a < burn <= a + k:
+                x_ref = x[burn - a].copy()
+            lo = max(burn - a, 1)
+            if lo <= k:
+                sq = np.subtract(x[lo:k + 1], x_ref)
+                np.square(sq, out=sq)
+                msd[a + lo - burn:a + k + 1 - burn] = sq.mean(axis=1)
+            x[0] = x[k]
+        pooled = v[burn:].ravel()  # a view: the moments overwrite it
         mu = pooled.mean()
-        dev = pooled - mu
-        np.square(dev, out=dev)
-        m2 = dev.mean()  # the variance, as pooled.var() computes it
-        np.square(dev, out=dev)  # fourth powers, as squares of squares
-        m4 = dev.mean()
+        np.subtract(pooled, mu, out=pooled)
+        np.square(pooled, out=pooled)
+        m2 = pooled.mean()  # the variance, as pooled.var() computes it
+        np.square(pooled, out=pooled)  # fourth powers, as squares of squares
+        m4 = pooled.mean()
         kurt = m4 / m2 ** 2 - 3.0
         t_axis = np.arange(len(msd)) * tau
         slope, _, r2 = tail_line_fit(t_axis, msd)
         reports.append(OuReport(tau=tau, var_v=float(m2),
                                 normality_stat=abs(float(kurt)),
                                 msd_slope=slope, msd_r2=r2,
-                                mean_v=float(mu), n_samples=len(pooled)))
+                                mean_v=float(mu), n_samples=pooled.size))
     return reports
 
 

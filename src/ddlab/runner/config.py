@@ -298,17 +298,35 @@ def _check_brownian(v, problems):
 
 
 def _check_kicked(v, problems):
+    from ..kicked import burn_in_kicks
+
     p = v["params"]
-    taus = p.get("taus")
+    taus, gamma, n_kicks = p.get("taus"), p.get("gamma"), p.get("n_kicks")
+    taus_ok = taus is not None and all(
+        math.isfinite(t) and t > 0.0 for t in taus)
+    gamma_ok = gamma is not None and math.isfinite(gamma) and gamma > 0.0
     if taus is not None:
-        if any(t <= 0.0 for t in taus):
-            problems.append((None, "taus must be positive"))
+        if not taus_ok:
+            problems.append((None, "taus must be finite and positive"))
         if len(taus) > 1 and any(b >= a for a, b in zip(taus, taus[1:])):
             problems.append((None, "taus must decrease strictly"))
-    if p.get("gamma") is not None and p["gamma"] <= 0.0:
-        problems.append((None, "gamma must be positive"))
+    if gamma is not None and not gamma_ok:
+        problems.append((None, "gamma must be finite and positive"))
     if p.get("streams") is not None and p["streams"] < 1:
         problems.append((None, "streams must be positive"))
+    # the suite discards a transient at every tau and needs as many kicks
+    # again after it; checked here so that --dry-run sees it too
+    if taus_ok and gamma_ok and n_kicks is not None:
+        for tau in taus:
+            try:
+                burn = burn_in_kicks(gamma, tau)
+            except ValueError as err:
+                problems.append((None, str(err)))
+                continue
+            if n_kicks <= 2 * burn:
+                problems.append((None, f"n_kicks = {n_kicks} leaves no room "
+                                       f"after the {burn}-kick transient at "
+                                       f"tau = {tau:g}"))
 
 
 def _check_compare(v, problems):

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import ddlab.dde as dde
+import ddlab.ensemble as ensemble
 from ddlab.dde import LinearDelayField, PiecewiseConstantUniform, \
     AffineCircleDelayField, SineFeedbackField, TentDelayField, \
     integrate_batch
@@ -183,6 +185,50 @@ def test_history_side_reads_validate_the_block(samples, tau):
     with pytest.raises(ValueError):
         ensemble_values(samples, tau, LinearDelayField(-1.0, 0.0),
                         [-0.5, 0.0])
+
+
+def _count_block_checks(monkeypatch):
+    # ensemble_values and evolve_trajectories bind check_block in their
+    # own module; integrate_batch looks it up in ddlab.dde
+    calls = []
+    real = dde.check_block
+
+    def counting(samples, tau):
+        calls.append(np.shape(samples))
+        return real(samples, tau)
+
+    monkeypatch.setattr(dde, "check_block", counting)
+    monkeypatch.setattr(ensemble, "check_block", counting)
+    return calls
+
+
+@pytest.mark.parametrize("times", [[-0.5, 0.0], [-0.5, 1.0]],
+                         ids=["history-side", "integrated"])
+def test_ensemble_values_checks_the_block_once(monkeypatch, times):
+    calls = _count_block_checks(monkeypatch)
+    hs = sample_initial(ConstantPath(0.25), 6, 8, 1.0)
+    ensemble_values(hs, 1.0, LinearDelayField(-1.0, 0.0), times)
+    assert len(calls) == 1
+
+
+def test_trajectory_statistics_check_the_block_once(monkeypatch):
+    calls = _count_block_checks(monkeypatch)
+    evolve_trajectories(np.zeros((5, 9, 2)), 1.0,
+                        SineFeedbackField(1.0, 10.0), 2.0, 1.0)
+    assert calls == [(5, 9, 2)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_integrating_reads_reject_non_finite_samples(bad):
+    hs = np.full((3, 9), 0.1)
+    hs[1, 4] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ensemble_values(hs, 1.0, LinearDelayField(-1.0, 0.0), [-0.5, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        ensemble_values(hs, 1.0, LinearDelayField(-1.0, 0.0), [-0.5, 0.0])
+    pair = np.stack([hs, hs], axis=2)
+    with pytest.raises(ValueError, match="finite"):
+        evolve_trajectories(pair, 1.0, SineFeedbackField(1.0, 10.0), 2.0, 1.0)
 
 
 def test_empty_ensemble_is_a_value_error():

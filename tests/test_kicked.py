@@ -5,10 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ddlab.kicked as kicked
 from ddlab.kicked import (
     _SEED_DEN,
     KickConfig,
     _double_mod,
+    burn_in_kicks,
     centered_identity,
     equidistributed_seeds,
     evolve_kicked,
@@ -248,6 +250,10 @@ def test_suite_validation():
             ou_limit_suite(1.0, [tau], 4000)
     with pytest.raises(ValueError, match="tau"):
         ou_limit_suite(1.0, [0.2, -0.1], 4000)
+    # finite and positive, but 10 / (gamma tau) underflows or overflows
+    for gamma, tau in ((1e-200, 1e-200), (1e-300, 1e-10)):
+        with pytest.raises(ValueError, match="too small"):
+            ou_limit_suite(gamma, [tau], 4000)
 
 
 def _big_int_suite(gamma, tau_list, n_kicks, ensemble):
@@ -305,6 +311,30 @@ def test_suite_matches_big_int_reference():
         assert rep.normality_stat == pytest.approx(stat, rel=1e-12, abs=0.0)
         for field, value in ref.items():
             assert getattr(rep, field) == value, field
+
+
+def test_suite_does_not_depend_on_the_kick_block(monkeypatch):
+    taus = [0.2, 0.1, 0.05]
+    burns = [burn_in_kicks(1.0, t) for t in taus]
+    assert burns == [51, 101, 201]
+    # 1500 kicks end in a partial block, and the first post-transient
+    # kick at tau = 0.2 sits strictly inside a block at every size
+    for block in (7, kicked._KICK_BLOCK):
+        assert 1500 % block and (burns[0] - 1) % block and burns[0] % block
+    want = ou_limit_suite(1.0, taus, 1500, ensemble=64)
+    for block in (1, 7):
+        monkeypatch.setattr(kicked, "_KICK_BLOCK", block)
+        assert ou_limit_suite(1.0, taus, 1500, ensemble=64) == want
+
+
+def test_double_mod_into_a_separate_row():
+    starts = [s.numerator * (_SEED_DEN // s.denominator)
+              for s in equidistributed_seeds(16)]
+    p = np.array(starts, dtype=np.uint64)
+    out = np.empty_like(p)
+    assert _double_mod(p, out=out) is out
+    assert [int(q) for q in p] == starts  # the source row is left alone
+    assert [int(q) for q in out] == [(2 * q) % _SEED_DEN for q in starts]
 
 
 def test_report_csv(tmp_path):

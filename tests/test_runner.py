@@ -257,6 +257,17 @@ def test_kicked_kind_report_rows(tmp_path):
     assert all(v > 0 for v in cols[1])
 
 
+def test_kicked_report_bytes_are_pinned(tmp_path):
+    # recorded from the tau-by-tau loop that the blocked suite replaced;
+    # how the suite is blocked must never move a byte of the report
+    text = ("kind = kicked\n[params]\ngamma = 1.0\n"
+            "taus = 0.2, 0.1, 0.05\nn_kicks = 1500\nstreams = 64\n")
+    run(parse_config(text), outdir=tmp_path)
+    digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
+    assert digest == ("cfd6fd0b8d56bc5096726254970c70f1"
+                      "2e3a684647013fb7a16b8095d2e12410")
+
+
 def test_compare_kind_matches_analytic(tmp_path):
     text = ("kind = compare\n[params]\nkernel = brownian\n"
             "a = 0.0\nb = -1.0\ntimes = 0.5, 1.0\nm = 32\nchunk = 500\n"
@@ -425,6 +436,36 @@ def test_cli_dry_run_checks_gaussian_horizon(tmp_path, T, code):
     cfg = _write(tmp_path, "g.cfg", text)
     assert main(["gaussian", "--config", cfg, "--dry-run",
                  "--out", str(tmp_path / "dry")]) == code
+
+
+@pytest.mark.parametrize("n_kicks, code", [(150, 2), (202, 2), (203, 0)],
+                         ids=["far-too-short", "just-too-short", "first-run"])
+def test_cli_dry_run_checks_kicked_burn_in(tmp_path, capsys, n_kicks, code):
+    # the suite drops a 101-kick transient at tau = 0.1 and needs more
+    # kicks again after it, so 2 * 101 + 1 is the first n_kicks it runs
+    text = ("kind = kicked\n[params]\ngamma = 1.0\ntaus = 0.2, 0.1\n"
+            f"n_kicks = {n_kicks}\nstreams = 8\n")
+    cfg = _write(tmp_path, "kick.cfg", text)
+    assert main(["kicked", "--config", cfg, "--dry-run",
+                 "--out", str(tmp_path / "dry")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert (f"n_kicks = {n_kicks} leaves no room after the 101-kick "
+                "transient at tau = 0.1") in err
+    else:
+        assert main(["kicked", "--config", cfg,
+                     "--out", str(tmp_path / "run")]) == 0
+
+
+@pytest.mark.parametrize("line", ["gamma = 1e-200\ntaus = 1e-200",
+                                  "gamma = nan\ntaus = 0.1",
+                                  "gamma = 1.0\ntaus = inf"],
+                         ids=["underflow", "nan-gamma", "inf-tau"])
+def test_cli_dry_run_rejects_degenerate_kick_scales(tmp_path, line):
+    text = f"kind = kicked\n[params]\n{line}\nn_kicks = 5000\n"
+    cfg = _write(tmp_path, "kick.cfg", text)
+    assert main(["kicked", "--config", cfg, "--dry-run",
+                 "--out", str(tmp_path / "dry")]) == 2
 
 
 def test_cli_compare_projection_overflow_exits_3(tmp_path, monkeypatch,
