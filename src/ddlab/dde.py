@@ -33,6 +33,15 @@ __all__ = [
 ]
 
 _MIN_SUBSTEPS = 4  # the cubic read-back needs four usable nodes per piece
+_GRID_RTOL = 1e-9
+
+
+def _grid_index(t, h, what="time"):
+    """``t / h`` as a whole number, to the step-grid tolerance."""
+    k = round(t / h)
+    if abs(k * h - t) > _GRID_RTOL * max(1.0, abs(t)):
+        raise ValueError(f"{what} {t:g} is not a whole number of steps {h:g}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -52,13 +61,8 @@ class History:
     t_now: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau > 0.0):
-            raise ValueError("tau must be positive")
         arr = np.asarray(self.samples, dtype=float)
-        if arr.ndim not in (1, 2) or arr.shape[0] < 3:
-            raise ValueError("need at least three samples covering the delay")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("history samples must be finite")
+        check_block(arr[None], self.tau)
         object.__setattr__(self, "samples", arr)
 
     @property
@@ -130,7 +134,9 @@ class PiecewiseConstantUniform:
 
     The value is constant on ``[t0 + k dt, t0 + (k + 1) dt)`` where ``dt`` is
     the resample interval and ``t0`` the start of integration, and each
-    segment level is an independent draw from ``uniform(lo, hi)``.
+    segment level is an independent draw from ``uniform(lo, hi)``.  The
+    interval is a whole number ``q`` of steps (`steps_per_segment`), so
+    step ``n`` lies in segment ``n // q``.
     """
 
     lo: float
@@ -140,12 +146,24 @@ class PiecewiseConstantUniform:
     def __post_init__(self):
         if not (self.hi >= self.lo):
             raise ValueError("need hi >= lo")
-        if not (self.resample_interval > 0.0):
-            raise ValueError("resample interval must be positive")
+        if not 0.0 < self.resample_interval < math.inf:
+            raise ValueError("resample interval must be finite and positive")
 
-    def segment_values(self, rng, count: int) -> np.ndarray:
-        """Draw ``count`` independent segment levels from ``rng``."""
-        return rng.uniform(self.lo, self.hi, size=count)
+    def steps_per_segment(self, h: float) -> int:
+        """The segment clock ``q = resample_interval / h``, a whole number."""
+        q = _grid_index(self.resample_interval, h, "resample interval")
+        if q < 1:
+            raise ValueError(f"resample interval is shorter than a step {h:g}")
+        return q
+
+    def table(self, seed, rows: int, n_steps: int, h: float) -> np.ndarray:
+        """``(rows, n_steps // q + 1)`` levels in one draw from ``seed``.
+
+        Filled row by row, so row i depends on (seed, i, segment count).
+        """
+        count = n_steps // self.steps_per_segment(h) + 1
+        return np.random.default_rng(seed).uniform(self.lo, self.hi,
+                                                   (rows, count))
 
 
 @dataclass(frozen=True)
@@ -363,10 +381,12 @@ def integrate_batch(field, samples, tau: float, T: float, *, t0: float = 0.0,
     ``samples`` is an ensemble block as :func:`check_block` accepts it,
     and ``T`` must be a whole number of steps ``tau / m``.  For a field with
     a noise process, ``noise_table`` supplies one row of segment levels per
-    trajectory (see :class:`PiecewiseConstantUniform`; the segment clock
-    starts at ``t0``).  ``observer(k, states)`` is called for every node
-    index ``k = 0 .. n`` with the ``(B, d)`` states at that node; the array
-    is freshly allocated per step and may be kept without copying.
+    trajectory (see :meth:`PiecewiseConstantUniform.table`); the segment
+    clock starts at ``t0``, and with ``q`` steps per segment step ``n``
+    reads level ``n // q`` at its start and midpoint, ``(n + 1) // q`` at
+    its end.  ``observer(k, states)`` is called for every node index ``k =
+    0 .. n`` with the ``(B, d)`` states at that node; the array is freshly
+    allocated per step and may be kept without copying.
 
     Every trajectory in the stack sees exactly the arithmetic it would see
     alone, so integrating any split of the rows (each part with its own
@@ -381,8 +401,8 @@ def integrate_batch(field, samples, tau: float, T: float, *, t0: float = 0.0,
         raise ValueError(
             f"field wants state dimension {state_dim(field)}, got {d}")
     h = tau / m
-    n_steps = int(round(T / h))
-    if n_steps < 1 or abs(n_steps * h - T) > 1e-9 * max(1.0, abs(T)):
+    n_steps = _grid_index(T, h, "T")
+    if n_steps < 1:
         raise ValueError("T must be a positive whole number of steps tau/m")
 
     noise = getattr(field, "noise", None)
@@ -390,19 +410,14 @@ def integrate_batch(field, samples, tau: float, T: float, *, t0: float = 0.0,
     if noise is not None:
         if noise_table is None:
             raise ValueError("field carries a noise process; supply noise_table")
+        q = noise.steps_per_segment(h)
+        needed = n_steps // q + 1
         noise_table = np.asarray(noise_table, dtype=float)
-        seg_dt = noise.resample_interval
-        needed = int(math.floor(n_steps * h / seg_dt + 1e-9)) + 1
         if noise_table.ndim != 2 or noise_table.shape[0] != nb \
                 or noise_table.shape[1] < needed:
-            raise ValueError(
-                f"noise_table must be shaped ({nb}, >= {needed})")
-        # one contiguous row of levels per segment, and the segment of each
-        # step's start, midpoint and end
+            raise ValueError(f"noise_table must be shaped ({nb}, >= {needed})")
+        # one contiguous row of levels per segment
         noise_rows = np.ascontiguousarray(noise_table.T)
-        rel = np.arange(n_steps) * h
-        seg0, segm, seg1 = (((rel + off) / seg_dt + 1e-9).astype(np.int64)
-                            for off in (0.0, 0.5 * h, h))
     elif noise_table is not None:
         raise ValueError("noise_table given but the field has no noise process")
 
@@ -420,7 +435,7 @@ def integrate_batch(field, samples, tau: float, T: float, *, t0: float = 0.0,
     # Stage buffers shared by all steps; only the new state is allocated
     # per step, because the observer may keep it.
     k1, k2, k3, k4, yt, xdm, work = (np.empty((nb, d)) for _ in range(7))
-    xi0 = xim = xi1 = None
+    xi0 = xi1 = None
     half, sixth = 0.5 * h, h / 6.0
     for n in range(n_steps):
         j = n - m
@@ -435,14 +450,14 @@ def integrate_batch(field, samples, tau: float, T: float, *, t0: float = 0.0,
         w, base = _mid_stencil(j, m)
         _stencil(w, [ring[(base + i + m) % size] for i in range(4)], xdm, work)
         if noise_rows is not None:
-            xi0 = noise_rows[seg0[n], :, None]
-            xim = noise_rows[segm[n], :, None]
-            xi1 = noise_rows[seg1[n], :, None]
+            # segments start on nodes, so the midpoint shares the start's
+            xi0 = noise_rows[n // q, :, None]
+            xi1 = noise_rows[(n + 1) // q, :, None]
         kernel(field, k1, y, xd0, xi0, work)
         _axpy(y, half, k1, yt)
-        kernel(field, k2, yt, xdm, xim, work)
+        kernel(field, k2, yt, xdm, xi0, work)
         _axpy(y, half, k2, yt)
-        kernel(field, k3, yt, xdm, xim, work)
+        kernel(field, k3, yt, xdm, xi0, work)
         _axpy(y, h, k3, yt)
         kernel(field, k4, yt, xd1, xi1, work)
         # y + sixth * ((k1 + 2 (k2 + k3)) + k4), accumulated in k2
@@ -510,11 +525,7 @@ def integrate(field, initial: History, T: float, seed=None) -> Trajectory:
     h = initial.step
     n_steps = int(round(T / h))
     noise = getattr(field, "noise", None)
-    table = None
-    if noise is not None:
-        rng = np.random.default_rng(seed)
-        count = int(math.floor(n_steps * h / noise.resample_interval + 1e-9)) + 1
-        table = noise.segment_values(rng, max(count, 1))[None, :]
+    table = None if noise is None else noise.table(seed, 1, max(n_steps, 0), h)
     out = np.empty((max(n_steps, 0) + 1, d))
 
     def _record(k, states):

@@ -20,9 +20,11 @@ the histogram range, which is then frozen; later samples are clipped
 into it before counting, so every snapshot accounts for all n
 trajectories and its density integrates to one exactly.
 
-Determinism: per-trajectory noise streams are seeded from (seed, row
-index), so a trajectory's noise does not depend on the rest of the block.
-All work runs on the calling thread.
+Determinism: a noisy field's segment levels for the whole block are one
+draw from ``seed`` (`PiecewiseConstantUniform.table`), filled row by row,
+so trajectory i's noise depends on (seed, i, segment count) and a row
+prefix of the block sees the same noise as the whole block.  All work
+runs on the calling thread.
 """
 from __future__ import annotations
 
@@ -30,13 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dde import _block_array, check_block, integrate_batch
+from .dde import _GRID_RTOL, _block_array, _grid_index, check_block, \
+    integrate_batch
 from .density import Histogram, UniformGrid
 from .fit import r_squared, tail_line_fit
 from .gaussian import sample_gaussian_paths
 from .tabular import write_csv
-
-_GRID_RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -149,28 +150,15 @@ def as_velocity_histories(samples) -> np.ndarray:
 # pushing ensembles through a field
 
 
-def _grid_index(t, h):
-    k = round(t / h)
-    if abs(k * h - t) > _GRID_RTOL * max(1.0, abs(t)):
-        raise ValueError(f"time {t:g} does not lie on the step-{h:g} grid")
-    return k
-
-
-def _noise_block(noise, T, seed, n):
-    count = int(np.floor(T / noise.resample_interval + 1e-9)) + 1
-    return np.stack([
-        noise.segment_values(np.random.default_rng((seed, i)), count)
-        for i in range(n)
-    ])
-
-
 def ensemble_values(samples, tau, field, times, *, seed=None) -> np.ndarray:
     """First state component of every trajectory at the given grid times.
 
     Returns an (n_trajectories, len(times)) array.  Times at or before
     zero are read from the history block; positive times come from one
-    integration pass to the latest requested node.  Trajectory i's noise
-    stream depends only on (seed, i).
+    integration pass to the latest requested node.  A noisy field's levels
+    come from one table drawn from ``seed`` over that pass, so trajectory
+    i's noise depends only on (seed, i, segment count), and
+    ``samples[:k]`` gets the first k rows of the full block's values.
     """
     block = _block_array(samples, tau)
     B, m = block.shape[0], block.shape[1] - 1
@@ -193,11 +181,7 @@ def ensemble_values(samples, tau, field, times, *, seed=None) -> np.ndarray:
         return out
 
     noise = getattr(field, "noise", None)
-    table = None
-    if noise is not None:
-        if seed is None:
-            seed = int(np.random.default_rng().integers(2 ** 62))
-        table = _noise_block(noise, k_max * h, seed, B)
+    table = None if noise is None else noise.table(seed, B, k_max, h)
 
     def obs(k, y):
         cols = wanted.get(k)
@@ -327,9 +311,10 @@ def detect_density_period(snapshots, dt, tol=0.1):
     """Smallest T = k*dt at which the snapshot sequence repeats.
 
     Candidate offsets are scored by the mean L1 distance between
-    histograms k steps apart.  The minimizing offset is accepted only if
-    its mean distance is below ``tol`` and below half the mean distance
-    at offsets that are not multiples of it; otherwise None.  A sequence
+    histograms k steps apart.  An offset passes if its mean distance is
+    below ``tol`` and below half the mean distance at offsets that are
+    not multiples of it.  If the minimizing offset passes, the result is
+    its smallest divisor that passes too; otherwise None.  A sequence
     that is simply stationary therefore reports None — every offset
     matches equally well, so no offset separates from the rest.
     """
@@ -349,13 +334,17 @@ def detect_density_period(snapshots, dt, tol=0.1):
         dist[r] = float(np.mean([
             hists[i].l1_distance(hists[i + r]) for i in range(K - r)
         ]))
+
+    def accepted(r):
+        other = [dist[q] for q in dist if q % r != 0]
+        return bool(other) and dist[r] < min(tol, 0.5 * float(np.mean(other)))
+
     best = min(dist, key=lambda r: (dist[r], r))
-    mismatched = [dist[q] for q in dist if q % best != 0]
-    if not mismatched:
+    if not accepted(best):
         return None
-    if dist[best] < tol and dist[best] < 0.5 * float(np.mean(mismatched)):
-        return best * dt
-    return None
+    # noise can make a multiple of the period score best
+    return min(r for r in range(1, best + 1)
+               if best % r == 0 and accepted(r)) * dt
 
 
 # ---------------------------------------------------------------------------

@@ -254,18 +254,56 @@ def _check_dde_ensemble(v, problems):
         problems.append((None, f"key 'b' is required when field = {field}"))
     if field == "linear" and p.get("alpha") is not None:
         problems.append((None, "key 'alpha' does not apply when field = linear"))
-    if field != "circle" and p.get("noise_hi") is not None:
+    lo, hi, interval = (p.get(k) for k in ("noise_lo", "noise_hi",
+                                           "noise_interval"))
+    if field != "circle" and (lo, hi, interval) != (None, None, None):
         problems.append((None, "noise keys apply only when field = circle"))
-    if (p.get("noise_lo") is None) != (p.get("noise_hi") is None):
+    if (lo is None) != (hi is None):
         problems.append((None, "noise_lo and noise_hi must be given together"))
+    elif hi is None and interval is not None:
+        problems.append((None, "noise_interval needs noise_lo and noise_hi"))
     if p.get("m") is not None and p["m"] < 4:
         problems.append((None, "m must be at least 4"))
-    if p.get("tau") is not None and p["tau"] <= 0.0:
+    if p.get("tau") is not None and not (math.isfinite(p["tau"])
+                                         and p["tau"] > 0.0):
         problems.append((None, "tau must be positive"))
+    if not problems:
+        # the field's values, by the rules the run applies
+        try:
+            dde_field(p)
+        except ValueError as err:
+            problems.append((None, str(err)))
     _check_initial_spec(e, problems)
     bins = v["output"].get("bins")
     if bins is not None and bins < 1:
         problems.append((None, "bins must be positive"))
+
+
+def dde_field(p):
+    """The delay field a dde-ensemble run integrates, built from its params.
+
+    The field and noise classes check their own values and the noise clock
+    checks the resample interval against the step ``tau / m``; each raises
+    ValueError.  The config check and the run both build the field here,
+    so ``--dry-run`` rejects what the run would.
+    """
+    # imported here, so that parsing other kinds stays free of the
+    # numerical layers
+    from ..dde import (AffineCircleDelayField, LinearDelayField,
+                       PiecewiseConstantUniform, TentDelayField)
+
+    if p["field"] == "hat":
+        return TentDelayField(p["alpha"], p["a"])
+    if p["field"] == "linear":
+        return LinearDelayField(p["a"], p["b"])
+    noise = None
+    if p["noise_hi"] is not None:
+        interval = p["noise_interval"]
+        noise = PiecewiseConstantUniform(
+            p["noise_lo"], p["noise_hi"],
+            p["tau"] if interval is None else interval)
+        noise.steps_per_segment(p["tau"] / p["m"])
+    return AffineCircleDelayField(p["alpha"], p["a"], p["b"], noise=noise)
 
 
 def _check_initial_spec(e, problems):
@@ -332,7 +370,7 @@ def _check_kicked(v, problems):
 def _check_compare(v, problems):
     # imported here, so that parsing other kinds stays free of the
     # numerical layers
-    from ..ensemble import _grid_index
+    from ..dde import _grid_index
     from ..gaussian.linear import MAX_HORIZON_DELAYS
 
     p, e = v["params"], v["ensemble"]

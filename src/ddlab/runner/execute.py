@@ -21,9 +21,7 @@ import numpy as np
 
 from .. import __version__
 from ..density import GridDensity
-from ..dde import (AffineCircleDelayField, LinearDelayField,
-                   PiecewiseConstantUniform, SineFeedbackField, TentDelayField,
-                   check_block)
+from ..dde import LinearDelayField, SineFeedbackField, check_block
 from ..ensemble import (ConstantPath, GaussianHistory, IidUniformPath, Mixture,
                         as_velocity_histories, detect_density_period,
                         ensemble_values, evolve_ensemble, evolve_trajectories,
@@ -35,7 +33,7 @@ from ..gaussian import (CosineKernel, DegenerateCosineKernel, LinearDdeParams,
 from ..kicked import ou_limit_suite, write_kick_report
 from ..maps import AffineCircleMap, TentMap, iterate
 from ..tabular import write_csv
-from .config import RunConfig, normalize
+from .config import RunConfig, dde_field, normalize
 
 ENV_OUT_ROOT = "DDLAB_OUT"
 
@@ -105,18 +103,7 @@ def _run_map_iterate(cfg, out):
 
 def _run_dde_ensemble(cfg, out):
     p, e, o = cfg.params, cfg.ensemble, cfg.output
-    if p["field"] == "hat":
-        field = TentDelayField(p["alpha"], p["a"])
-    elif p["field"] == "linear":
-        field = LinearDelayField(p["a"], p["b"])
-    else:
-        noise = None
-        if p["noise_hi"] is not None:
-            interval = p["noise_interval"]
-            noise = PiecewiseConstantUniform(
-                p["noise_lo"], p["noise_hi"],
-                p["tau"] if interval is None else interval)
-        field = AffineCircleDelayField(p["alpha"], p["a"], p["b"], noise=noise)
+    field = dde_field(p)
     times = o["snapshots"].times()
     samples = sample_initial(_initial_spec(e), e["n"], p["m"], p["tau"],
                              seed=e["seed"])

@@ -1,4 +1,5 @@
 """Tests for the method-of-steps delay equation integrator."""
+import hashlib
 import math
 
 import numpy as np
@@ -109,6 +110,13 @@ def test_history_validation():
         History(1.0, np.zeros(2))
     with pytest.raises(ValueError):
         History(1.0, np.array([0.0, np.nan, 0.0]))
+    # the integrator's own limits: m >= 4, finite samples, finite tau
+    with pytest.raises(ValueError, match="substeps"):
+        History(1.0, np.zeros(4))
+    with pytest.raises(ValueError, match="finite"):
+        History(1.0, np.array([0.0, 0.0, np.inf, 0.0, 0.0]))
+    with pytest.raises(ValueError):
+        History(np.inf, np.zeros(5))
 
 
 def test_integrate_rejects_bad_spans():
@@ -238,10 +246,44 @@ def test_noisy_runs_reproduce_by_seed():
 
 def test_noise_levels_pass_uniformity_check():
     proc = PiecewiseConstantUniform(0.0, 0.2, 1.0)
-    vals = proc.segment_values(np.random.default_rng(0), 10_000)
-    assert vals.min() >= 0.0 and vals.max() <= 0.2
-    stat = stats.kstest(vals, "uniform", args=(0.0, 0.2))
+    # 100 paths over 99 segments of q = 4 steps: 10 000 levels
+    table = proc.table(0, 100, 396, 0.25)
+    assert np.array_equal(
+        table, np.random.default_rng(0).uniform(0.0, 0.2, (100, 100)))
+    assert table.min() >= 0.0 and table.max() <= 0.2
+    stat = stats.kstest(table.reshape(-1), "uniform", args=(0.0, 0.2))
     assert stat.pvalue > 0.01
+
+
+def test_segment_clock_counts_whole_steps():
+    assert PiecewiseConstantUniform(0.0, 0.2, 1.0).steps_per_segment(
+        1.0 / 64.0) == 64
+    # 3 * 0.1 is 0.30000000000000004: whole within the grid tolerance
+    assert PiecewiseConstantUniform(0.0, 0.2, 0.3).steps_per_segment(0.1) == 3
+    for dt, h in [(0.3, 0.25), (0.1, 0.25), (1.0, 0.3)]:
+        with pytest.raises(ValueError, match="whole number of steps"):
+            PiecewiseConstantUniform(0.0, 0.2, dt).steps_per_segment(h)
+
+
+def test_off_grid_noise_interval_is_rejected():
+    f = AffineCircleDelayField(10.0, 0.5, 0.567,
+                               PiecewiseConstantUniform(0.0, 0.2, 0.3))
+    samples = np.full((2, 5), 0.5)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        integrate_batch(f, samples, 1.0, 3.0, noise_table=np.zeros((2, 20)))
+    with pytest.raises(ValueError, match="whole number of steps"):
+        integrate(f, History(1.0, samples[0]), 3.0, seed=1)
+
+
+def test_noisy_single_path_bytes_are_pinned():
+    # recorded under the floating-point segment index; the integer clock
+    # and the one-draw table must keep every bit of a single path
+    f = AffineCircleDelayField(10.0, 0.5, 0.567,
+                               PiecewiseConstantUniform(0.0, 0.2, 0.5))
+    tr = integrate(f, make_history(lambda s: 0.6, 1.0, 16), 12.0, seed=42)
+    digest = hashlib.sha256(tr.states.tobytes()).hexdigest()
+    assert digest == ("1c4cce9070087d00aff780a75d75ba7a"
+                      "05a68197d1cac91e766aab2ed8223423")
 
 
 def test_noise_process_validation():
@@ -249,6 +291,8 @@ def test_noise_process_validation():
         PiecewiseConstantUniform(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         PiecewiseConstantUniform(0.0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        PiecewiseConstantUniform(0.0, 1.0, np.inf)
 
 
 def test_noise_table_shape_is_checked():
@@ -340,43 +384,45 @@ def _reference_nodes(field, samples, tau, T, noise_table=None):
     return nodes
 
 
-def _reference_case(name, m, rng):
-    """(field, samples, noise table) for one bitwise-reference case."""
+def _reference_cases(name, m, rng):
+    """(field, samples, noise table) triples for one bitwise-reference case."""
     circle = (10.0, 0.5, 0.567)
     if name == "tent":
-        return (TentDelayField(10.0, 13.0),
-                rng.uniform(0.0, 1.0, (5, m + 1)), None)
+        return [(TentDelayField(10.0, 13.0),
+                 rng.uniform(0.0, 1.0, (5, m + 1)), None)]
     if name == "linear-jump":
         jump = fundamental_history(1.0, m).samples
-        return (LinearDelayField(-0.5, -1.7),
-                np.stack([c * jump for c in (1.0, -0.3, 2.5)]), None)
+        return [(LinearDelayField(-0.5, -1.7),
+                 np.stack([c * jump for c in (1.0, -0.3, 2.5)]), None)]
     if name == "circle":
-        return (AffineCircleDelayField(*circle),
-                rng.uniform(0.0, 1.0, (5, m + 1)), None)
+        return [(AffineCircleDelayField(*circle),
+                 rng.uniform(0.0, 1.0, (5, m + 1)), None)]
     if name == "circle-noise":
-        # a resample interval off the step grid, so segment ends fall
-        # strictly inside steps
-        noise = PiecewiseConstantUniform(0.0, 0.2, 0.3)
-        return (AffineCircleDelayField(*circle, noise=noise),
-                rng.uniform(0.0, 1.0, (5, m + 1)),
-                rng.uniform(0.0, 0.2, (5, 11)))
-    return (SineFeedbackField(1.0, 10.0),
-            rng.uniform(-0.5, 0.5, (4, m + 1, 2)), None)
+        # q = 1 and 2 steps per segment at m = 4 (16 and 32 at m = 64): a
+        # new level at every step end, or at every other one
+        samples = rng.uniform(0.0, 1.0, (5, m + 1))
+        table = rng.uniform(0.0, 0.2, (5, 13))
+        return [(AffineCircleDelayField(
+                    *circle, noise=PiecewiseConstantUniform(0.0, 0.2, dt)),
+                 samples, table) for dt in (0.25, 0.5)]
+    return [(SineFeedbackField(1.0, 10.0),
+             rng.uniform(-0.5, 0.5, (4, m + 1, 2)), None)]
 
 
 @pytest.mark.parametrize("m", [4, 64])
 @pytest.mark.parametrize("name", ["tent", "linear-jump", "circle",
                                   "circle-noise", "sine-feedback"])
 def test_stepper_matches_allocating_reference_bitwise(name, m):
-    field, samples, table = _reference_case(name, m, np.random.default_rng(m))
-    nodes = []
-    final = integrate_batch(field, samples, 1.0, 3.0, noise_table=table,
-                            observer=lambda k, y: nodes.append(y))
-    want = _reference_nodes(field, samples, 1.0, 3.0, table)
-    assert len(nodes) == len(want) == 3 * m + 1
-    for got, ref in zip(nodes, want):
-        assert np.array_equal(got, ref)
-    assert np.array_equal(final, want[-1])
+    for field, samples, table in _reference_cases(name, m,
+                                                  np.random.default_rng(m)):
+        nodes = []
+        final = integrate_batch(field, samples, 1.0, 3.0, noise_table=table,
+                                observer=lambda k, y: nodes.append(y))
+        want = _reference_nodes(field, samples, 1.0, 3.0, table)
+        assert len(nodes) == len(want) == 3 * m + 1
+        for got, ref in zip(nodes, want):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(final, want[-1])
 
 
 def test_batch_final_states_match_observer_tail():

@@ -308,6 +308,25 @@ def test_noise_seed_changes_noisy_results():
     assert not np.array_equal(a, b)
 
 
+def test_ensemble_noise_is_one_table_draw():
+    # 48 steps of 1/16 with q = 16: four segment levels per path, drawn
+    # row by row from one generator
+    hs = sample_initial(IidUniformPath(0.0, 1.0), 7, 16, 1.0, seed=3)
+    table = np.random.default_rng(5).uniform(0.0, 0.2, (7, 4))
+    want = integrate_batch(KEENER, hs, 1.0, 3.0, noise_table=table)
+    got = ensemble_values(hs, 1.0, KEENER, [3.0], seed=5)
+    assert np.array_equal(got, want)
+
+
+def test_noisy_row_prefix_gets_the_same_values():
+    hs = sample_initial(IidUniformPath(0.0, 1.0), 40, 16, 1.0, seed=4)
+    times = [-0.5, 0.5, 2.0, 3.5]
+    whole = ensemble_values(hs, 1.0, KEENER, times, seed=11)
+    for k in (1, 13, 39):
+        head = ensemble_values(hs[:k], 1.0, KEENER, times, seed=11)
+        assert np.array_equal(head, whole[:k])
+
+
 # ---------------------------------------------------------------------------
 # period detection
 
@@ -330,6 +349,25 @@ def test_period_three_pattern():
             np.array([0, 0, 0, 40], dtype=np.int64)]
     snaps = [_snap(pats[i % 3], 0.25 * i) for i in range(15)]
     assert detect_density_period(snaps, 0.25) == pytest.approx(0.75)
+
+
+def test_smallest_passing_divisor_is_the_period():
+    # period 2 with a small drift that repeats every 6 snapshots: offset 6
+    # matches exactly and scores lowest, but 2 passes the same test
+    a = np.array([30, 0, 0, 10], dtype=np.int64)
+    b = np.array([0, 25, 15, 0], dtype=np.int64)
+    snaps = []
+    for i in range(18):
+        counts = (a if i % 2 == 0 else b).copy()
+        j = (i // 2) % 3
+        lo, hi = (0, 3) if i % 2 == 0 else (1, 2)
+        counts[lo] -= j
+        counts[hi] += j
+        snaps.append(_snap(counts, 0.5 * i))
+    l1 = [snaps[i].marginal.l1_distance(snaps[i + 6].marginal)
+          for i in range(12)]
+    assert max(l1) == 0.0
+    assert detect_density_period(snaps, 0.5) == pytest.approx(1.0)
 
 
 def test_constant_sequence_reports_none():

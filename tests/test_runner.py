@@ -217,6 +217,18 @@ def test_reruns_and_thread_counts_reproduce_hashes(tmp_path):
     assert {rec["name"] for rec in first.outputs} == {"snapshots.csv", "period.csv"}
 
 
+def test_noisy_circle_bytes_are_pinned(tmp_path):
+    # one table of segment levels drawn from the seed, read on the integer
+    # segment clock (q = 16 steps per level here)
+    manifest = run(parse_config(NOISY_CIRCLE), outdir=tmp_path)
+    assert {rec["name"]: rec["sha256"] for rec in manifest.outputs} == {
+        "period.csv":
+            "eebc2b4f8b5a3d72a5825a504ddfbd3d8030430ba733729e4f3857827113b40f",
+        "snapshots.csv":
+            "d4a60fed56cf117e8624ad80f30a61518d1e593248c1d96425db44057e290c0b",
+    }
+
+
 def test_default_outdir_honors_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("DDLAB_OUT", str(tmp_path / "root"))
     cfg = parse_config(MINIMAL)
@@ -466,6 +478,39 @@ def test_cli_dry_run_rejects_degenerate_kick_scales(tmp_path, line):
     cfg = _write(tmp_path, "kick.cfg", text)
     assert main(["kicked", "--config", cfg, "--dry-run",
                  "--out", str(tmp_path / "dry")]) == 2
+
+
+def _with_interval(value):
+    return lambda t: t.replace("noise_hi = 0.2\n",
+                               f"noise_hi = 0.2\nnoise_interval = {value}\n")
+
+
+@pytest.mark.parametrize("mangle, fragment", [
+    (_with_interval(0.0), "finite and positive"),
+    (_with_interval(-1.0), "finite and positive"),
+    (_with_interval("inf"), "finite and positive"),
+    (lambda t: t.replace("noise_hi = 0.2", "noise_hi = -0.1"), "hi >= lo"),
+    (lambda t: t.replace("a = 0.5\n", "a = 1.5\n"), "0 < a < 1"),
+    (_with_interval(0.3), "whole number of steps"),
+    (lambda t: t.replace("noise_lo = 0.0\nnoise_hi = 0.2\n",
+                         "noise_interval = 0.5\n"), "needs noise_lo"),
+], ids=["interval-zero", "interval-negative", "interval-infinite",
+        "lo-above-hi", "a-outside", "interval-off-grid",
+        "interval-without-levels"])
+def test_cli_dry_run_checks_the_circle_field(tmp_path, capsys, mangle,
+                                             fragment):
+    cfg = _write(tmp_path, "circle.cfg", mangle(NOISY_CIRCLE))
+    for flags in (["--dry-run"], []):
+        assert main(["dde-ensemble", "--config", cfg,
+                     "--out", str(tmp_path / "o")] + flags) == 2
+        assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_dry_run_accepts_an_on_grid_interval(tmp_path):
+    cfg = _write(tmp_path, "circle.cfg", _with_interval(0.5)(NOISY_CIRCLE))
+    assert main(["dde-ensemble", "--config", cfg, "--dry-run",
+                 "--out", str(tmp_path / "o")]) == 0
 
 
 def test_cli_compare_projection_overflow_exits_3(tmp_path, monkeypatch,
