@@ -38,8 +38,8 @@ _GRID_RTOL = 1e-9
 
 def _grid_index(t, h, what="time"):
     """``t / h`` as a whole number, to the step-grid tolerance."""
-    k = round(t / h)
-    if abs(k * h - t) > _GRID_RTOL * max(1.0, abs(t)):
+    k = round(t / h) if math.isfinite(t / h) else math.nan
+    if not abs(k * h - t) <= _GRID_RTOL * max(1.0, abs(t)):
         raise ValueError(f"{what} {t:g} is not a whole number of steps {h:g}")
     return k
 

@@ -21,10 +21,10 @@ into it before counting, so every snapshot accounts for all n
 trajectories and its density integrates to one exactly.
 
 Determinism: a noisy field's segment levels for the whole block are one
-draw from ``seed`` (`PiecewiseConstantUniform.table`), filled row by row,
-so trajectory i's noise depends on (seed, i, segment count) and a row
-prefix of the block sees the same noise as the whole block.  All work
-runs on the calling thread.
+draw from the stream ``(seed, 1)`` (`PiecewiseConstantUniform.table`;
+`sample_initial` draws from ``seed``), filled row by row, so trajectory i's
+noise depends on (seed, i, segment count) and a row prefix of the block
+sees the same noise as the whole block.  All work runs on the calling thread.
 """
 from __future__ import annotations
 
@@ -156,9 +156,10 @@ def ensemble_values(samples, tau, field, times, *, seed=None) -> np.ndarray:
     Returns an (n_trajectories, len(times)) array.  Times at or before
     zero are read from the history block; positive times come from one
     integration pass to the latest requested node.  A noisy field's levels
-    come from one table drawn from ``seed`` over that pass, so trajectory
-    i's noise depends only on (seed, i, segment count), and
-    ``samples[:k]`` gets the first k rows of the full block's values.
+    come from one table drawn over that pass from the stream ``(seed, 1)``
+    (`sample_initial` draws from ``seed``), so trajectory i's noise depends
+    only on (seed, i, segment count), and ``samples[:k]`` gets the first k
+    rows of the full block's values.
     """
     block = _block_array(samples, tau)
     B, m = block.shape[0], block.shape[1] - 1
@@ -181,7 +182,8 @@ def ensemble_values(samples, tau, field, times, *, seed=None) -> np.ndarray:
         return out
 
     noise = getattr(field, "noise", None)
-    table = None if noise is None else noise.table(seed, B, k_max, h)
+    table = None if noise is None else noise.table(
+        None if seed is None else (seed, 1), B, k_max, h)
 
     def obs(k, y):
         cols = wanted.get(k)

@@ -384,45 +384,45 @@ def _reference_nodes(field, samples, tau, T, noise_table=None):
     return nodes
 
 
-def _reference_cases(name, m, rng):
-    """(field, samples, noise table) triples for one bitwise-reference case."""
+def _reference_case(name, m, rng):
+    """(field, samples, noise table) for one bitwise-reference case."""
     circle = (10.0, 0.5, 0.567)
     if name == "tent":
-        return [(TentDelayField(10.0, 13.0),
-                 rng.uniform(0.0, 1.0, (5, m + 1)), None)]
+        return (TentDelayField(10.0, 13.0),
+                rng.uniform(0.0, 1.0, (5, m + 1)), None)
     if name == "linear-jump":
         jump = fundamental_history(1.0, m).samples
-        return [(LinearDelayField(-0.5, -1.7),
-                 np.stack([c * jump for c in (1.0, -0.3, 2.5)]), None)]
+        return (LinearDelayField(-0.5, -1.7),
+                np.stack([c * jump for c in (1.0, -0.3, 2.5)]), None)
     if name == "circle":
-        return [(AffineCircleDelayField(*circle),
-                 rng.uniform(0.0, 1.0, (5, m + 1)), None)]
-    if name == "circle-noise":
-        # q = 1 and 2 steps per segment at m = 4 (16 and 32 at m = 64): a
+        return (AffineCircleDelayField(*circle),
+                rng.uniform(0.0, 1.0, (5, m + 1)), None)
+    if name.startswith("circle-noise"):
+        # one or two steps per segment at m = 4 (16 or 32 at m = 64): a
         # new level at every step end, or at every other one
-        samples = rng.uniform(0.0, 1.0, (5, m + 1))
-        table = rng.uniform(0.0, 0.2, (5, 13))
-        return [(AffineCircleDelayField(
-                    *circle, noise=PiecewiseConstantUniform(0.0, 0.2, dt)),
-                 samples, table) for dt in (0.25, 0.5)]
-    return [(SineFeedbackField(1.0, 10.0),
-             rng.uniform(-0.5, 0.5, (4, m + 1, 2)), None)]
+        noise = PiecewiseConstantUniform(
+            0.0, 0.2, 0.5 if name == "circle-noise-q2" else 0.25)
+        return (AffineCircleDelayField(*circle, noise=noise),
+                rng.uniform(0.0, 1.0, (5, m + 1)),
+                rng.uniform(0.0, 0.2, (5, 13)))
+    return (SineFeedbackField(1.0, 10.0),
+            rng.uniform(-0.5, 0.5, (4, m + 1, 2)), None)
 
 
 @pytest.mark.parametrize("m", [4, 64])
 @pytest.mark.parametrize("name", ["tent", "linear-jump", "circle",
-                                  "circle-noise", "sine-feedback"])
+                                  "circle-noise", "circle-noise-q2",
+                                  "sine-feedback"])
 def test_stepper_matches_allocating_reference_bitwise(name, m):
-    for field, samples, table in _reference_cases(name, m,
-                                                  np.random.default_rng(m)):
-        nodes = []
-        final = integrate_batch(field, samples, 1.0, 3.0, noise_table=table,
-                                observer=lambda k, y: nodes.append(y))
-        want = _reference_nodes(field, samples, 1.0, 3.0, table)
-        assert len(nodes) == len(want) == 3 * m + 1
-        for got, ref in zip(nodes, want):
-            assert np.array_equal(got, ref)
-        assert np.array_equal(final, want[-1])
+    field, samples, table = _reference_case(name, m, np.random.default_rng(m))
+    nodes = []
+    final = integrate_batch(field, samples, 1.0, 3.0, noise_table=table,
+                            observer=lambda k, y: nodes.append(y))
+    want = _reference_nodes(field, samples, 1.0, 3.0, table)
+    assert len(nodes) == len(want) == 3 * m + 1
+    for got, ref in zip(nodes, want):
+        assert np.array_equal(got, ref)
+    assert np.array_equal(final, want[-1])
 
 
 def test_batch_final_states_match_observer_tail():

@@ -310,12 +310,31 @@ def test_noise_seed_changes_noisy_results():
 
 def test_ensemble_noise_is_one_table_draw():
     # 48 steps of 1/16 with q = 16: four segment levels per path, drawn
-    # row by row from one generator
+    # row by row from one generator on the stream (seed, 1)
     hs = sample_initial(IidUniformPath(0.0, 1.0), 7, 16, 1.0, seed=3)
-    table = np.random.default_rng(5).uniform(0.0, 0.2, (7, 4))
+    table = np.random.default_rng((5, 1)).uniform(0.0, 0.2, (7, 4))
     want = integrate_batch(KEENER, hs, 1.0, 3.0, noise_table=table)
     got = ensemble_values(hs, 1.0, KEENER, [3.0], seed=5)
     assert np.array_equal(got, want)
+
+
+def test_noise_stream_is_apart_from_the_initial_draw(monkeypatch):
+    # the same seed for the histories and the noise, as the runner uses:
+    # no noise level may be a rescaled history value
+    tables = []
+    real = integrate_batch
+
+    def spy(*args, noise_table=None, **kw):
+        tables.append(noise_table)
+        return real(*args, noise_table=noise_table, **kw)
+
+    monkeypatch.setattr(ensemble, "integrate_batch", spy)
+    hs = sample_initial(IidUniformPath(0.0, 1.0), 40, 16, 1.0, seed=2029)
+    ensemble_values(hs, 1.0, KEENER, [3.0], seed=2029)
+    (table,) = tables
+    assert table.shape == (40, 4)
+    # uniform(0, 0.2) from the histories' stream would be exactly 0.2 * hs
+    assert not np.isin(table, 0.2 * hs).any()
 
 
 def test_noisy_row_prefix_gets_the_same_values():

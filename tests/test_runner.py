@@ -218,14 +218,14 @@ def test_reruns_and_thread_counts_reproduce_hashes(tmp_path):
 
 
 def test_noisy_circle_bytes_are_pinned(tmp_path):
-    # one table of segment levels drawn from the seed, read on the integer
-    # segment clock (q = 16 steps per level here)
+    # one table of segment levels drawn from the stream (seed, 1), read on the
+    # integer segment clock (q = 16 steps per level here)
     manifest = run(parse_config(NOISY_CIRCLE), outdir=tmp_path)
     assert {rec["name"]: rec["sha256"] for rec in manifest.outputs} == {
         "period.csv":
             "eebc2b4f8b5a3d72a5825a504ddfbd3d8030430ba733729e4f3857827113b40f",
         "snapshots.csv":
-            "d4a60fed56cf117e8624ad80f30a61518d1e593248c1d96425db44057e290c0b",
+            "379328632fa1a608498188dd0dfbbf7b056340f38ce683303bc6841e8713433d",
     }
 
 
@@ -492,11 +492,12 @@ def _with_interval(value):
     (lambda t: t.replace("noise_hi = 0.2", "noise_hi = -0.1"), "hi >= lo"),
     (lambda t: t.replace("a = 0.5\n", "a = 1.5\n"), "0 < a < 1"),
     (_with_interval(0.3), "whole number of steps"),
+    (_with_interval(1e308), "whole number of steps"),
     (lambda t: t.replace("noise_lo = 0.0\nnoise_hi = 0.2\n",
                          "noise_interval = 0.5\n"), "needs noise_lo"),
 ], ids=["interval-zero", "interval-negative", "interval-infinite",
         "lo-above-hi", "a-outside", "interval-off-grid",
-        "interval-without-levels"])
+        "interval-overflows-the-clock", "interval-without-levels"])
 def test_cli_dry_run_checks_the_circle_field(tmp_path, capsys, mangle,
                                              fragment):
     cfg = _write(tmp_path, "circle.cfg", mangle(NOISY_CIRCLE))
