@@ -6,6 +6,17 @@ exactly halfway between two of them.  Node values are read back directly;
 half-node values come from four-point cubic stencils, which keeps the
 classical Runge-Kutta update at full fourth order for smooth data.
 
+Every field is ``x' = L x + D``: a constant matrix ``L`` times the state,
+plus a drive ``D`` of the delayed state and the noise level.  Classical RK4
+is then exactly one affine update per step, ``y+ = P(hL) y + c0(hL) D0 +
+cm(hL) Dm + (h/6) D1`` with ``P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24``,
+``c0(z) = h/6 (1 + z + z^2/2 + z^3/4)``, ``cm(z) = h/6 (4 + 2z + z^2/2)``
+and ``D0``, ``Dm``, ``D1`` the drive at the step's start, half-node and
+end.  A step's ``D0`` is the previous step's ``D1``, which read the same
+delayed node and noise level (step ``n - 1`` ends on level ``n // q``,
+where step ``n`` starts); only step 0 and step ``m``, whose predecessor
+read node 0's left limit, evaluate it afresh.
+
 The datum with a unit jump at the starting time (zero path before, one at the
 start) generates the fundamental solution of the linear equation, so the
 read-back is careful at the two places such a jump hurts.  Stencils never
@@ -97,7 +108,11 @@ def fundamental_history(tau: float, m: int) -> History:
 
 
 # ---------------------------------------------------------------------------
-# fields
+# fields: ``x' = L x + D`` with ``L = linear_part``.  ``drive(out, xd, xi,
+# work)`` writes D, which moves only the last state component, from that
+# component's delayed value and the noise level into ``out`` (``work`` holds
+# intermediates; neither aliases an input) in a fixed operand order, so one
+# state and a batch get the same bits.
 
 @dataclass(frozen=True)
 class LinearDelayField:
@@ -105,6 +120,13 @@ class LinearDelayField:
 
     a: float
     b: float
+
+    @property
+    def linear_part(self):
+        return np.array([[self.a]])
+
+    def drive(self, out, xd, xi, work):
+        np.multiply(self.b, xd, out=out)
 
 
 @dataclass(frozen=True)
@@ -126,6 +148,15 @@ class TentDelayField:
     def __post_init__(self):
         if not (self.alpha > 0.0):
             raise ValueError("alpha must be positive")
+
+    @property
+    def linear_part(self):
+        return np.array([[-self.alpha]])
+
+    def drive(self, out, xd, xi, work):
+        np.subtract(1.0, xd, out=out)
+        np.minimum(xd, out, out=out)
+        np.multiply(self.a, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -189,6 +220,21 @@ class AffineCircleDelayField:
         if not (0.0 < self.a < 1.0 and 0.0 < self.b < 1.0):
             raise ValueError("need 0 < a < 1 and 0 < b < 1")
 
+    @property
+    def linear_part(self):
+        return np.array([[-self.alpha]])
+
+    def drive(self, out, xd, xi, work):
+        np.multiply(self.a, xd, out=out)
+        np.add(out, self.b, out=out)
+        if xi is not None:
+            np.add(out, xi, out=out)
+        # d - floor(d) is np.mod(d, 1.0) bit for bit (the exact fractional
+        # part rounded once, +0.0 at integers) and far cheaper
+        np.floor(out, out=work)
+        np.subtract(out, work, out=out)
+        np.multiply(self.alpha, out, out=out)
+
 
 @dataclass(frozen=True)
 class SineFeedbackField:
@@ -206,72 +252,24 @@ class SineFeedbackField:
         if not (self.gamma > 0.0 and self.beta > 0.0):
             raise ValueError("gamma and beta must be positive")
 
+    @property
+    def linear_part(self):
+        return np.array([[0.0, 1.0], [0.0, -self.gamma]])
+
+    def drive(self, out, xd, xi, work):
+        np.multiply(2.0 * np.pi * self.beta, xd, out=out)
+        np.sin(out, out=out)
+
 
 def state_dim(field) -> int:
     """Dimension of the field's state vector."""
-    return 2 if isinstance(field, SineFeedbackField) else 1
-
-
-# One in-place kernel per field: ``kernel(field, out, x, xd, xi, work)``
-# writes the right-hand side into ``out`` using ``work`` (shaped like
-# ``out``) for intermediates.  ``out`` and ``work`` must not alias the
-# inputs.  The operand order is fixed, so a kernel gives the same bits
-# whether it runs over one state or a batch.
-
-def _linear_rhs(field, out, x, xd, xi, work):
-    np.multiply(field.a, x, out=out)
-    np.multiply(field.b, xd, out=work)
-    np.add(out, work, out=out)
-
-
-def _tent_rhs(field, out, x, xd, xi, work):
-    np.subtract(1.0, xd, out=work)
-    np.minimum(xd, work, out=work)
-    np.multiply(field.a, work, out=work)
-    np.multiply(-field.alpha, x, out=out)
-    np.add(out, work, out=out)
-
-
-def _circle_rhs(field, out, x, xd, xi, work):
-    np.multiply(field.a, xd, out=work)
-    np.add(work, field.b, out=work)
-    if xi is not None:
-        np.add(work, xi, out=work)
-    # d - floor(d) is np.mod(d, 1.0) bit for bit (the exact fractional
-    # part rounded once, +0.0 at integers) and far cheaper
-    np.floor(work, out=out)
-    np.subtract(work, out, out=work)
-    np.multiply(field.alpha, work, out=work)
-    np.multiply(-field.alpha, x, out=out)
-    np.add(out, work, out=out)
-
-
-def _sine_feedback_rhs(field, out, x, xd, xi, work):
-    v, dv, s = x[..., 1], out[..., 1], work[..., 1]
-    np.multiply(2.0 * np.pi * field.beta, xd[..., 1], out=s)
-    np.sin(s, out=s)
-    np.multiply(-field.gamma, v, out=dv)
-    np.add(dv, s, out=dv)
-    out[..., 0] = v
-
-
-_KERNELS = (
-    (LinearDelayField, _linear_rhs),
-    (TentDelayField, _tent_rhs),
-    (AffineCircleDelayField, _circle_rhs),
-    (SineFeedbackField, _sine_feedback_rhs),
-)
-
-
-def _kernel(field):
-    for cls, kernel in _KERNELS:
-        if isinstance(field, cls):
-            return kernel
-    raise TypeError(f"not a recognized delay field: {type(field).__name__}")
+    if not hasattr(field, "drive"):
+        raise TypeError(f"not a recognized delay field: {type(field).__name__}")
+    return len(field.linear_part)
 
 
 def eval_field(field, x, x_delayed, t: float = 0.0, noise_value=None):
-    """Right-hand side of the delay equation at one instant.
+    """Right-hand side ``L x + D`` of the delay equation at one instant.
 
     ``x`` and ``x_delayed`` are current and delayed states; both broadcast
     over leading axes, with the state components on the last axis for
@@ -279,19 +277,17 @@ def eval_field(field, x, x_delayed, t: float = 0.0, noise_value=None):
     fields that carry a noise process and is ignored otherwise.  Pure
     evaluation: nothing is advanced or sampled here.
     """
-    kernel = _kernel(field)
-    x = np.asarray(x, dtype=float)
-    xd = np.asarray(x_delayed, dtype=float)
-    xi = None
-    if noise_value is not None and kernel is _circle_rhs:
-        xi = np.asarray(noise_value, dtype=float)
-    if kernel is _sine_feedback_rhs:
-        shape = np.broadcast_shapes(x.shape[:-1], xd.shape[:-1]) + (2,)
-    else:
-        shape = np.broadcast_shapes(
-            x.shape, xd.shape, () if xi is None else xi.shape)
-    out = np.empty(shape)
-    kernel(field, out, x, xd, xi, np.empty(shape))
+    d, L = state_dim(field), field.linear_part
+    x, xd = np.asarray(x, dtype=float), np.asarray(x_delayed, dtype=float)
+    noisy = noise_value is not None and isinstance(field, AffineCircleDelayField)
+    xi = np.asarray(noise_value, dtype=float) if noisy else None
+    xd = xd[..., -1] if d > 1 else xd  # only the driven component is read
+    D = np.empty(np.broadcast_shapes(xd.shape, np.shape(xi)))
+    field.drive(D, xd, xi, np.empty_like(D))
+    if d == 1:
+        out = L[0, 0] * x + D
+    else:  # the drive moves the last component only
+        out = x @ L.T + np.eye(d)[-1] * D[..., None]
     return out if out.ndim else out[()]
 
 
@@ -328,18 +324,23 @@ def _mid_stencil(j: int, m: int):
     return _MID_CENTERED, j - 1
 
 
-def _stencil(w, rows, out, work):
-    """``((w0 r0 + w1 r1) + w2 r2) + w3 r3`` into ``out``."""
+def _combine(w, rows, out, work):
+    """``((w0 r0 + w1 r1) + w2 r2) + ...`` into ``out``."""
     np.multiply(w[0], rows[0], out=out)
     for wi, row in zip(w[1:], rows[1:]):
         np.multiply(wi, row, out=work)
         np.add(out, work, out=out)
 
 
-def _axpy(y, a, k, out):
-    """``y + a k`` into ``out``."""
-    np.multiply(a, k, out=out)
-    np.add(y, out, out=out)
+def _rk4_coefficients(L, h):
+    """``P(hL)`` and the last columns of ``c0``, ``cm``, ``c1`` (see top)."""
+    z, eye = h * L, np.eye(len(L))
+    z2 = z @ z
+    z3 = z2 @ z
+    P = eye + z + z2 / 2.0 + z3 / 6.0 + (z3 @ z) / 24.0
+    c0 = (h / 6.0) * (eye + z + z2 / 2.0 + z3 / 4.0)
+    cm = (h / 6.0) * (4.0 * eye + 2.0 * z + z2 / 2.0)
+    return P, c0[:, -1], cm[:, -1], (h / 6.0) * eye[:, -1]
 
 
 def check_block(samples, tau: float) -> np.ndarray:
@@ -374,6 +375,14 @@ def _block_array(samples, tau: float) -> np.ndarray:
     return arr if arr.ndim == 3 else arr[:, :, None]
 
 
+def _step_count(T, h):
+    """``T / h`` as a whole, positive number of steps."""
+    n_steps = _grid_index(T, h, "T")
+    if n_steps < 1:
+        raise ValueError("T must be a positive whole number of steps tau/m")
+    return n_steps
+
+
 def integrate_batch(field, samples, tau: float, T: float, *, t0: float = 0.0,
                     noise_table=None, observer=None) -> np.ndarray:
     """Advance a stack of histories together; returns the final states.
@@ -401,12 +410,10 @@ def integrate_batch(field, samples, tau: float, T: float, *, t0: float = 0.0,
         raise ValueError(
             f"field wants state dimension {state_dim(field)}, got {d}")
     h = tau / m
-    n_steps = _grid_index(T, h, "T")
-    if n_steps < 1:
-        raise ValueError("T must be a positive whole number of steps tau/m")
+    n_steps = _step_count(T, h)
 
     noise = getattr(field, "noise", None)
-    noise_rows = None
+    noise_rows = xi0 = xi1 = None
     if noise is not None:
         if noise_table is None:
             raise ValueError("field carries a noise process; supply noise_table")
@@ -421,58 +428,54 @@ def integrate_batch(field, samples, tau: float, T: float, *, t0: float = 0.0,
     elif noise_table is not None:
         raise ValueError("noise_table given but the field has no noise process")
 
-    kernel = _kernel(field)
-    # Ring buffer over absolute node index i (slot (i + m) % size); m + 4
-    # slots retain exactly the nodes the widest stencil can reach back to.
+    # Component i of the new state sums, in this order, its nonzero
+    # coefficients times (y_0 .. y_{d-1}, D0, Dm, D1).
+    coefs = np.column_stack(_rk4_coefficients(field.linear_part, h))
+    rules = [(c[c != 0.0], np.flatnonzero(c)) for c in coefs]
+    # Ring buffer of the delayed (last) component over absolute node index
+    # i (slot (i + m) % size); m + 4 slots retain exactly the nodes the
+    # widest stencil can reach back to.
     size = m + 4
-    ring = np.empty((size, nb, d))
-    for i in range(m + 1):
-        ring[i] = arr[:, i]
-    y = ring[m].copy()
+    ring = np.empty((size, nb))
+    ring[:m + 1] = arr[:, :, -1].T
+    y = arr[:, m].copy()
     if observer is not None:
         observer(0, y.copy())
 
-    # Stage buffers shared by all steps; only the new state is allocated
-    # per step, because the observer may keep it.
-    k1, k2, k3, k4, yt, xdm, work = (np.empty((nb, d)) for _ in range(7))
-    xi0 = xi1 = None
-    half, sixth = 0.5 * h, h / 6.0
+    # Drive and stencil buffers shared by all steps; only the new state is
+    # allocated per step, because the observer may keep it.
+    d0, dm, d1, xdm, work = (np.empty(nb) for _ in range(5))
     for n in range(n_steps):
-        j = n - m
-        xd0 = ring[(j + m) % size]
-        if j + 1 == 0:
-            # Right edge of the delayed window is the one two-valued node;
-            # this step wants its left limit.
-            xd1 = np.empty((nb, d))
-            _stencil(_NODE_EXTRAP, ring[m - 4:m], xd1, work)
-        else:
-            xd1 = ring[(j + 1 + m) % size]
-        w, base = _mid_stencil(j, m)
-        _stencil(w, [ring[(base + i + m) % size] for i in range(4)], xdm, work)
         if noise_rows is not None:
             # segments start on nodes, so the midpoint shares the start's
-            xi0 = noise_rows[n // q, :, None]
-            xi1 = noise_rows[(n + 1) // q, :, None]
-        kernel(field, k1, y, xd0, xi0, work)
-        _axpy(y, half, k1, yt)
-        kernel(field, k2, yt, xdm, xi0, work)
-        _axpy(y, half, k2, yt)
-        kernel(field, k3, yt, xdm, xi0, work)
-        _axpy(y, h, k3, yt)
-        kernel(field, k4, yt, xd1, xi1, work)
-        # y + sixth * ((k1 + 2 (k2 + k3)) + k4), accumulated in k2
-        np.add(k2, k3, out=k2)
-        np.multiply(2.0, k2, out=k2)
-        np.add(k1, k2, out=k2)
-        np.add(k2, k4, out=k2)
-        np.multiply(sixth, k2, out=k2)
-        y = y + k2
-        if not np.all(np.isfinite(y)):
-            bad = np.where(~np.isfinite(y).all(axis=1))[0]
+            xi0, xi1 = noise_rows[n // q], noise_rows[(n + 1) // q]
+        if n in (0, m):
+            # no previous end drive to reuse: the first step, and the step
+            # after the one that read node 0's left limit
+            field.drive(d0, ring[n % size], xi0, work)
+        if n == m - 1:
+            # Right edge of the delayed window is the one two-valued node;
+            # this step wants its left limit.
+            xd1 = np.empty(nb)
+            _combine(_NODE_EXTRAP, ring[m - 4:m], xd1, work)
+        else:
+            xd1 = ring[(n + 1) % size]
+        w, base = _mid_stencil(n - m, m)
+        _combine(w, [ring[(base + i + m) % size] for i in range(4)], xdm, work)
+        field.drive(dm, xdm, xi0, work)
+        field.drive(d1, xd1, xi1, work)
+        new = np.empty((nb, d))
+        src = [*y.T, d0, dm, d1]
+        for i, (c, keep) in enumerate(rules):
+            _combine(c, [src[k] for k in keep], new[:, i], work)
+        if not np.all(np.isfinite(new)):
+            bad = np.where(~np.isfinite(new).all(axis=1))[0]
             raise DivergenceError(t0 + (n + 1) * h, index=int(bad[0]))
-        ring[(n + 1 + m) % size] = y
+        ring[(n + 1 + m) % size] = new[:, -1]
         if observer is not None:
-            observer(n + 1, y)
+            observer(n + 1, new)
+        y = new
+        d0, d1 = d1, d0
     return y
 
 
@@ -521,12 +524,11 @@ def integrate(field, initial: History, T: float, seed=None) -> Trajectory:
     bit for bit.  A state leaving the finite range raises
     :class:`~ddlab.errors.DivergenceError` carrying the blow-up time.
     """
-    d = state_dim(field)
     h = initial.step
-    n_steps = int(round(T / h))
+    n_steps = _step_count(T, h)
     noise = getattr(field, "noise", None)
-    table = None if noise is None else noise.table(seed, 1, max(n_steps, 0), h)
-    out = np.empty((max(n_steps, 0) + 1, d))
+    table = None if noise is None else noise.table(seed, 1, n_steps, h)
+    out = np.empty((n_steps + 1, state_dim(field)))
 
     def _record(k, states):
         out[k] = states[0]
@@ -546,12 +548,7 @@ def _refine_samples(arr: np.ndarray) -> np.ndarray:
     out = np.empty((2 * m + 1,) + arr.shape[1:])
     out[0::2] = arr
     for j in range(m):
-        if j == 0:
-            w, base = _MID_RIGHT, 0
-        elif j == m - 1:
-            w, base = _MID_LAST, j - 2
-        else:
-            w, base = _MID_CENTERED, j - 1
+        w, base = _mid_stencil(j, m)  # the same stencils as on one piece
         out[2 * j + 1] = (w[0] * arr[base] + w[1] * arr[base + 1]
                           + w[2] * arr[base + 2] + w[3] * arr[base + 3])
     return out

@@ -28,6 +28,7 @@ sees the same noise as the whole block.  All work runs on the calling thread.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -385,6 +386,14 @@ def msd_curve(t, sq_disp, n_trajectories, *, tau=None,
                     r_squared=r2, n_trajectories=n_trajectories)
 
 
+# How the far tail of |v| grows with the sample count: `velocity_stats`
+# reports |v| at these quantiles, and max|v| over the first 1/k of the rows
+# for each k here.
+TAIL_QUANTILES = (0.999, 0.9999)
+ROW_FRACTIONS = (2, 4, 8)
+_BLOCK = 1 << 18  # pool elements per row block
+
+
 @dataclass(frozen=True)
 class VelocityStats:
     std: float
@@ -392,41 +401,71 @@ class VelocityStats:
     fit_curvature: float
     fit_r_squared: float
     n_samples: int
+    tail_quantiles: tuple  # |v| at TAIL_QUANTILES
+    prefix_max: tuple  # max|v| over the first 1/k of the rows, k in ROW_FRACTIONS
 
 
 def velocity_stats(pool, *, bins=60, min_samples=1_000_000) -> VelocityStats:
     """Pooled stationary statistics of the velocity component.
 
-    ``pool`` is the velocity pool of `evolve_trajectories`, read in
-    row-major order (trajectory by trajectory).  Reports the standard
-    deviation, the largest |v| seen, and a least-squares fit of log
-    density against -C v^2 over the central 80% of the support (a
-    Gaussian-shape check: curvature C and the R^2 of that fit).
+    ``pool`` is the velocity pool of `evolve_trajectories`, one trajectory
+    per row, read in row-major order.  Reports the standard deviation, the
+    largest |v| seen, and a least-squares fit of log density against
+    -C v^2 over the central 80% of the support (a Gaussian-shape check:
+    curvature C and the R^2 of that fit).  The tail statistics (see
+    `TAIL_QUANTILES`) come from the top |v| of each row block, and the
+    deviations are summed block by block, so no temporary is pool-sized.
     """
-    pooled = np.asarray(pool, dtype=float).reshape(-1)
+    pool = np.asarray(pool, dtype=float)
+    pooled = pool.reshape(-1)
     count = pooled.size
     if count < min_samples:
         raise ValueError(
             f"pooled {count} samples, need at least {min_samples}")
-
-    std = float(pooled.std())
-    bound = float(np.abs(pooled).max())
-
+    rows = pool.reshape(len(pool), -1)
     lo, hi = float(pooled.min()), float(pooled.max())
+    mean = pooled.mean()
+
+    # the quantiles read the k largest |v| at most
+    k = count - math.floor((count - 1) * min(TAIL_QUANTILES))
+    sq_dev, top, row_max = 0.0, [], np.empty(len(rows))
+    step = max(1, _BLOCK // rows.shape[1])
+    for i in range(0, len(rows), step):
+        block = rows[i:i + step]
+        dev = block - mean
+        np.multiply(dev, dev, out=dev)
+        sq_dev += dev.sum()
+        np.abs(block, out=dev)
+        row_max[i:i + step] = dev.max(axis=1)
+        dev = dev.reshape(-1)
+        if dev.size > k:  # a copy, so the partitioned block is freed
+            dev = np.partition(dev, dev.size - k)[dev.size - k:].copy()
+        top.append(dev)
+    top = np.sort(np.concatenate(top))[-k:]  # top[i - base]: rank i of |v|
+    base, tails = count - k, []
+    for q in TAIL_QUANTILES:
+        # np.quantile's linear rule, on the two ranks it reads
+        at = (count - 1) * q
+        j = math.floor(at)
+        pair = top[[j - base, min(j + 1, count - 1) - base]]
+        tails.append(float(np.quantile(pair, at - j)))
+
     width = hi - lo
     clo, chi = lo + 0.1 * width, hi - 0.1 * width
-    central = pooled[(pooled >= clo) & (pooled <= chi)]
-    hist, edges = np.histogram(central, bins=bins, range=(clo, chi),
+    hist, edges = np.histogram(pooled, bins=bins, range=(clo, chi),
                                density=True)
     mids = 0.5 * (edges[:-1] + edges[1:])
     keep = hist > 0
     logd = np.log(hist[keep])
     design = np.stack([-mids[keep] ** 2, np.ones(keep.sum())], axis=1)
     coef, *_ = np.linalg.lstsq(design, logd, rcond=None)
-    return VelocityStats(std=std, support_bound=bound,
-                         fit_curvature=float(coef[0]),
-                         fit_r_squared=r_squared(logd, design @ coef),
-                         n_samples=count)
+    return VelocityStats(
+        std=math.sqrt(sq_dev / count), support_bound=max(hi, -lo),
+        fit_curvature=float(coef[0]),
+        fit_r_squared=r_squared(logd, design @ coef), n_samples=count,
+        tail_quantiles=tuple(tails),
+        prefix_max=tuple(float(row_max[:max(1, len(rows) // f)].max())
+                         for f in ROW_FRACTIONS))
 
 
 # ---------------------------------------------------------------------------

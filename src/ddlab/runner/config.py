@@ -268,9 +268,13 @@ def _check_dde_ensemble(v, problems):
                                          and p["tau"] > 0.0):
         problems.append((None, "tau must be positive"))
     if not problems:
-        # the field's values, by the rules the run applies
+        # the field's values and the snapshot grid, by the rules the run
+        # applies
+        from ..dde import _grid_index
         try:
             dde_field(p)
+            for t in v["output"]["snapshots"].times():
+                _grid_index(t, p["tau"] / p["m"])
         except ValueError as err:
             problems.append((None, str(err)))
     _check_initial_spec(e, problems)

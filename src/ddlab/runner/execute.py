@@ -22,7 +22,8 @@ import numpy as np
 from .. import __version__
 from ..density import GridDensity
 from ..dde import LinearDelayField, SineFeedbackField, check_block
-from ..ensemble import (ConstantPath, GaussianHistory, IidUniformPath, Mixture,
+from ..ensemble import (ROW_FRACTIONS, TAIL_QUANTILES, ConstantPath,
+                        GaussianHistory, IidUniformPath, Mixture,
                         as_velocity_histories, detect_density_period,
                         ensemble_values, evolve_ensemble, evolve_trajectories,
                         msd_curve, sample_initial, velocity_stats,
@@ -149,11 +150,16 @@ def _run_brownian(cfg, out):
     write_csv(written[0], ["t", "msd"], [curve.t, curve.msd])
     write_csv(written[1],
               ["v_std", "support_bound", "fit_curvature", "fit_r_squared",
-               "n_samples", "msd_slope", "msd_intercept", "msd_r_squared",
-               "n_trajectories"],
+               "n_samples"]
+              + [f"abs_v_q{q:g}" for q in TAIL_QUANTILES]
+              + [f"max_abs_v_rows_1/{k}" for k in ROW_FRACTIONS]
+              + ["msd_slope", "msd_intercept", "msd_r_squared",
+                 "n_trajectories"],
               [[stats.std], [stats.support_bound], [stats.fit_curvature],
-               [stats.fit_r_squared], [stats.n_samples], [curve.slope],
-               [curve.intercept], [curve.r_squared], [curve.n_trajectories]])
+               [stats.fit_r_squared], [stats.n_samples]]
+              + [[v] for v in stats.tail_quantiles + stats.prefix_max]
+              + [[curve.slope], [curve.intercept], [curve.r_squared],
+                 [curve.n_trajectories]])
     return written
 
 

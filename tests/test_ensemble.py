@@ -540,6 +540,31 @@ def test_velocity_stats_on_gaussian_samples():
     assert stats.fit_r_squared > 0.95
 
 
+@pytest.mark.parametrize("block", [ensemble._BLOCK, 1000],
+                         ids=["one-block", "row-blocks"])
+def test_velocity_tail_statistics_match_numpy(monkeypatch, block):
+    monkeypatch.setattr(ensemble, "_BLOCK", block)
+    pool = _gaussian_velocities(0.1, 37, 301, seed=8)[:, 1:]
+    stats = velocity_stats(pool, min_samples=1000)
+    absolute = np.abs(pool)
+    assert stats.tail_quantiles == tuple(
+        np.quantile(absolute, q) for q in ensemble.TAIL_QUANTILES)
+    assert stats.prefix_max == tuple(
+        absolute[:37 // k].max() for k in ensemble.ROW_FRACTIONS)
+    assert stats.support_bound == absolute.max()
+    # the squared deviations are summed block by block: the same up to
+    # the grouping of the sum
+    assert stats.std == pytest.approx(pool.std(), rel=1e-14)
+    # the central histogram bins the whole pool within its range, as
+    # binning the central samples alone did
+    width = pool.max() - pool.min()
+    clo, chi = pool.min() + 0.1 * width, pool.max() - 0.1 * width
+    central = pool[(pool >= clo) & (pool <= chi)]
+    assert np.array_equal(
+        np.histogram(central, bins=60, range=(clo, chi))[0],
+        np.histogram(pool, bins=60, range=(clo, chi))[0])
+
+
 def test_velocity_stats_burn_in_discards_transient():
     # v starts at 99 and relaxes like exp(-gamma t) into |v| <= 1/gamma
     hs = as_velocity_histories(sample_initial(ConstantPath(99.0), 4, 16, 1.0))

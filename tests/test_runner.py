@@ -219,13 +219,14 @@ def test_reruns_and_thread_counts_reproduce_hashes(tmp_path):
 
 def test_noisy_circle_bytes_are_pinned(tmp_path):
     # one table of segment levels drawn from the stream (seed, 1), read on the
-    # integer segment clock (q = 16 steps per level here)
+    # integer segment clock (q = 16 steps per level here), through the
+    # affine RK4 update
     manifest = run(parse_config(NOISY_CIRCLE), outdir=tmp_path)
     assert {rec["name"]: rec["sha256"] for rec in manifest.outputs} == {
         "period.csv":
             "eebc2b4f8b5a3d72a5825a504ddfbd3d8030430ba733729e4f3857827113b40f",
         "snapshots.csv":
-            "379328632fa1a608498188dd0dfbbf7b056340f38ce683303bc6841e8713433d",
+            "ebd0a521dc938f8f1f63fd9a4f18afd3588e19db86134d039c0b943113d94d27",
     }
 
 
@@ -373,6 +374,11 @@ def test_brownian_kind_outputs(tmp_path):
     header, cols = read_csv(tmp_path / "stats.csv")
     assert header[:4] == ["v_std", "support_bound", "fit_curvature",
                           "fit_r_squared"]
+    # the tail statistics of |v| beside its maximum
+    assert header[5:10] == ["abs_v_q0.999", "abs_v_q0.9999",
+                            "max_abs_v_rows_1/2", "max_abs_v_rows_1/4",
+                            "max_abs_v_rows_1/8"]
+    assert cols[6][0] <= cols[1][0] and cols[7][0] <= cols[1][0]
     assert cols[-1][0] == 120  # trajectories that made it into the fit
     msd_header, msd_cols = read_csv(tmp_path / "msd.csv")
     assert msd_header == ["t", "msd"]
@@ -382,9 +388,9 @@ def test_brownian_kind_outputs(tmp_path):
                for name in ("msd.csv", "stats.csv")}
     assert digests == {
         "msd.csv":
-            "c0482fd05ce2a284e195747485cd07c6ce2569610ca0cddf98165bfca8a67565",
+            "30a435d4bc18d4e4f26eeda59c48b2f0162e25973cb9cb8466d02484c6625c5e",
         "stats.csv":
-            "172c0ff01771246694861b19658847dacfeb7e95cc87f918b51be991c0296c2b",
+            "661b06ab9c9c11edfaf457db516f18de3c89469dd5f56127ffdbbb9ce92e7c8b",
     }
 
 
@@ -512,6 +518,18 @@ def test_cli_dry_run_accepts_an_on_grid_interval(tmp_path):
     cfg = _write(tmp_path, "circle.cfg", _with_interval(0.5)(NOISY_CIRCLE))
     assert main(["dde-ensemble", "--config", cfg, "--dry-run",
                  "--out", str(tmp_path / "o")]) == 0
+
+
+def test_cli_dry_run_checks_the_snapshot_grid(tmp_path, capsys):
+    # the run reads every snapshot off the step grid tau / m = 1/16
+    cfg = _write(tmp_path, "circle.cfg",
+                 NOISY_CIRCLE.replace("10:12:0.5", "10:12:0.3"))
+    for flags in (["--dry-run"], []):
+        assert main(["dde-ensemble", "--config", cfg,
+                     "--out", str(tmp_path / "o")] + flags) == 2
+        assert ("time 10.3 is not a whole number of steps 0.0625"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_compare_projection_overflow_exits_3(tmp_path, monkeypatch,
