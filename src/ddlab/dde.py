@@ -175,8 +175,8 @@ class PiecewiseConstantUniform:
     resample_interval: float
 
     def __post_init__(self):
-        if not (self.hi >= self.lo):
-            raise ValueError("need hi >= lo")
+        if not (self.hi >= self.lo and math.isfinite(self.hi - self.lo)):
+            raise ValueError("need finite hi >= lo")
         if not 0.0 < self.resample_interval < math.inf:
             raise ValueError("resample interval must be finite and positive")
 

@@ -28,13 +28,14 @@ sees the same noise as the whole block.  All work runs on the calling thread.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dde import _GRID_RTOL, _block_array, _grid_index, check_block, \
-    integrate_batch
+from .dde import _GRID_RTOL, _block_array, _grid_index, _step_count, \
+    check_block, integrate_batch
 from .density import Histogram, UniformGrid
 from .fit import r_squared, tail_line_fit
 from .gaussian import sample_gaussian_paths
@@ -196,6 +197,15 @@ def ensemble_values(samples, tau, field, times, *, seed=None) -> np.ndarray:
     return out
 
 
+def trajectory_grid(tau, m, T, burn_in):
+    """Step ``h``, step count to ``T`` and first pooled node ``k`` (``k h >
+    burn_in``, bisected as ``k h`` rises with ``k``) of a trajectory run."""
+    h = tau / m
+    n_steps = _step_count(T, h)
+    return h, n_steps, bisect.bisect_right(range(n_steps + 1), burn_in,
+                                           key=lambda k: h * k)
+
+
 def evolve_trajectories(samples, tau, field, T, burn_in):
     """Integrate the whole block once, keeping only what the statistics need.
 
@@ -211,14 +221,10 @@ def evolve_trajectories(samples, tau, field, T, burn_in):
     B, m = block.shape[0], block.shape[1] - 1
     if block.shape[2] < 2:
         raise ValueError("trajectory statistics need a velocity component")
-    h = tau / m
-    n_steps = _grid_index(T, h)
-    if n_steps < 1:
-        raise ValueError("T must cover at least one step")
+    h, n_steps, first = trajectory_grid(tau, m, T, burn_in)
     t = h * np.arange(n_steps + 1)
-    first = n_steps + 1 - int(np.count_nonzero(t > burn_in))
-    sq_disp = np.empty(n_steps + 1)
-    pool = np.empty((B, n_steps + 1 - first))
+    sq_disp = np.empty(t.size)
+    pool = np.empty((B, t.size - first))
     x0 = block[:, m, 0].copy()
     sq, running = np.empty(B), np.empty(B)
 
@@ -271,6 +277,15 @@ class DensitySnapshot:
     n: int
 
 
+def check_snapshot_times(times, T):
+    """Reject an empty schedule or a time `evolve_ensemble` cannot reach."""
+    if len(times) == 0:
+        raise ValueError("no snapshot times given")
+    for t in times:
+        if not 0.0 <= t <= T + _GRID_RTOL * max(1.0, T):
+            raise ValueError(f"snapshot time {t:g} outside [0, T]")
+
+
 def evolve_ensemble(samples, tau, field, T, snapshot_times, *, bins=100,
                     seed=None, joint=True):
     """Integrate the ensemble and histogram it at each snapshot time.
@@ -281,11 +296,7 @@ def evolve_ensemble(samples, tau, field, T, snapshot_times, *, bins=100,
     the 1-D histogram count for count.
     """
     snapshot_times = [float(t) for t in snapshot_times]
-    if not snapshot_times:
-        raise ValueError("no snapshot times given")
-    for t in snapshot_times:
-        if t < 0.0 or t > T + 1e-9 * max(1.0, T):
-            raise ValueError(f"snapshot time {t:g} outside [0, T]")
+    check_snapshot_times(snapshot_times, T)
 
     query = list(snapshot_times)
     if joint:
@@ -310,6 +321,15 @@ def evolve_ensemble(samples, tau, field, T, snapshot_times, *, bins=100,
     return out
 
 
+def check_period_schedule(times, dt):
+    """Reject all but two or more snapshot times spaced by ``dt``."""
+    if len(times) < 2:
+        raise ValueError("need at least two snapshots")
+    for prev, nxt in zip(times, times[1:]):
+        if abs((nxt - prev) - dt) > _GRID_RTOL * max(1.0, abs(nxt)):
+            raise ValueError("snapshots are not spaced by dt")
+
+
 def detect_density_period(snapshots, dt, tol=0.1):
     """Smallest T = k*dt at which the snapshot sequence repeats.
 
@@ -321,12 +341,7 @@ def detect_density_period(snapshots, dt, tol=0.1):
     that is simply stationary therefore reports None — every offset
     matches equally well, so no offset separates from the rest.
     """
-    if len(snapshots) < 2:
-        raise ValueError("need at least two snapshots")
-    ts = [s.t for s in snapshots]
-    for prev, nxt in zip(ts, ts[1:]):
-        if abs((nxt - prev) - dt) > _GRID_RTOL * max(1.0, abs(nxt)):
-            raise ValueError("snapshots are not spaced by dt")
+    check_period_schedule([s.t for s in snapshots], dt)
     hists = [s.marginal for s in snapshots]
     K = len(hists)
     r_max = K - 2
@@ -364,6 +379,12 @@ class MsdCurve:
     n_trajectories: int
 
 
+def check_msd_window(span, tau):
+    """Reject a time window under the 100 delays `msd_curve` fits."""
+    if span < 100.0 * tau - 1e-9:
+        raise ValueError("window too short: need at least 100 delays")
+
+
 def msd_curve(t, sq_disp, n_trajectories, *, tau=None,
               min_trajectories=100) -> MsdCurve:
     """Mean-square displacement of the first component, with a tail fit.
@@ -377,9 +398,8 @@ def msd_curve(t, sq_disp, n_trajectories, *, tau=None,
     if n_trajectories < min_trajectories:
         raise ValueError(f"need at least {min_trajectories} trajectories, "
                          f"got {n_trajectories}")
-    span = t[-1] - t[0]
-    if tau is not None and span < 100.0 * tau - 1e-9:
-        raise ValueError("window too short: need at least 100 delays")
+    if tau is not None:
+        check_msd_window(t[-1] - t[0], tau)
     msd = sq_disp / n_trajectories
     slope, intercept, r2 = tail_line_fit(t, msd)
     return MsdCurve(t=t, msd=msd, slope=slope, intercept=intercept,
@@ -405,6 +425,13 @@ class VelocityStats:
     prefix_max: tuple  # max|v| over the first 1/k of the rows, k in ROW_FRACTIONS
 
 
+def check_pool_size(count, min_samples):
+    """Reject a pool of ``count`` samples too small for `velocity_stats`."""
+    if count < max(1, min_samples):
+        raise ValueError(
+            f"pooled {count} samples, need at least {max(1, min_samples)}")
+
+
 def velocity_stats(pool, *, bins=60, min_samples=1_000_000) -> VelocityStats:
     """Pooled stationary statistics of the velocity component.
 
@@ -419,9 +446,7 @@ def velocity_stats(pool, *, bins=60, min_samples=1_000_000) -> VelocityStats:
     pool = np.asarray(pool, dtype=float)
     pooled = pool.reshape(-1)
     count = pooled.size
-    if count < min_samples:
-        raise ValueError(
-            f"pooled {count} samples, need at least {min_samples}")
+    check_pool_size(count, min_samples)
     rows = pool.reshape(len(pool), -1)
     lo, hi = float(pooled.min()), float(pooled.max())
     mean = pooled.mean()

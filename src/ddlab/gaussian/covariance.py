@@ -34,11 +34,12 @@ import numpy as np
 from ..quadrature import adaptive_simpson, adaptive_simpson_2d, panel_gauss
 from ..tabular import write_csv
 from .kernels import CovKernel, ShiftedWienerKernel
-from .linear import LinearDdeParams, fundamental_prefix, fundamental_solution
+from .linear import (LinearDdeParams, check_horizon, fundamental_prefix,
+                     fundamental_solution)
 
 __all__ = [
-    "GaussianState", "r_t", "lag_cov_curve", "sigma2_curve", "SigmaCurve",
-    "propagate_state", "wiener_closed_form", "factorized_sigma2",
+    "GaussianState", "r_t", "lag_cov_curve", "sigma2_curve", "sigma2_grid",
+    "SigmaCurve", "propagate_state", "wiener_closed_form", "factorized_sigma2",
     "write_r_slice",
 ]
 
@@ -316,6 +317,17 @@ class SigmaCurve:
         return float(self.sigma2[i])
 
 
+def sigma2_grid(p: LinearDdeParams, T: float, dt: float) -> np.ndarray:
+    """The time grid of `sigma2_curve`, checked before any quadrature."""
+    if not (math.isfinite(T) and math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"need a finite T and dt > 0, got {T!r} and {dt!r}")
+    n = int(round(T / dt)) if math.isfinite(T / dt) else 0
+    if n < 2 or abs(n * dt - T) > 1e-9 * max(T, 1.0):
+        raise ValueError("T must be a multiple of dt (at least 2 steps)")
+    check_horizon(p, n * dt)
+    return dt * np.arange(n + 1)
+
+
 def sigma2_curve(kernel: CovKernel, p: LinearDdeParams, T: float, dt: float,
                  *, tol: float = 1e-9) -> SigmaCurve:
     """Variance of x(t) on a uniform grid via the integral representation
@@ -329,12 +341,8 @@ def sigma2_curve(kernel: CovKernel, p: LinearDdeParams, T: float, dt: float,
     at the endpoints and at the breakpoints t = k tau where the curve is
     only C^1 (one-sided grids are exact when tau is a grid multiple).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    n = int(round(T / dt))
-    if n < 2 or abs(n * dt - T) > 1e-9 * max(T, 1.0):
-        raise ValueError("T must be a multiple of dt (at least 2 steps)")
-    t_grid = dt * np.arange(n + 1)
+    t_grid = sigma2_grid(p, T, dt)
+    n = len(t_grid) - 1
     gx, gw = np.polynomial.legendre.leggauss(5)
     panel_nodes = (t_grid[:-1, None] + 0.5 * dt * (gx + 1.0)).ravel()
     all_s = np.concatenate([t_grid, panel_nodes])

@@ -65,14 +65,19 @@ class LinearDdeParams:
             raise ValueError("tau must be positive")
 
 
+def check_horizon(p: LinearDdeParams, t) -> None:
+    """Reject any ``t`` past the evaluation cap `MAX_HORIZON_DELAYS` tau."""
+    if np.any(np.asarray(t) > MAX_HORIZON_DELAYS * p.tau + 1e-9 * p.tau):
+        raise ValueError(
+            f"fundamental solution capped at t <= {MAX_HORIZON_DELAYS} tau")
+
+
 def fundamental_solution(p: LinearDdeParams, t):
     """Evaluate ``X(t)``; vectorized over ``t``, zero for ``t < 0``."""
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
-    if np.any(t_arr > MAX_HORIZON_DELAYS * p.tau + 1e-9 * p.tau):
-        raise ValueError(
-            f"fundamental solution capped at t <= {MAX_HORIZON_DELAYS} tau")
+    check_horizon(p, t_arr)
     out = np.zeros_like(t_arr)
     comp = np.zeros_like(t_arr)
     kmax = 0 if p.b == 0.0 else int(np.floor(t_arr.max() / p.tau)) if t_arr.size else 0

@@ -321,6 +321,27 @@ def _kick_offsets(nums: np.ndarray, n_kicks: int) -> np.ndarray:
     return c
 
 
+def suite_plan(gamma, tau_list, n_kicks):
+    """Checked ``(gamma, tau_list, n_kicks, burns)`` of `ou_limit_suite`,
+    with room after the `burn_in_kicks` transient ``burns`` at each tau."""
+    gamma = float(gamma)
+    tau_list = [float(t) for t in tau_list]
+    for name, val in [("gamma", gamma)] + [("tau", t) for t in tau_list]:
+        if not (math.isfinite(val) and val > 0.0):
+            raise ValueError(f"{name} must be finite and positive, "
+                             f"got {val!r}")
+    if any(b >= a for a, b in zip(tau_list, tau_list[1:])):
+        raise ValueError("tau_list must decrease")
+    n_kicks = int(n_kicks)
+    burns = [burn_in_kicks(gamma, tau) for tau in tau_list]
+    for tau, burn in zip(tau_list, burns):
+        if n_kicks <= 2 * burn:
+            raise ValueError(
+                f"n_kicks = {n_kicks} leaves no room after the "
+                f"{burn}-kick transient at tau = {tau:g}")
+    return gamma, tau_list, n_kicks, burns
+
+
 def ou_limit_suite(gamma, tau_list, n_kicks, *, ensemble: int = 256) \
         -> list[OuReport]:
     """Velocity statistics of the kicked flow as the kick spacing shrinks.
@@ -345,21 +366,7 @@ def ou_limit_suite(gamma, tau_list, n_kicks, *, ensemble: int = 256) \
     post-transient rows, so the suite holds two ``(n_kicks, streams)``
     float blocks however many tau it runs.
     """
-    gamma = float(gamma)
-    tau_list = [float(t) for t in tau_list]
-    for name, val in [("gamma", gamma)] + [("tau", t) for t in tau_list]:
-        if not (math.isfinite(val) and val > 0.0):
-            raise ValueError(f"{name} must be finite and positive, "
-                             f"got {val!r}")
-    if any(b >= a for a, b in zip(tau_list, tau_list[1:])):
-        raise ValueError("tau_list must decrease")
-    n_kicks = int(n_kicks)
-    burns = [burn_in_kicks(gamma, tau) for tau in tau_list]
-    for tau, burn in zip(tau_list, burns):
-        if n_kicks <= 2 * burn:
-            raise ValueError(
-                f"n_kicks = {n_kicks} leaves no room after the "
-                f"{burn}-kick transient at tau = {tau:g}")
+    gamma, tau_list, n_kicks, burns = suite_plan(gamma, tau_list, n_kicks)
     if not tau_list:
         return []
     seeds = equidistributed_seeds(ensemble)

@@ -4,8 +4,12 @@ Config files are line oriented: ``key = value`` pairs grouped under
 ``[params]``, ``[ensemble]`` and ``[output]`` headers, with ``kind`` (and
 optionally ``threads``, a positive integer accepted for compatibility that
 changes nothing) above the first header.  Unknown keys, type
-mismatches, and missing required keys are collected and reported together
-rather than one at a time.
+mismatches, missing required keys, keys that conflict or need each other,
+and single-key ranges (such as ``m >= 4`` or a positive ``n``) are
+collected and reported together rather than one at a time.  This module
+checks only the file's schema: every rule of the numerical layers (step
+grids, horizons, field values, transients) is checked by the engine's
+prepare step in `ddlab.runner.execute`, which ``--dry-run`` runs too.
 
 ``normalize`` renders a parsed config back to canonical text: sorted keys,
 resolved defaults, shortest round-tripping float literals.  Two files that
@@ -57,6 +61,23 @@ def _float(tok):
         raise ValueError(f"expected a number, got {tok!r}") from None
 
 
+def _int_at_least(low):
+    def conv(tok):
+        value = _int(tok)
+        if value < low:
+            raise ValueError(f"expected an integer at least {low}, got {tok}")
+        return value
+
+    return conv
+
+
+def _positive(tok):
+    value = _float(tok)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"expected a finite positive number, got {tok!r}")
+    return value
+
+
 def _bool(tok):
     low = tok.lower()
     if low in ("true", "yes", "on", "1"):
@@ -91,6 +112,8 @@ def _schedule(tok):
     if len(parts) != 3:
         raise ValueError(f"expected start:stop:step, got {tok!r}")
     start, stop, step = (_float(p.strip()) for p in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError("schedule values must be finite")
     if step <= 0.0:
         raise ValueError("schedule step must be positive")
     if stop < start:
@@ -129,7 +152,7 @@ def _opt(conv, default=None):
     return _Key(conv, required=False, default=default)
 
 
-_TOP = {"kind": _opt(_choice(*KINDS)), "threads": _opt(_int, 1)}
+_TOP = {"kind": _opt(_choice(*KINDS)), "threads": _opt(_int_at_least(1), 1)}
 
 _SCHEMAS = {
     "map-iterate": {
@@ -137,8 +160,8 @@ _SCHEMAS = {
             "map": _opt(_choice("tent", "circle"), "tent"),
             "a": _req(_float),
             "b": _opt(_float, 0.0),
-            "n_iter": _req(_int),
-            "cells": _opt(_int, 4096),
+            "n_iter": _req(_int_at_least(0)),
+            "cells": _opt(_int_at_least(2), 4096),
         },
         "ensemble": {},
         "output": {"directory": _opt(_str)},
@@ -149,8 +172,8 @@ _SCHEMAS = {
             "alpha": _opt(_float),
             "a": _req(_float),
             "b": _opt(_float),
-            "tau": _opt(_float, 1.0),
-            "m": _req(_int),
+            "tau": _opt(_positive, 1.0),
+            "m": _req(_int_at_least(4)),
             "noise_lo": _opt(_float),
             "noise_hi": _opt(_float),
             "noise_interval": _opt(_float),
@@ -163,13 +186,13 @@ _SCHEMAS = {
             "hi": _opt(_float),
             "value": _opt(_float),
             "mixture": _opt(_mixture),
-            "n": _req(_int),
+            "n": _req(_int_at_least(1)),
             "seed": _req(_int),
         },
         "output": {
             "directory": _opt(_str),
             "snapshots": _req(_schedule),
-            "bins": _opt(_int, 100),
+            "bins": _opt(_int_at_least(1), 100),
         },
     },
     "gaussian": {
@@ -188,8 +211,8 @@ _SCHEMAS = {
         "params": {
             "gamma": _req(_float),
             "beta": _req(_float),
-            "tau": _opt(_float, 1.0),
-            "m": _opt(_int, 32),
+            "tau": _opt(_positive, 1.0),
+            "m": _opt(_int_at_least(4), 32),
             "T": _req(_float),
             "burn_in": _opt(_float),
             "min_samples": _opt(_int, 1_000_000),
@@ -199,17 +222,18 @@ _SCHEMAS = {
             "lo": _opt(_float, -0.05),
             "hi": _opt(_float, 0.05),
             "value": _opt(_float),
-            "n": _req(_int),
+            "n": _req(_int_at_least(1)),
             "seed": _req(_int),
         },
-        "output": {"directory": _opt(_str), "bins": _opt(_int, 60)},
+        "output": {"directory": _opt(_str),
+                   "bins": _opt(_int_at_least(1), 60)},
     },
     "kicked": {
         "params": {
             "gamma": _req(_float),
             "taus": _req(_floats),
             "n_kicks": _req(_int),
-            "streams": _opt(_int, 256),
+            "streams": _opt(_int_at_least(1), 256),
         },
         "ensemble": {},
         "output": {"directory": _opt(_str)},
@@ -220,11 +244,11 @@ _SCHEMAS = {
             "a": _req(_float),
             "b": _req(_float),
             "tau": _opt(_float, 1.0),
-            "m": _opt(_int, 512),
+            "m": _opt(_int_at_least(4), 512),
             "times": _req(_floats),
-            "chunk": _opt(_int, 20000),
+            "chunk": _opt(_int_at_least(1), 20000),
         },
-        "ensemble": {"n": _req(_int), "seed": _req(_int)},
+        "ensemble": {"n": _req(_int_at_least(2)), "seed": _req(_int)},
         "output": {"directory": _opt(_str)},
     },
 }
@@ -246,7 +270,7 @@ class RunConfig:
 
 
 def _check_dde_ensemble(v, problems):
-    p, e = v["params"], v["ensemble"]
+    p = v["params"]
     field = p.get("field")
     if field in ("hat", "circle") and p.get("alpha") is None:
         problems.append((None, f"key 'alpha' is required when field = {field}"))
@@ -262,61 +286,14 @@ def _check_dde_ensemble(v, problems):
         problems.append((None, "noise_lo and noise_hi must be given together"))
     elif hi is None and interval is not None:
         problems.append((None, "noise_interval needs noise_lo and noise_hi"))
-    if p.get("m") is not None and p["m"] < 4:
-        problems.append((None, "m must be at least 4"))
-    if p.get("tau") is not None and not (math.isfinite(p["tau"])
-                                         and p["tau"] > 0.0):
-        problems.append((None, "tau must be positive"))
-    if not problems:
-        # the field's values and the snapshot grid, by the rules the run
-        # applies
-        from ..dde import _grid_index
-        try:
-            dde_field(p)
-            for t in v["output"]["snapshots"].times():
-                _grid_index(t, p["tau"] / p["m"])
-        except ValueError as err:
-            problems.append((None, str(err)))
-    _check_initial_spec(e, problems)
-    bins = v["output"].get("bins")
-    if bins is not None and bins < 1:
-        problems.append((None, "bins must be positive"))
+    _check_initial_spec(v, problems)
 
 
-def dde_field(p):
-    """The delay field a dde-ensemble run integrates, built from its params.
-
-    The field and noise classes check their own values and the noise clock
-    checks the resample interval against the step ``tau / m``; each raises
-    ValueError.  The config check and the run both build the field here,
-    so ``--dry-run`` rejects what the run would.
-    """
-    # imported here, so that parsing other kinds stays free of the
-    # numerical layers
-    from ..dde import (AffineCircleDelayField, LinearDelayField,
-                       PiecewiseConstantUniform, TentDelayField)
-
-    if p["field"] == "hat":
-        return TentDelayField(p["alpha"], p["a"])
-    if p["field"] == "linear":
-        return LinearDelayField(p["a"], p["b"])
-    noise = None
-    if p["noise_hi"] is not None:
-        interval = p["noise_interval"]
-        noise = PiecewiseConstantUniform(
-            p["noise_lo"], p["noise_hi"],
-            p["tau"] if interval is None else interval)
-        noise.steps_per_segment(p["tau"] / p["m"])
-    return AffineCircleDelayField(p["alpha"], p["a"], p["b"], noise=noise)
-
-
-def _check_initial_spec(e, problems):
+def _check_initial_spec(v, problems):
+    e = v["ensemble"]
     spec = e.get("spec")
-    if spec == "uniform":
-        if e.get("lo") is None or e.get("hi") is None:
-            problems.append((None, "uniform spec needs keys 'lo' and 'hi'"))
-        elif not e["lo"] < e["hi"]:
-            problems.append((None, "'lo' must be below 'hi'"))
+    if spec == "uniform" and (e.get("lo") is None or e.get("hi") is None):
+        problems.append((None, "uniform spec needs keys 'lo' and 'hi'"))
     elif spec == "constant" and e.get("value") is None:
         problems.append((None, "constant spec needs key 'value'"))
     elif spec == "mixture":
@@ -329,114 +306,15 @@ def _check_initial_spec(e, problems):
                     (None, f"mixture counts sum to {total}, but n = {e['n']}"))
 
 
-def _check_brownian(v, problems):
-    p = v["params"]
-    if p.get("m") is not None and p["m"] < 4:
-        problems.append((None, "m must be at least 4"))
-    for key in ("gamma", "beta", "tau", "T"):
-        if p.get(key) is not None and p[key] <= 0.0:
-            problems.append((None, f"{key} must be positive"))
-    _check_initial_spec(v["ensemble"], problems)
-
-
-def _check_kicked(v, problems):
-    from ..kicked import burn_in_kicks
-
-    p = v["params"]
-    taus, gamma, n_kicks = p.get("taus"), p.get("gamma"), p.get("n_kicks")
-    taus_ok = taus is not None and all(
-        math.isfinite(t) and t > 0.0 for t in taus)
-    gamma_ok = gamma is not None and math.isfinite(gamma) and gamma > 0.0
-    if taus is not None:
-        if not taus_ok:
-            problems.append((None, "taus must be finite and positive"))
-        if len(taus) > 1 and any(b >= a for a, b in zip(taus, taus[1:])):
-            problems.append((None, "taus must decrease strictly"))
-    if gamma is not None and not gamma_ok:
-        problems.append((None, "gamma must be finite and positive"))
-    if p.get("streams") is not None and p["streams"] < 1:
-        problems.append((None, "streams must be positive"))
-    # the suite discards a transient at every tau and needs as many kicks
-    # again after it; checked here so that --dry-run sees it too
-    if taus_ok and gamma_ok and n_kicks is not None:
-        for tau in taus:
-            try:
-                burn = burn_in_kicks(gamma, tau)
-            except ValueError as err:
-                problems.append((None, str(err)))
-                continue
-            if n_kicks <= 2 * burn:
-                problems.append((None, f"n_kicks = {n_kicks} leaves no room "
-                                       f"after the {burn}-kick transient at "
-                                       f"tau = {tau:g}"))
-
-
 def _check_compare(v, problems):
-    # imported here, so that parsing other kinds stays free of the
-    # numerical layers
-    from ..dde import _grid_index
-    from ..gaussian.linear import MAX_HORIZON_DELAYS
-
-    p, e = v["params"], v["ensemble"]
-    m, tau, times = p.get("m"), p.get("tau"), p.get("times") or ()
-    m_ok = m is not None and m >= 4
-    tau_ok = tau is not None and math.isfinite(tau) and tau > 0.0
-    if m is not None and not m_ok:
-        problems.append((None, "m must be at least 4"))
-    if tau is not None and not tau_ok:
-        problems.append((None, "tau must be positive"))
+    times = v["params"].get("times") or ()
     if any(b <= a for a, b in zip(times, times[1:])):
         problems.append((None, "times must increase strictly"))
-    # the quadrature curve runs from t = 0 to its horizon and the ensemble
-    # is read off the step grid, by the engines' own rules and tolerances;
-    # checked here so that --dry-run sees it too
-    for t in times:
-        if not (math.isfinite(t) and t >= 0.0):
-            problems.append((None, f"time {t:g} must be finite and >= 0"))
-        elif tau_ok and t > (MAX_HORIZON_DELAYS + 1e-9) * tau:
-            problems.append((None, f"time {t:g} is beyond the horizon "
-                                   f"{MAX_HORIZON_DELAYS:g} tau"))
-        elif m_ok and tau_ok:
-            try:
-                _grid_index(t, tau / m)
-            except ValueError as err:
-                problems.append((None, str(err)))
-    if p.get("chunk") is not None and p["chunk"] < 1:
-        problems.append((None, "chunk must be positive"))
-    if e.get("n") is not None and e["n"] < 2:
-        problems.append((None, "n must be at least 2"))
-
-
-def _check_map_iterate(v, problems):
-    p = v["params"]
-    if p.get("n_iter") is not None and p["n_iter"] < 0:
-        problems.append((None, "n_iter must be nonnegative"))
-    if p.get("cells") is not None and p["cells"] < 2:
-        problems.append((None, "cells must be at least 2"))
-
-
-def _check_gaussian(v, problems):
-    from ..gaussian.linear import MAX_HORIZON_DELAYS
-
-    p = v["params"]
-    for key in ("tau", "T", "dt"):
-        if p.get(key) is not None and p[key] <= 0.0:
-            problems.append((None, f"{key} must be positive"))
-    # the curve evaluates the fundamental solution up to T, which stops at
-    # its horizon with the same slack
-    tau, T = p.get("tau"), p.get("T")
-    if (tau is not None and tau > 0.0 and T is not None
-            and T > MAX_HORIZON_DELAYS * tau + 1e-9 * tau):
-        problems.append((None, f"T = {T:g} is beyond the horizon "
-                               f"{MAX_HORIZON_DELAYS:g} tau"))
 
 
 _CHECKS = {
-    "map-iterate": _check_map_iterate,
     "dde-ensemble": _check_dde_ensemble,
-    "gaussian": _check_gaussian,
-    "brownian": _check_brownian,
-    "kicked": _check_kicked,
+    "brownian": _check_initial_spec,
     "compare": _check_compare,
 }
 
@@ -539,12 +417,9 @@ def parse_config(text: str, kind: str = None) -> RunConfig:
                 problems.append((None, f"missing required key '{k}' in [{s}]"))
             else:
                 values[s][k] = spec.default
-    if "threads" not in top:
-        top["threads"] = _TOP["threads"].default
-    elif top["threads"] < 1:
-        problems.append((None, "threads must be positive"))
+    top.setdefault("threads", _TOP["threads"].default)
 
-    if not problems:
+    if not problems and eff_kind in _CHECKS:
         _CHECKS[eff_kind](values, problems)
     if problems:
         raise ConfigError(problems)

@@ -1,42 +1,58 @@
 """Experiment dispatch: turn a RunConfig into CSV files plus a manifest.
 
-Every engine writes plain CSV (plot data, not plots) into one output
-directory, and ``run`` records a ``manifest.json`` holding the normalized
-config, its hash, and a content hash per output file.  Outputs are byte
-reproducible: the same config produces the same files, so manifests can be
-compared across machines.  All work runs on the calling thread; the
-``threads`` setting is accepted and validated for compatibility but changes
-nothing, so no output byte depends on it.
+Each engine first builds the run's objects and grids and checks every rule
+the run applies, through the code that applies it; ``--dry-run`` stops
+there.  Its writer then writes plain CSV (plot data, not plots) into one
+output directory, and ``run`` records a ``manifest.json`` holding the
+normalized config, its hash, and a content hash per output file.  Outputs
+are byte reproducible: the same config produces the same files, so
+manifests can be compared across machines.  All work runs on the calling
+thread; the ``threads`` setting is accepted and validated for
+compatibility but changes nothing, so no output byte depends on it.
 """
 
+import ctypes
 import hashlib
 import json
 import math
 import os
+import shutil
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .. import __version__
 from ..density import GridDensity
-from ..dde import LinearDelayField, SineFeedbackField, check_block
+from ..dde import (AffineCircleDelayField, LinearDelayField,
+                   PiecewiseConstantUniform, SineFeedbackField,
+                   TentDelayField, _grid_index, check_block)
 from ..ensemble import (ROW_FRACTIONS, TAIL_QUANTILES, ConstantPath,
                         GaussianHistory, IidUniformPath, Mixture,
-                        as_velocity_histories, detect_density_period,
+                        as_velocity_histories, check_msd_window,
+                        check_period_schedule, check_pool_size,
+                        check_snapshot_times, detect_density_period,
                         ensemble_values, evolve_ensemble, evolve_trajectories,
-                        msd_curve, sample_initial, velocity_stats,
-                        write_joint_csv, write_snapshot_csv)
+                        msd_curve, sample_initial, trajectory_grid,
+                        velocity_stats, write_joint_csv, write_snapshot_csv)
 from ..errors import DivergenceError
 from ..gaussian import (CosineKernel, DegenerateCosineKernel, LinearDdeParams,
                         ShiftedWienerKernel, r_t, sigma2_curve)
-from ..kicked import ou_limit_suite, write_kick_report
+from ..gaussian.covariance import _canonical_window_args, sigma2_grid
+from ..gaussian.linear import check_horizon
+from ..kicked import ou_limit_suite, suite_plan, write_kick_report
 from ..maps import AffineCircleMap, TentMap, iterate
 from ..tabular import write_csv
-from .config import RunConfig, dde_field, normalize
+from .config import RunConfig, normalize
 
 ENV_OUT_ROOT = "DDLAB_OUT"
+
+# glibc keeps freed heap below a trim threshold that large frees raise to
+# tens of MiB; a process that runs several configs hands it back after each
+# run, so one run's freed heap does not add to the next run's peak
+_MALLOC_TRIM = (getattr(ctypes.CDLL(None), "malloc_trim", None)
+                if os.name == "posix" else None)
 
 
 @dataclass
@@ -53,10 +69,7 @@ class RunManifest:
     outdir: str = None  # where the files went; not part of the record
 
     def to_json(self) -> str:
-        record = {"kind": self.kind, "config_hash": self.config_hash,
-                  "seed": self.seed, "version": self.version,
-                  "wall_time": self.wall_time, "outputs": self.outputs,
-                  "config": self.config}
+        record = {k: v for k, v in asdict(self).items() if k != "outdir"}
         return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
     @classmethod
@@ -86,90 +99,133 @@ def _initial_spec(e):
                          for lo, hi, count in e["mixture"]))
 
 
+def _dde_field(p):
+    if p["field"] == "hat":
+        return TentDelayField(p["alpha"], p["a"])
+    if p["field"] == "linear":
+        return LinearDelayField(p["a"], p["b"])
+    noise = None
+    if p["noise_hi"] is not None:
+        interval = p["noise_interval"]
+        noise = PiecewiseConstantUniform(
+            p["noise_lo"], p["noise_hi"],
+            p["tau"] if interval is None else interval)
+        noise.steps_per_segment(p["tau"] / p["m"])
+    return AffineCircleDelayField(p["alpha"], p["a"], p["b"], noise=noise)
+
+
 # ---------------------------------------------------------------------------
-# engines: config -> list of written files
+# engines: config -> writer.  Each builds the run's objects and grids and
+# checks its rules through their own code, then returns ``write(out) ->
+# written files``, which samples, integrates, runs quadrature and writes.
 
 
-def _run_map_iterate(cfg, out):
+def _map_iterate(cfg):
     p = cfg.params
-    if p["map"] == "tent":
-        map_obj = TentMap(p["a"])
-    else:
-        map_obj = AffineCircleMap(p["a"], p["b"])
-    final = iterate(map_obj, GridDensity.uniform(p["cells"]), p["n_iter"])
-    path = out / "density.csv"
-    final.to_csv(path)
-    return [path]
+    map_obj = (TentMap(p["a"]) if p["map"] == "tent"
+               else AffineCircleMap(p["a"], p["b"]))
+    initial = GridDensity.uniform(p["cells"])
+
+    def write(out):
+        path = out / "density.csv"
+        iterate(map_obj, initial, p["n_iter"]).to_csv(path)
+        return [path]
+
+    return write
 
 
-def _run_dde_ensemble(cfg, out):
+def _dde_ensemble(cfg):
     p, e, o = cfg.params, cfg.ensemble, cfg.output
-    field = dde_field(p)
-    times = o["snapshots"].times()
-    samples = sample_initial(_initial_spec(e), e["n"], p["m"], p["tau"],
-                             seed=e["seed"])
-    snaps = evolve_ensemble(samples, p["tau"], field, float(times[-1]), times,
-                            bins=o["bins"], seed=e["seed"], joint=p["joint"])
-    written = [out / "snapshots.csv"]
-    write_snapshot_csv(written[0], snaps)
-    if p["joint"]:
-        written.append(out / "joint.csv")
-        write_joint_csv(written[-1], snaps)
-    period = detect_density_period(snaps, o["snapshots"].step, tol=p["tol"])
-    written.append(out / "period.csv")
-    write_csv(written[-1], ["dt", "tol", "detected", "period"],
-              [[o["snapshots"].step], [p["tol"]],
-               [0 if period is None else 1],
-               [math.nan if period is None else period]])
-    return written
+    field, spec = _dde_field(p), _initial_spec(e)
+    times, dt = o["snapshots"].times(), o["snapshots"].step
+    check_snapshot_times(times, float(times[-1]))
+    for t in times:
+        _grid_index(t, p["tau"] / p["m"])
+    check_period_schedule(times, dt)
+
+    def write(out):
+        samples = sample_initial(spec, e["n"], p["m"], p["tau"],
+                                 seed=e["seed"])
+        snaps = evolve_ensemble(samples, p["tau"], field, float(times[-1]),
+                                times, bins=o["bins"], seed=e["seed"],
+                                joint=p["joint"])
+        written = [out / "snapshots.csv"]
+        write_snapshot_csv(written[0], snaps)
+        if p["joint"]:
+            written.append(out / "joint.csv")
+            write_joint_csv(written[-1], snaps)
+        period = detect_density_period(snaps, dt, tol=p["tol"])
+        written.append(out / "period.csv")
+        write_csv(written[-1], ["dt", "tol", "detected", "period"],
+                  [[dt], [p["tol"]], [0 if period is None else 1],
+                   [math.nan if period is None else period]])
+        return written
+
+    return write
 
 
-def _run_gaussian(cfg, out):
+def _gaussian(cfg):
     p = cfg.params
-    curve = sigma2_curve(_kernel(p["kernel"], p["tau"]),
-                         LinearDdeParams(p["a"], p["b"], p["tau"]),
-                         p["T"], p["dt"])
-    path = out / "sigma2.csv"
-    curve.to_csv(path)
-    return [path]
+    lp = LinearDdeParams(p["a"], p["b"], p["tau"])
+    kernel = _kernel(p["kernel"], p["tau"])
+    sigma2_grid(lp, p["T"], p["dt"])
+
+    def write(out):
+        path = out / "sigma2.csv"
+        sigma2_curve(kernel, lp, p["T"], p["dt"]).to_csv(path)
+        return [path]
+
+    return write
 
 
-def _run_brownian(cfg, out):
+def _brownian(cfg):
     p, e, o = cfg.params, cfg.ensemble, cfg.output
-    field = SineFeedbackField(p["gamma"], p["beta"])
-    samples = as_velocity_histories(
-        sample_initial(_initial_spec(e), e["n"], p["m"], p["tau"],
-                       seed=e["seed"]))
+    field, spec = SineFeedbackField(p["gamma"], p["beta"]), _initial_spec(e)
     burn_in = 0.2 * p["T"] if p["burn_in"] is None else p["burn_in"]
-    t, sq_disp, pool = evolve_trajectories(samples, p["tau"], field, p["T"],
-                                           burn_in)
-    curve = msd_curve(t, sq_disp, e["n"], tau=p["tau"],
-                      min_trajectories=min(100, e["n"]))
-    stats = velocity_stats(pool, bins=o["bins"], min_samples=p["min_samples"])
-    written = [out / "msd.csv", out / "stats.csv"]
-    write_csv(written[0], ["t", "msd"], [curve.t, curve.msd])
-    write_csv(written[1],
-              ["v_std", "support_bound", "fit_curvature", "fit_r_squared",
-               "n_samples"]
-              + [f"abs_v_q{q:g}" for q in TAIL_QUANTILES]
-              + [f"max_abs_v_rows_1/{k}" for k in ROW_FRACTIONS]
-              + ["msd_slope", "msd_intercept", "msd_r_squared",
-                 "n_trajectories"],
-              [[stats.std], [stats.support_bound], [stats.fit_curvature],
-               [stats.fit_r_squared], [stats.n_samples]]
-              + [[v] for v in stats.tail_quantiles + stats.prefix_max]
-              + [[curve.slope], [curve.intercept], [curve.r_squared],
-                 [curve.n_trajectories]])
-    return written
+    h, n_steps, first = trajectory_grid(p["tau"], p["m"], p["T"], burn_in)
+    check_msd_window(h * n_steps, p["tau"])
+    check_pool_size(e["n"] * (n_steps + 1 - first), p["min_samples"])
+
+    def write(out):
+        samples = as_velocity_histories(
+            sample_initial(spec, e["n"], p["m"], p["tau"], seed=e["seed"]))
+        t, sq_disp, pool = evolve_trajectories(samples, p["tau"], field,
+                                               p["T"], burn_in)
+        curve = msd_curve(t, sq_disp, e["n"], tau=p["tau"],
+                          min_trajectories=min(100, e["n"]))
+        stats = velocity_stats(pool, bins=o["bins"],
+                               min_samples=p["min_samples"])
+        written = [out / "msd.csv", out / "stats.csv"]
+        write_csv(written[0], ["t", "msd"], [curve.t, curve.msd])
+        write_csv(written[1],
+                  ["v_std", "support_bound", "fit_curvature",
+                   "fit_r_squared", "n_samples"]
+                  + [f"abs_v_q{q:g}" for q in TAIL_QUANTILES]
+                  + [f"max_abs_v_rows_1/{k}" for k in ROW_FRACTIONS]
+                  + ["msd_slope", "msd_intercept", "msd_r_squared",
+                     "n_trajectories"],
+                  [[stats.std], [stats.support_bound], [stats.fit_curvature],
+                   [stats.fit_r_squared], [stats.n_samples]]
+                  + [[v] for v in stats.tail_quantiles + stats.prefix_max]
+                  + [[curve.slope], [curve.intercept], [curve.r_squared],
+                     [curve.n_trajectories]])
+        return written
+
+    return write
 
 
-def _run_kicked(cfg, out):
+def _kicked(cfg):
     p = cfg.params
-    reports = ou_limit_suite(p["gamma"], list(p["taus"]), p["n_kicks"],
-                             ensemble=p["streams"])
-    path = out / "report.csv"
-    write_kick_report(path, reports)
-    return [path]
+    suite_plan(p["gamma"], p["taus"], p["n_kicks"])
+
+    def write(out):
+        reports = ou_limit_suite(p["gamma"], list(p["taus"]), p["n_kicks"],
+                                 ensemble=p["streams"])
+        path = out / "report.csv"
+        write_kick_report(path, reports)
+        return [path]
+
+    return write
 
 
 def _response_weights(field, tau, m, times):
@@ -208,52 +264,64 @@ def _project(samples, tau, wt):
     return np.einsum("ij,tj->it", check_block(samples, tau)[:, :, 0], wt)
 
 
-def _run_compare(cfg, out):
+def _compare(cfg):
     p, e = cfg.params, cfg.ensemble
     tau, m = p["tau"], p["m"]
-    kernel = _kernel(p["kernel"], tau)
     lp = LinearDdeParams(p["a"], p["b"], tau)
+    kernel = _kernel(p["kernel"], tau)
     times = np.asarray(p["times"], dtype=float)
-    analytic = np.array([r_t(kernel, lp, float(t), 0.0, 0.0) for t in times])
-    wt = _response_weights(LinearDelayField(p["a"], p["b"]), tau, m, times)
-    discrete = _sigma2_discrete(kernel, wt, tau)
+    # the analytic curve's window and horizon first, as the run meets them
+    for t in times:
+        _canonical_window_args(lp, t, 0.0, 0.0)
+        check_horizon(lp, t)
+    for t in times:
+        _grid_index(t, tau / m)
 
-    # Stream the ensemble in fixed-size chunks so a large run never holds
-    # every history at once; the chunk size fixes the substream seeds.
-    # Each chunk is projected through the weights, not integrated.
-    n, chunk = e["n"], p["chunk"]
-    n_chunks = -(-n // chunk)
-    seeds = np.random.SeedSequence(e["seed"]).generate_state(
-        n_chunks, dtype=np.uint64)
-    total = np.zeros(times.size)
-    total_sq = np.zeros(times.size)
-    for c in range(n_chunks):
-        block = min(chunk, n - c * chunk)
-        samples = sample_initial(GaussianHistory(kernel), block, m, tau,
-                                 seed=int(seeds[c]))
-        vals = _project(samples, tau, wt)
-        if not np.all(np.isfinite(vals)):
-            row, col = np.argwhere(~np.isfinite(vals))[0]
-            raise DivergenceError(times[col], index=c * chunk + int(row))
-        total += vals.sum(axis=0)
-        total_sq += np.square(vals).sum(axis=0)
-    mean = total / n
-    var = (total_sq - n * mean**2) / (n - 1)
-    stderr = var * math.sqrt(2.0 / (n - 1))
-    path = out / "compare.csv"
-    write_csv(path, ["t", "sigma2_analytic", "sigma2_discrete", "sigma2_mc",
-                     "mc_stderr"],
-              [times, analytic, discrete, var, stderr])
-    return [path]
+    def write(out):
+        analytic = np.array([r_t(kernel, lp, float(t), 0.0, 0.0)
+                             for t in times])
+        wt = _response_weights(LinearDelayField(p["a"], p["b"]), tau, m,
+                               times)
+        discrete = _sigma2_discrete(kernel, wt, tau)
+
+        # Stream the ensemble in fixed-size chunks, which fix the substream
+        # seeds, so a large run never holds every history at once.  Each
+        # chunk is projected through the weights, not integrated.
+        n, chunk = e["n"], p["chunk"]
+        n_chunks = -(-n // chunk)
+        seeds = np.random.SeedSequence(e["seed"]).generate_state(
+            n_chunks, dtype=np.uint64)
+        total = np.zeros(times.size)
+        total_sq = np.zeros(times.size)
+        for c in range(n_chunks):
+            block = min(chunk, n - c * chunk)
+            samples = sample_initial(GaussianHistory(kernel), block, m, tau,
+                                     seed=int(seeds[c]))
+            vals = _project(samples, tau, wt)
+            if not np.all(np.isfinite(vals)):
+                row, col = np.argwhere(~np.isfinite(vals))[0]
+                raise DivergenceError(times[col], index=c * chunk + int(row))
+            total += vals.sum(axis=0)
+            total_sq += np.square(vals).sum(axis=0)
+        mean = total / n
+        var = (total_sq - n * mean**2) / (n - 1)
+        stderr = var * math.sqrt(2.0 / (n - 1))
+        path = out / "compare.csv"
+        write_csv(path, ["t", "sigma2_analytic", "sigma2_discrete",
+                         "sigma2_mc", "mc_stderr"],
+                  [times, analytic, discrete, var, stderr])
+        return [path]
+
+    return write
 
 
 _ENGINES = {
-    "map-iterate": _run_map_iterate,
-    "dde-ensemble": _run_dde_ensemble,
-    "gaussian": _run_gaussian,
-    "brownian": _run_brownian,
-    "kicked": _run_kicked,
-    "compare": _run_compare,
+    "map-iterate": _map_iterate,
+    "dde-ensemble": _dde_ensemble,
+    "gaussian": _gaussian,
+    "brownian": _brownian,
+    "kicked": _kicked,
+    "compare": _compare,
 }
 
 
@@ -268,9 +336,10 @@ def run(config: RunConfig, *, threads=None, dry_run=False,
 
     ``outdir`` overrides the config's output directory and does not affect
     the recorded config or its hash.  ``threads`` is accepted for
-    compatibility (it must be positive) and changes nothing: all work runs
-    on the calling thread.  With ``dry_run`` the manifest is written but no
-    computation happens.
+    compatibility (it must be positive) and changes nothing.  The engine
+    raises whatever the run would reject before any directory exists;
+    ``dry_run`` stops there.  The manifest is written last, by rename, and
+    a failed run leaves none, nor a directory that this call created.
     """
     if threads is not None and int(threads) < 1:
         raise ValueError("threads must be positive")
@@ -279,16 +348,23 @@ def run(config: RunConfig, *, threads=None, dry_run=False,
     if outdir is None:
         outdir = config.output.get("directory")
     out = Path(outdir) if outdir is not None else default_outdir(config, digest)
-    out.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
-    if dry_run:
+    # blow-ups surface as DivergenceError; the transient overflow warnings
+    # on the way there are not actionable
+    with np.errstate(over="ignore", invalid="ignore"):
+        write = _ENGINES[config.kind](config)
+        created = not out.exists()
+        out.mkdir(parents=True, exist_ok=True)
         written = []
-    else:
-        # blow-ups surface as DivergenceError; the transient overflow
-        # warnings on the way there are not actionable
-        with np.errstate(over="ignore", invalid="ignore"):
-            written = _ENGINES[config.kind](config, out)
+        if not dry_run:
+            (out / "manifest.json").unlink(missing_ok=True)
+            try:
+                written = write(out)
+            except BaseException:
+                if created:
+                    shutil.rmtree(out, ignore_errors=True)
+                raise
     wall = time.perf_counter() - start
 
     outputs = sorted(({"name": p.name, "sha256": _file_hash(p)}
@@ -297,5 +373,9 @@ def run(config: RunConfig, *, threads=None, dry_run=False,
                            seed=config.ensemble.get("seed"),
                            version=__version__, wall_time=wall,
                            outputs=outputs, config=text, outdir=str(out))
-    (out / "manifest.json").write_text(manifest.to_json())
+    part = out / "manifest.json.part"
+    part.write_text(manifest.to_json())
+    os.replace(part, out / "manifest.json")
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
     return manifest

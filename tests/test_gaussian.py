@@ -18,6 +18,7 @@ from ddlab.gaussian import (CosineKernel, DegenerateCosineKernel,
                             lag_cov_curve, marginal_density, propagate_state,
                             r_t, rightmost_root, sample_gaussian_paths,
                             sigma2_curve, wiener_closed_form, write_r_slice)
+from ddlab.gaussian.covariance import sigma2_grid
 from ddlab.quadrature import adaptive_simpson
 from ddlab.tabular import read_csv
 
@@ -222,6 +223,30 @@ def test_sigma2_curve_csv_roundtrip(tmp_path):
     assert header == ["t", "sigma2", "residual"]
     np.testing.assert_allclose(cols[0], curve.t)
     np.testing.assert_allclose(cols[1], curve.sigma2)
+
+
+@pytest.mark.parametrize("T, dt, fragment", [
+    (2.0, math.nan, "need a finite T and dt > 0, got 2.0 and nan"),
+    (2.0, math.inf, "need a finite T and dt > 0, got 2.0 and inf"),
+    (2.0, 0.0, "need a finite T and dt > 0"),
+    (math.nan, 0.5, "need a finite T and dt > 0, got nan and 0.5"),
+    (-math.inf, 0.5, "need a finite T and dt > 0, got -inf"),
+    (1.0, 0.3, "T must be a multiple of dt"),
+    (0.5, 0.5, "at least 2 steps"),
+    (1e300, 1e-300, "T must be a multiple of dt"),  # the step count overflows
+    (50.5, 0.5, "capped at t <= 50.0 tau"),
+], ids=["dt-nan", "dt-inf", "dt-zero", "T-nan", "T-minus-inf", "T-off-dt",
+        "one-step", "count-overflows", "past-horizon"])
+def test_sigma2_curve_names_bad_grids(T, dt, fragment):
+    # the grid is checked before any quadrature runs
+    with pytest.raises(ValueError, match=fragment):
+        sigma2_curve(WIENER, P01, T, dt)
+
+
+def test_sigma2_grid_is_the_curves_grid():
+    np.testing.assert_array_equal(sigma2_grid(P01, 1.0, 0.25),
+                                  sigma2_curve(WIENER, P01, 1.0, 0.25).t)
+    assert sigma2_grid(P01, 50.0, 0.5)[-1] == 50.0  # the horizon itself
 
 
 def test_r_slice_csv(tmp_path):

@@ -1,14 +1,19 @@
 """Config parsing, manifests, engine dispatch, and the ddlab CLI."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddlab.dde import LinearDelayField
 from ddlab.ensemble import ensemble_values
@@ -16,8 +21,8 @@ from ddlab.errors import ConfigError, QuadratureError
 from ddlab.gaussian import (CosineKernel, DegenerateCosineKernel,
                             LinearDdeParams, ShiftedWienerKernel, r_t,
                             sample_gaussian_paths)
-from ddlab.runner import (RunConfig, RunManifest, Schedule, normalize,
-                          parse_config, run)
+from ddlab.runner import (KINDS, RunConfig, RunManifest, Schedule,
+                          normalize, parse_config, run)
 from ddlab.runner.cli import main
 from ddlab.runner import execute
 from ddlab.tabular import read_csv
@@ -424,14 +429,34 @@ def test_cli_kind_mismatch_is_a_config_error(tmp_path):
     assert main(["gaussian", "--config", cfg]) == 2
 
 
+DIVERGING = ("kind = dde-ensemble\n"
+             "[params]\nfield = linear\na = 2.0\nb = 0.5\nm = 16\n"
+             "[ensemble]\nspec = uniform\nlo = 0.5\nhi = 0.6\nn = 8\n"
+             "seed = 1\n[output]\nsnapshots = 400:401:1.0\n")
+
+
 def test_cli_divergence_exits_3(tmp_path, capsys):
-    text = ("kind = dde-ensemble\n"
-            "[params]\nfield = linear\na = 2.0\nb = 0.5\nm = 16\n"
-            "[ensemble]\nspec = uniform\nlo = 0.5\nhi = 0.6\nn = 8\nseed = 1\n"
-            "[output]\nsnapshots = 400:400:1.0\n")
-    cfg = _write(tmp_path, "div.cfg", text)
+    # two snapshots: the period detection needs them, and a single one is
+    # rejected before the run starts
+    cfg = _write(tmp_path, "div.cfg", DIVERGING)
     assert main(["dde-ensemble", "--config", cfg, "--out", str(tmp_path / "d")]) == 3
     assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("here", [False, True], ids=["named", "dot"])
+def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch, here):
+    # an earlier run's manifest must not vouch for what a failed run left,
+    # and a directory the failed run did not create stays
+    out = tmp_path / "d"
+    run(parse_config(MINIMAL), outdir=out)
+    assert (out / "manifest.json").exists()
+    cfg = _write(tmp_path, "div.cfg", DIVERGING)
+    if here:
+        monkeypatch.chdir(out)
+    assert main(["dde-ensemble", "--config", cfg,
+                 "--out", "." if here else str(out)]) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["density.csv"]
 
 
 @pytest.mark.parametrize("m, times", [
@@ -532,6 +557,179 @@ def test_cli_dry_run_checks_the_snapshot_grid(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+HAT = """
+kind = dde-ensemble
+[params]
+alpha = 13.0
+a = 10.0
+m = 8
+[ensemble]
+spec = uniform
+lo = 0.65
+hi = 0.75
+n = 10
+seed = 1
+[output]
+snapshots = 1:2:0.5
+"""
+
+GAUSSIAN = ("kind = gaussian\n[params]\nkernel = brownian\na = 0.0\n"
+            "b = -1.0\ntau = 1.0\nT = 2.0\ndt = 0.5\n")
+
+BROWNIAN = ("kind = brownian\n[params]\ngamma = 1.0\nbeta = 10.0\n"
+            "T = 250.0\nburn_in = 50.0\nm = 8\nmin_samples = 5000\n"
+            "[ensemble]\nn = 120\nseed = 3\n")
+
+
+def _ddlab_lines(err):
+    return [line for line in err.splitlines() if line.startswith("ddlab:")]
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("dde-ensemble", HAT.replace("1:2:0.5", "-0.5:1:0.5")),
+    ("dde-ensemble", HAT.replace("1:2:0.5", "5:5:1")),
+    ("gaussian", GAUSSIAN.replace("T = 2.0", "T = 1.0").replace("0.5", "0.3")),
+    ("gaussian", GAUSSIAN.replace("dt = 0.5", "dt = nan")),
+    ("gaussian", GAUSSIAN.replace("dt = 0.5", "dt = inf")),
+    ("brownian", BROWNIAN.replace("T = 250.0", "T = 50.0")),
+    ("brownian", BROWNIAN.replace("burn_in = 50.0", "burn_in = 249.9")),
+    ("brownian", BROWNIAN.replace("gamma = 1.0", "gamma = nan")),
+    ("brownian", BROWNIAN.replace("T = 250.0", "T = inf")),
+    ("map-iterate", MINIMAL.replace("a = 2.0", "a = nan")),
+], ids=["hat-negative-snapshot", "hat-one-snapshot", "gaussian-T-off-dt",
+        "gaussian-dt-nan", "gaussian-dt-inf", "brownian-short-window",
+        "brownian-small-pool", "brownian-gamma-nan", "brownian-T-inf",
+        "map-a-nan"])
+def test_cli_dry_run_rejects_what_the_run_rejects(tmp_path, capsys, kind,
+                                                  text):
+    cfg = _write(tmp_path, "run.cfg", text)
+    lines = []
+    for flags in (["--dry-run"], []):
+        assert main([kind, "--config", cfg,
+                     "--out", str(tmp_path / "o")] + flags) == 2
+        lines.append(_ddlab_lines(capsys.readouterr().err))
+    assert len(lines[0]) == 1 and lines[0] == lines[1]
+    assert not (tmp_path / "o").exists()
+
+
+# Per config family: the CLI kind, a runnable base config, and edge values
+# per key; the property test moves up to two keys of a base to an edge.
+_FAMILIES = {
+    "map": ("map-iterate",
+            {"params": {"map": "tent", "a": 1.5, "b": 0.3, "n_iter": 3,
+                        "cells": 64}},
+            {"map": ["circle"], "a": ["nan", 0.5, 2.5, -1.0, 2.0],
+             "b": [0.0, 1.0], "n_iter": [-1, 0], "cells": [1, 2]}),
+    "hat": ("dde-ensemble",
+            {"params": {"field": "hat", "alpha": 13.0, "a": 10.0, "m": 8},
+             "ensemble": {"spec": "uniform", "lo": 0.65, "hi": 0.75, "n": 5,
+                          "seed": 1},
+             "output": {"snapshots": "1:2:0.5", "bins": 10}},
+            {"alpha": [0.0, "nan"], "tau": [0.5, 2.0], "m": [4],
+             "joint": ["true"], "lo": ["-inf", 0.8], "n": [0, 1],
+             "bins": [0, 1],
+             "snapshots": ["-0.5:1:0.5", "5:5:1", "1:2:0.3", "0:0.5:0.5",
+                           "0:1:0.25", "2.3:3.3:0.5", "0.3:1.3:0.5",
+                           "1:nan:0.5", "0:inf:1", "1:3:1"]}),
+    "circle": ("dde-ensemble",
+               {"params": {"field": "circle", "alpha": 10.0, "a": 0.5,
+                           "b": 0.567, "m": 16, "noise_lo": 0.0,
+                           "noise_hi": 0.2},
+                "ensemble": {"spec": "constant", "value": 0.3, "n": 4,
+                             "seed": 9},
+                "output": {"snapshots": "1:2:0.5", "bins": 10}},
+               {"a": [1.5, "nan"], "noise_lo": ["-inf"],
+                "noise_hi": [-0.1],
+                "noise_interval": [0.5, 0.3, 0.0, "inf", 1e308],
+                "value": ["inf", -2.0], "snapshots": ["1:2:0.3", "1:1:1"]}),
+    "linear": ("dde-ensemble",
+               {"params": {"field": "linear", "a": 0.0, "b": -1.0, "m": 8},
+                "ensemble": {"spec": "mixture", "mixture": "0:1:2, 2:3:2",
+                             "n": 4, "seed": 5},
+                "output": {"snapshots": "0:2:0.5", "bins": 10}},
+               {"a": [1e10], "mixture": ["1:0:4", "0:inf:4"],
+                "snapshots": ["0:2:0.3", "-1:1:1"]}),
+    "gaussian": ("gaussian",
+                 {"params": {"kernel": "brownian", "a": 0.0, "b": -1.0,
+                             "tau": 1.0, "T": 2.0, "dt": 0.5}},
+                 {"kernel": ["cosine", "degenerate-cosine"],
+                  "a": ["nan", "inf"], "b": ["nan"],
+                  "tau": [0.0, -1.0, "nan", 0.02, 0.25],
+                  "T": [1.0, 0.5, 1.1, -1.0, 0.0, "nan", "inf", 100.0],
+                  "dt": [0.3, 0.0, -0.5, "nan", "inf"]}),
+    "brownian": ("brownian",
+                 {"params": {"gamma": 1.0, "beta": 10.0, "tau": 0.1, "m": 4,
+                             "T": 10.0, "burn_in": 2.0, "min_samples": 50},
+                  "ensemble": {"n": 5, "seed": 2},
+                  "output": {"bins": 10}},
+                 {"gamma": ["nan", -1.0, 0.0], "beta": ["nan"],
+                  "tau": [0.2, "nan", "inf", 0.0], "m": [3, 8],
+                  "T": [5.0, 20.0, 10.05, -1.0, 0.0, "inf", "nan"],
+                  "burn_in": [9.9, 10.0, "nan", -1.0],
+                  "min_samples": [0, 1, 5000], "n": [0, 1, 3],
+                  "bins": [0], "lo": ["-inf"]}),
+    "kicked": ("kicked",
+               {"params": {"gamma": 1.0, "taus": "0.5, 0.2", "n_kicks": 250,
+                           "streams": 4}},
+               {"gamma": ["nan", 1e-200, 0.0, "inf"],
+                "taus": ["0.2", "0.2, 0.5", "inf", "0.1", "0.5, 0.5",
+                         "1e-200"],
+                "n_kicks": [0, 42, 43, 102, 103, -5], "streams": [0]}),
+    "compare": ("compare",
+                {"params": {"kernel": "brownian", "a": 0.0, "b": -1.0,
+                            "tau": 1.0, "m": 8, "times": "0.5, 1.0",
+                            "chunk": 7},
+                 "ensemble": {"n": 20, "seed": 4}},
+                {"kernel": ["cosine"], "a": ["nan"], "b": ["inf"],
+                 "tau": [0.5, 0.0, "nan"], "m": [4, 3],
+                 "times": ["0.3", "-0.5", "-0.5, 0.5", "60.0", "0.0", "nan",
+                           "inf", "1.0, 0.5", "0.25, 51.0", "50.0"],
+                 "chunk": [0, 100], "n": [1, 2]}),
+}
+
+_SECTION_OF = {"lo": "ensemble", "n": "ensemble", "value": "ensemble",
+               "mixture": "ensemble", "snapshots": "output", "bins": "output"}
+
+
+@st.composite
+def _configs(draw):
+    """Small configs of every kind with up to two keys at a rule's edge."""
+    kind, base, edges = _FAMILIES[draw(st.sampled_from(sorted(_FAMILIES)))]
+    sections = {s: dict(keys) for s, keys in base.items()}
+    for key in draw(st.lists(st.sampled_from(sorted(edges)), max_size=2,
+                             unique=True)):
+        section = _SECTION_OF.get(key, "params")
+        sections.setdefault(section, {})[key] = draw(
+            st.sampled_from(edges[key]))
+    return kind, "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n"
+                                              for k, v in keys.items())
+                         for s, keys in sections.items())
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_configs())
+def test_dry_run_fails_exactly_when_the_run_fails_on_its_config(case):
+    # what a dry run cannot foresee comes out of the work itself: a
+    # divergence (exit 3) or a quadrature that misses its tolerance (exit 4)
+    kind, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write(Path(tmp), "run.cfg", text)
+        codes, lines = [], []
+        for flags, out in ((["--dry-run"], "dry"), ([], "run")):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                codes.append(main([kind, "--config", cfg,
+                                   "--out", str(Path(tmp) / out)] + flags))
+            lines.append(_ddlab_lines(err.getvalue()))
+        dry, real = codes
+        assert dry in (0, 2) and (real == 2) == (dry == 2)
+        if dry == 2:
+            assert lines[0] == lines[1]
+        if real:
+            assert not (Path(tmp) / "run").exists()
+
+
 def test_cli_compare_projection_overflow_exits_3(tmp_path, monkeypatch,
                                                  capsys):
     # finite histories through finite weights can still overflow
@@ -546,10 +744,10 @@ def test_cli_compare_projection_overflow_exits_3(tmp_path, monkeypatch,
 
 
 def test_cli_numerical_failure_exits_4(tmp_path, monkeypatch):
-    def explode(cfg, out):
+    def explode(out):
         raise QuadratureError("tolerance not reached")
 
-    monkeypatch.setitem(execute._ENGINES, "map-iterate", explode)
+    monkeypatch.setitem(execute._ENGINES, "map-iterate", lambda cfg: explode)
     cfg = _write(tmp_path, "run.cfg", MINIMAL)
     assert main(["map-iterate", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
