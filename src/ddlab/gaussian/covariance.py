@@ -17,11 +17,14 @@ lagged covariance R_t(s1, s2) = E[x(A) x(B)] falls into three regimes:
 The regimes agree at their boundaries (the straddling integral collapses as
 B -> 0+, and the double integral dies as A -> 0+), which the tests check.
 
-Scalar evaluation uses adaptive Simpson with panels split at fundamental-
-solution knots (arguments crossing multiples of tau) and kernel kinks.
-Dense curves batch the same panel decomposition through fixed-order
-Gauss-Legendre; structured kernels (finite rank, or the running-minimum
-kernel) reduce the double integral to products or a single integral first.
+Every integral is split at one knot list: the delay knots r = c - k tau,
+where X(c - r - tau) crosses a multiple of tau, plus the kernel's kinks.
+Neither is filtered to an interval; each quadrature keeps the knots strictly
+inside its own limits.  Scalar evaluation runs adaptive Simpson on those
+panels.  Dense curves integrate the same panels with fixed 24-point
+Gauss-Legendre, one row per time; structured kernels (finite rank, or the
+running-minimum kernel) reduce the double integral to products or a single
+integral first.
 """
 from __future__ import annotations
 
@@ -31,6 +34,7 @@ import math
 
 import numpy as np
 
+from ..errors import QuadratureError
 from ..quadrature import adaptive_simpson, adaptive_simpson_2d, panel_gauss
 from ..tabular import write_csv
 from .kernels import CovKernel, ShiftedWienerKernel
@@ -43,43 +47,26 @@ __all__ = [
     "write_r_slice",
 ]
 
+_CHUNK = 256  # times per batched block of `lag_cov_curve`
+
 
 # ---------------------------------------------------------------------------
-# panel bookkeeping
+# knots and panels
 
 
-def _x_knot_breaks(p: LinearDdeParams, c: float, lo: float, hi: float):
-    """r in (lo, hi) where X(c - r - tau) crosses a smoothness knot."""
-    out = []
-    k = 0
-    while True:
-        r = c - (k + 1) * p.tau
-        if r <= lo:
-            break
-        if r < hi:
-            out.append(r)
-        k += 1
-    return out
+def _delay_knots(p: LinearDdeParams, c):
+    """r = c - k tau for k = 1 .. ceil(max c / tau) + 1, shape (..., k).
+
+    X(c - r - tau) is smooth in r between these knots.  They are not
+    filtered: the ones at or below -tau are simply not inside any window.
+    """
+    c = np.asarray(c, dtype=float)
+    kmax = math.ceil(float(c.max(initial=0.0)) / p.tau)
+    return c[..., None] - np.arange(1, kmax + 2) * p.tau
 
 
-def _m_single(kernel: CovKernel, p: LinearDdeParams, c: float, fixed_s: float,
-              tol: float) -> float:
-    """integral_{-tau}^{min(0, c - tau)} X(c - r - tau) K(r, fixed_s) dr."""
-    hi = min(0.0, c - p.tau)
-    lo = -p.tau
-    if hi <= lo:
-        return 0.0
-    breaks = list(_x_knot_breaks(p, c, lo, hi))
-    breaks += list(kernel.kink_positions(fixed_s, lo, hi))
-
-    def f(r):
-        return (fundamental_solution(p, c - r - p.tau)
-                * kernel.value(r, fixed_s))
-
-    return adaptive_simpson(f, lo, hi, tol=tol, breakpoints=breaks)
-
-
-def _weighted_single(fn, p: LinearDdeParams, c: float, tol: float) -> float:
+def _weighted_single(fn, p: LinearDdeParams, c: float, tol: float,
+                     kinks=()) -> float:
     """integral_{-tau}^{min(0, c - tau)} X(c - r - tau) fn(r) dr."""
     hi = min(0.0, c - p.tau)
     lo = -p.tau
@@ -90,7 +77,7 @@ def _weighted_single(fn, p: LinearDdeParams, c: float, tol: float) -> float:
         return fundamental_solution(p, c - r - p.tau) * fn(r)
 
     return adaptive_simpson(f, lo, hi, tol=tol,
-                            breakpoints=_x_knot_breaks(p, c, lo, hi))
+                            breakpoints=np.append(_delay_knots(p, c), kinks))
 
 
 def _xx_double(kernel: CovKernel, p: LinearDdeParams, A: float, B: float,
@@ -108,7 +95,7 @@ def _xx_double(kernel: CovKernel, p: LinearDdeParams, A: float, B: float,
     if isinstance(kernel, ShiftedWienerKernel):
         # min(r1, r2) + tau = measure of {q <= r1} cap {q <= r2} over [-tau, 0]
         # turns the double integral into a single one over q of the product
-        # of two running integrals of X.
+        # of two running integrals of X, which kink at both times' knots.
         iA = fundamental_prefix(p, A - p.tau)
         iB = fundamental_prefix(p, B - p.tau)
 
@@ -117,11 +104,9 @@ def _xx_double(kernel: CovKernel, p: LinearDdeParams, A: float, B: float,
             gb = fundamental_prefix(p, B - p.tau - q) - iB
             return ga * gb
 
-        # kinks of the running integrals sit where A - tau - q (resp. B)
-        # crosses a multiple of tau, i.e. at q = A - (k+1) tau
-        breaks = sorted(set(_x_knot_breaks(p, A, -p.tau, 0.0)
-                            + _x_knot_breaks(p, B, -p.tau, 0.0)))
-        return adaptive_simpson(g, -p.tau, 0.0, tol=tol, breakpoints=breaks)
+        return adaptive_simpson(
+            g, -p.tau, 0.0, tol=tol,
+            breakpoints=np.append(_delay_knots(p, A), _delay_knots(p, B)))
 
     def f2(r1, r2):
         return (fundamental_solution(p, A - r1 - p.tau)
@@ -129,12 +114,42 @@ def _xx_double(kernel: CovKernel, p: LinearDdeParams, A: float, B: float,
                 * kernel.value(r1, r2))
 
     def y_breaks(r1):
-        return (_x_knot_breaks(p, B, -p.tau, hi2)
-                + list(kernel.kink_positions(r1, -p.tau, hi2)))
+        return np.append(_delay_knots(p, B), kernel.kinks(r1))
 
     return adaptive_simpson_2d(
         f2, -p.tau, hi1, -p.tau, hi2, tol=tol,
-        x_breaks=_x_knot_breaks(p, A, -p.tau, hi1), y_breaks=y_breaks)
+        x_breaks=_delay_knots(p, A), y_breaks=y_breaks)
+
+
+def _panel_integral(f, lo, hi, knots):
+    """Per-row `panel_gauss` of ``f`` over [lo, hi], split at the knots.
+
+    A row's edges are lo, its knots strictly inside (lo, hi) in order, then
+    hi, repeated on the right up to the widest row's panel count.
+    """
+    lo = lo[:, None]
+    hi = hi[:, None]
+    knots = np.where((knots > lo) & (knots < hi), knots, hi)
+    knots.sort(axis=1)
+    width = int((knots < hi).sum(axis=1).max(initial=0))
+    return panel_gauss(f, np.concatenate([lo, knots[:, :width], hi], axis=1))
+
+
+def _batched_weighted_single(fn, p: LinearDdeParams, c, kinks=()):
+    """Vectorized integral_{-tau}^{min(0, c-tau)} X(c - r - tau) fn(r) dr."""
+    lo = np.full_like(c, -p.tau)
+    hi = np.maximum(np.minimum(0.0, c - p.tau), lo)
+    kinks = np.broadcast_to(kinks, c.shape + np.shape(kinks)[-1:])
+    cc = c[:, None, None]
+    return _panel_integral(
+        lambda r: fundamental_solution(p, cc - r - p.tau) * fn(r), lo, hi,
+        np.concatenate([_delay_knots(p, c), kinks], axis=1))
+
+
+def _evolved(p: LinearDdeParams, xa, xb, k00, i_a, i_b, dbl):
+    """R_t(s1, s2) with both times evolved, from X(A), X(B), K(0, 0), the
+    single integrals at A and B and the double integral."""
+    return xa * xb * k00 + p.b * xa * i_b + p.b * xb * i_a + p.b ** 2 * dbl
 
 
 # ---------------------------------------------------------------------------
@@ -162,139 +177,98 @@ def r_t(kernel: CovKernel, p: LinearDdeParams, t: float, s1: float, s2: float,
     B = t + s2
     if B <= 0.0:
         return float(kernel.value(A, B))
-    if A <= 0.0:
-        return float(fundamental_solution(p, B) * kernel.value(A, 0.0)
-                     + p.b * _m_single(kernel, p, B, A, tol))
-    xa = fundamental_solution(p, A)
-    xb = fundamental_solution(p, B)
-    return float(xa * xb * kernel.value(0.0, 0.0)
-                 + p.b * xa * _m_single(kernel, p, B, 0.0, tol)
-                 + p.b * xb * _m_single(kernel, p, A, 0.0, tol)
-                 + p.b ** 2 * _xx_double(kernel, p, A, B, tol))
+
+    def single(c, fixed):
+        return _weighted_single(lambda r: kernel.value(r, fixed), p, c, tol,
+                                kernel.kinks(fixed))
+
+    try:
+        if A <= 0.0:
+            return float(fundamental_solution(p, B) * kernel.value(A, 0.0)
+                         + p.b * single(B, A))
+        return float(_evolved(p, fundamental_solution(p, A),
+                              fundamental_solution(p, B),
+                              kernel.value(0.0, 0.0), single(A, 0.0),
+                              single(B, 0.0), _xx_double(kernel, p, A, B, tol)))
+    except QuadratureError as err:
+        raise QuadratureError(
+            f"R_t at t = {t:g}, s1 = {s1:g}, s2 = {s2:g}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
 # batched curves
 
 
-def _ragged_edges(lo, hi, candidates):
-    """Sorted panel edges per row from per-row break candidates."""
-    cols = [np.broadcast_to(lo, lo.shape)[:, None]]
-    for c in candidates:
-        cols.append(np.clip(np.asarray(c, dtype=float), lo, hi)[:, None])
-    cols.append(np.broadcast_to(hi, lo.shape)[:, None])
-    edges = np.concatenate(cols, axis=1)
-    edges.sort(axis=1)
-    return edges
+def _lag_cov_block(kernel: CovKernel, p: LinearDdeParams, s, tol):
+    out = np.empty_like(s)
+    early = s <= p.tau
+    if early.any():
+        se = s[early]
+        A = se - p.tau
+        A3 = A[:, None, None]
+        out[early] = (fundamental_solution(p, se) * kernel.value(A, 0.0)
+                      + p.b * _batched_weighted_single(
+                          lambda r: kernel.value(r, A3), p, se,
+                          kernel.kinks(A)))
+    late = ~early
+    if not late.any():
+        return out
+    B = s[late]
+    A = B - p.tau
+    sep = kernel.separable_terms()
+    if sep is not None:
+        ja = [_batched_weighted_single(f, p, A) for f in sep]
+        jb = [_batched_weighted_single(f, p, B) for f in sep]
+        f0 = [float(f(0.0)) for f in sep]
+        i_a = sum(w * j for w, j in zip(f0, ja))
+        i_b = sum(w * j for w, j in zip(f0, jb))
+        dbl = sum(a_ * b_ for a_, b_ in zip(ja, jb))
+    elif isinstance(kernel, ShiftedWienerKernel):
+        def ramp(r):
+            return r + p.tau
 
+        i_a = _batched_weighted_single(ramp, p, A)
+        i_b = _batched_weighted_single(ramp, p, B)
+        a3 = A[:, None, None] - p.tau
+        b3 = B[:, None, None] - p.tau
+        iA = fundamental_prefix(p, a3)
+        iB = fundamental_prefix(p, b3)
 
-def _batched_weighted_single(fn, p: LinearDdeParams, c):
-    """Vectorized integral_{-tau}^{min(0, c-tau)} X(c - r - tau) fn(r) dr."""
-    c = np.asarray(c, dtype=float)
-    lo = np.full_like(c, -p.tau)
-    hi = np.minimum(0.0, c - p.tau)
-    hi = np.maximum(hi, lo)
-    kmax = max(0, int(np.ceil(float(c.max(initial=0.0)) / p.tau)))
-    cands = [c - (k + 1) * p.tau for k in range(kmax + 1)]
-    edges = _ragged_edges(lo, hi, cands)
+        def gg(q):
+            return ((fundamental_prefix(p, a3 - q) - iA)
+                    * (fundamental_prefix(p, b3 - q) - iB))
 
-    def integrand(r):
-        cc = c.reshape(c.shape + (1, 1))
-        return fundamental_solution(p, cc - r - p.tau) * fn(r)
-
-    return panel_gauss(integrand, edges, order=24)
+        dbl = _panel_integral(
+            gg, np.full_like(B, -p.tau), np.zeros_like(B),
+            np.concatenate([_delay_knots(p, A), _delay_knots(p, B)], axis=1))
+    else:
+        out[late] = [r_t(kernel, p, float(t), -p.tau, 0.0, tol=tol)
+                     for t in B]
+        return out
+    out[late] = _evolved(p, fundamental_solution(p, A),
+                         fundamental_solution(p, B),
+                         float(kernel.value(0.0, 0.0)), i_a, i_b, dbl)
+    return out
 
 
 def lag_cov_curve(kernel: CovKernel, p: LinearDdeParams, s_values,
-                  *, tol: float = 1e-9, chunk: int = 256) -> np.ndarray:
+                  *, tol: float = 1e-9) -> np.ndarray:
     """R_s(-tau, 0) for an array of times; structured kernels run batched.
 
-    Evaluation proceeds in chunks of ``chunk`` times: the batched panel
+    Evaluation proceeds in blocks of `_CHUNK` times: the batched panel
     integrals broadcast times x panels x nodes (x prefix-tail nodes), and
-    bounding the leading axis keeps the transient arrays tens of megabytes
-    even for horizons of many delay intervals.
+    bounding the leading axis keeps the transient arrays small even for
+    horizons of many delay intervals.
     """
     s = np.asarray(s_values, dtype=float)
     if s.ndim != 1:
         raise ValueError("s_values must be 1-d")
     if np.any(s < -1e-12):
         raise ValueError("times must be nonnegative")
-    if len(s) > chunk:
-        out = np.empty_like(s)
-        for i in range(0, len(s), chunk):
-            out[i:i + chunk] = lag_cov_curve(kernel, p, s[i:i + chunk],
-                                             tol=tol, chunk=chunk)
-        return out
+    check_horizon(p, s)
     out = np.empty_like(s)
-    early = s <= p.tau
-    if early.any():
-        se = s[early]
-        head = fundamental_solution(p, se) * kernel.value(se - p.tau, 0.0)
-        lo = np.full_like(se, -p.tau)
-        hi = np.maximum(se - p.tau, lo)
-        kink_rows = [kernel.kink_positions(float(c), -p.tau, float(h))
-                     for c, h in zip(se - p.tau, hi)]
-        width = max((len(k) for k in kink_rows), default=0)
-        cands = [np.array([row[i] if i < len(row) else -p.tau
-                           for row in kink_rows]) for i in range(width)]
-        edges = _ragged_edges(lo, hi, cands)
-
-        def integrand(r):
-            # X(s - r - tau) = e^{a (s - r - tau)} here: the argument stays
-            # within the first delay interval for s <= tau.
-            cc = se.reshape(se.shape + (1, 1))
-            return (np.exp(p.a * (cc - r - p.tau))
-                    * kernel.value(r, cc - p.tau))
-
-        out[early] = head + p.b * panel_gauss(integrand, edges, order=24)
-    late = ~early
-    if late.any():
-        sl = s[late]
-        A = sl - p.tau
-        B = sl
-        xa = fundamental_solution(p, A)
-        xb = fundamental_solution(p, B)
-        k00 = float(kernel.value(0.0, 0.0))
-        sep = kernel.separable_terms()
-        if sep is not None:
-            ja = [_batched_weighted_single(f, p, A) for f in sep]
-            jb = [_batched_weighted_single(f, p, B) for f in sep]
-            f0 = [float(f(0.0)) for f in sep]
-            i_a = sum(w * j for w, j in zip(f0, ja))
-            i_b = sum(w * j for w, j in zip(f0, jb))
-            dbl = sum(a_ * b_ for a_, b_ in zip(ja, jb))
-            out[late] = (xa * xb * k00 + p.b * xa * i_b + p.b * xb * i_a
-                         + p.b ** 2 * dbl)
-        elif isinstance(kernel, ShiftedWienerKernel):
-            def ramp(r):
-                return r + p.tau
-
-            i_a = _batched_weighted_single(ramp, p, A)
-            i_b = _batched_weighted_single(ramp, p, B)
-            iA = fundamental_prefix(p, A - p.tau)
-            iB = fundamental_prefix(p, B - p.tau)
-            kmax = max(0, int(np.ceil(float(B.max()) / p.tau)))
-            cands = [A - (k + 1) * p.tau for k in range(kmax + 1)]
-            cands += [B - (k + 1) * p.tau for k in range(kmax + 1)]
-            lo = np.full_like(sl, -p.tau)
-            hi = np.zeros_like(sl)
-            edges = _ragged_edges(lo, hi, cands)
-
-            def gg(q):
-                a3 = A.reshape(A.shape + (1, 1))
-                b3 = B.reshape(B.shape + (1, 1))
-                ga = (fundamental_prefix(p, a3 - p.tau - q)
-                      - iA.reshape(iA.shape + (1, 1)))
-                gb = (fundamental_prefix(p, b3 - p.tau - q)
-                      - iB.reshape(iB.shape + (1, 1)))
-                return ga * gb
-
-            dbl = panel_gauss(gg, edges, order=24)
-            out[late] = (xa * xb * k00 + p.b * xa * i_b + p.b * xb * i_a
-                         + p.b ** 2 * dbl)
-        else:
-            out[late] = [r_t(kernel, p, float(si), -p.tau, 0.0, tol=tol)
-                         for si in sl]
+    for i in range(0, len(s), _CHUNK):
+        out[i:i + _CHUNK] = _lag_cov_block(kernel, p, s[i:i + _CHUNK], tol)
     return out
 
 
@@ -495,7 +469,7 @@ def factorized_sigma2(kernel: CovKernel, p: LinearDdeParams, t: float,
                     lambda q, r=r: (fundamental_solution(p, t - q - p.tau)
                                     * eta_r(r, q)),
                     -p.tau, hi_q, tol=tol,
-                    breakpoints=[x for x in (r,) if -p.tau < x < hi_q])
+                    breakpoints=(r,))
             else:
                 inner = 0.0
             out[i] = head + p.b * inner

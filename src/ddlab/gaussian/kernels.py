@@ -6,8 +6,10 @@ kernel may advertise structure the covariance propagator can exploit:
 
 * ``separable_terms`` — functions ``f_m`` with ``R = sum_m f_m(s1) f_m(s2)``
   (finite rank), turning double integrals into products of singles;
-* ``kink_positions`` — the ``r`` locations where ``r -> R(r, c)`` is not
-  smooth, used to split quadrature panels;
+* ``kinks`` — candidate ``r`` locations where ``r -> R(r, c)`` may not be
+  smooth, as an array broadcasting against ``np.shape(c) + (k,)``.  They
+  are not filtered to any interval: each quadrature keeps the ones strictly
+  inside its own limits and splits its panels there;
 * ``eta`` — a factorization ``R(s1, s2) = integral eta_r(s1) eta_r(s2) dr``
   for the variance identity tested against the generic pipeline.
 """
@@ -37,9 +39,9 @@ class CovKernel:
         """Finite-rank factorization, or None."""
         return None
 
-    def kink_positions(self, c, lo, hi):
-        """Kinks of ``r -> value(r, c)`` inside ``(lo, hi)``."""
-        return ()
+    def kinks(self, c):
+        """Kink candidates of ``r -> value(r, c)``, shape ``(..., k)``."""
+        return np.empty(0)
 
     def eta(self):
         """``(eta(r, s), r_support)`` factorization per unit rank, or None."""
@@ -77,9 +79,8 @@ class ShiftedWienerKernel(CovKernel):
     def _value(self, lo, hi):
         return lo + self.tau
 
-    def kink_positions(self, c, lo, hi):
-        c = float(c)
-        return (c,) if lo < c < hi else ()
+    def kinks(self, c):
+        return np.asarray(c, dtype=float)[..., None]
 
     def eta(self):
         def eta_r(r, s):
@@ -108,9 +109,8 @@ class ProductSeparableKernel(CovKernel):
     def _value(self, lo, hi):
         return np.asarray(self.u(lo)) * np.asarray(self.v(hi))
 
-    def kink_positions(self, c, lo, hi):
-        c = float(c)
-        return (c,) if lo < c < hi else ()
+    def kinks(self, c):
+        return np.asarray(c, dtype=float)[..., None]
 
     def eta(self):
         if self.ratio_derivative is None:
@@ -155,9 +155,8 @@ class TabulatedKernel(CovKernel):
         return ((1 - f1) * (1 - f2) * v[i1, i2] + f1 * (1 - f2) * v[i1 + 1, i2]
                 + (1 - f1) * f2 * v[i1, i2 + 1] + f1 * f2 * v[i1 + 1, i2 + 1])
 
-    def kink_positions(self, c, lo, hi):
-        inside = (self.grid > lo) & (self.grid < hi)
-        return tuple(self.grid[inside])
+    def kinks(self, c):
+        return self.grid
 
     @classmethod
     def from_csv(cls, path):

@@ -25,7 +25,10 @@ import math
 
 import numpy as np
 
+from ..quadrature import _leggauss
+
 MAX_HORIZON_DELAYS = 50.0  # evaluation cap for t, in units of tau
+PREFIX_RESOLUTION = 256  # `fundamental_prefix` table nodes per delay
 
 _LOG_FACTORIAL = tuple(map(float.fromhex, (
     "0x0.0p+0", "0x0.0p+0", "0x1.62e42fefa39efp-1",
@@ -66,10 +69,11 @@ class LinearDdeParams:
 
 
 def check_horizon(p: LinearDdeParams, t) -> None:
-    """Reject any ``t`` past the evaluation cap `MAX_HORIZON_DELAYS` tau."""
-    if np.any(np.asarray(t) > MAX_HORIZON_DELAYS * p.tau + 1e-9 * p.tau):
-        raise ValueError(
-            f"fundamental solution capped at t <= {MAX_HORIZON_DELAYS} tau")
+    """Reject any ``t`` that is NaN or past `MAX_HORIZON_DELAYS` tau."""
+    cap = MAX_HORIZON_DELAYS * p.tau + 1e-9 * p.tau
+    if not np.all(np.asarray(t) <= cap):
+        raise ValueError(f"fundamental solution capped at t <= "
+                         f"{MAX_HORIZON_DELAYS} tau; got a later or NaN time")
 
 
 def fundamental_solution(p: LinearDdeParams, t):
@@ -105,16 +109,16 @@ def fundamental_solution(p: LinearDdeParams, t):
 
 
 class _PrefixTable:
-    """Cumulative integral of X at nodes ``j * tau / resolution``."""
+    """Cumulative integral of X at nodes ``j * tau / PREFIX_RESOLUTION``."""
 
     __slots__ = ("params", "h", "nodes", "cumulative")
 
-    def __init__(self, p: LinearDdeParams, n_delays: int, resolution: int):
+    def __init__(self, p: LinearDdeParams, n_delays: int):
         self.params = p
-        self.h = p.tau / resolution
-        n = n_delays * resolution
+        self.h = p.tau / PREFIX_RESOLUTION
+        n = n_delays * PREFIX_RESOLUTION
         self.nodes = self.h * np.arange(n + 1)
-        x, w = np.polynomial.legendre.leggauss(8)
+        x, w = _leggauss(8)
         mid = self.nodes[:-1, None] + 0.5 * self.h * (x + 1.0)
         vals = fundamental_solution(p, mid)
         panel = 0.5 * self.h * (vals * w).sum(axis=1)
@@ -124,7 +128,7 @@ class _PrefixTable:
 _PREFIX_CACHE: dict[tuple, _PrefixTable] = {}
 
 
-def fundamental_prefix(p: LinearDdeParams, z, *, resolution: int = 256):
+def fundamental_prefix(p: LinearDdeParams, z):
     """Integral of the fundamental solution over ``[0, z]``, vectorized.
 
     Negative ``z`` clips to zero (X vanishes there).  Values at cached
@@ -132,19 +136,20 @@ def fundamental_prefix(p: LinearDdeParams, z, *, resolution: int = 256):
     Gauss-Legendre tail, exact to rounding for these analytic pieces.
     """
     z_arr = np.maximum(np.asarray(z, dtype=float), 0.0)
+    check_horizon(p, z_arr)
     scalar = z_arr.ndim == 0
     z_arr = np.atleast_1d(z_arr)
     zmax = float(z_arr.max()) if z_arr.size else 0.0
     n_delays = max(1, int(np.ceil(zmax / p.tau - 1e-12)))
-    key = (p.a, p.b, p.tau, resolution)
+    key = (p.a, p.b, p.tau)
     table = _PREFIX_CACHE.get(key)
     if table is None or table.nodes[-1] < zmax - 1e-12:
-        table = _PrefixTable(p, n_delays, resolution)
+        table = _PrefixTable(p, n_delays)
         _PREFIX_CACHE[key] = table
     idx = np.minimum((z_arr / table.h).astype(int), table.nodes.size - 2)
     base = table.cumulative[idx]
     lo = table.nodes[idx]
-    x, w = np.polynomial.legendre.leggauss(8)
+    x, w = _leggauss(8)
     half = 0.5 * (z_arr - lo)
     pts = lo[..., None] + half[..., None] * (x + 1.0)
     tail = half * (fundamental_solution(p, pts) * w).sum(axis=-1)

@@ -9,8 +9,10 @@ proportional to interval length, so the final absolute error is close to
 
 For dense curve evaluation (thousands of nearby integrals of panel-smooth
 integrands) adaptivity in pure Python is too slow; :func:`panel_gauss` applies
-a fixed-order Gauss-Legendre rule to a batch of panels in one vectorized pass.
-Tests cross-check it against the adaptive engine.
+a fixed 24-point Gauss-Legendre rule to a batch of panels in one vectorized
+pass.  Rows of a batch may hold fewer panels than the widest one: they are
+padded on the right with zero-width panels at their upper limit, which add
+exactly zero.  Tests cross-check it against the adaptive engine.
 """
 from __future__ import annotations
 
@@ -19,6 +21,10 @@ import math
 import numpy as np
 
 from .errors import QuadratureError
+
+MAX_INTERVALS = 200_000  # cap on simultaneously active Simpson subintervals
+MIN_WIDTH_FACTOR = 1e-14  # subintervals narrower than this share are final
+PANEL_ORDER = 24  # Gauss-Legendre nodes per panel in `panel_gauss`
 
 _LEG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -32,8 +38,7 @@ def _leggauss(n: int):
         return xw
 
 
-def adaptive_simpson(f, a, b, *, tol=1e-9, breakpoints=(), max_intervals=200_000,
-                     min_width_factor=1e-14):
+def adaptive_simpson(f, a, b, *, tol=1e-9, breakpoints=()):
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``.
 
     Parameters
@@ -45,15 +50,15 @@ def adaptive_simpson(f, a, b, *, tol=1e-9, breakpoints=(), max_intervals=200_000
     tol : float
         Absolute error target for the whole integral.
     breakpoints : iterable of float
-        Interior points where the integrand (or a derivative) kinks; the
-        initial panels are split there.
-    max_intervals : int
-        Hard cap on simultaneously active subintervals.
+        Points where the integrand (or a derivative) kinks; the initial
+        panels are split at those strictly inside ``(a, b)``, in sorted
+        order, and the rest are ignored.
 
     Raises
     ------
     QuadratureError
-        If the tolerance cannot be met within the subdivision budget.
+        If the tolerance cannot be met within `MAX_INTERVALS` active
+        subintervals.
     """
     a = float(a)
     b = float(b)
@@ -78,12 +83,12 @@ def adaptive_simpson(f, a, b, *, tol=1e-9, breakpoints=(), max_intervals=200_000
     simp = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
 
     accepted = []
-    min_width = min_width_factor * total
+    min_width = MIN_WIDTH_FACTOR * total
     unresolved = 0.0
     while lo.size:
-        if lo.size > max_intervals:
+        if lo.size > MAX_INTERVALS:
             raise QuadratureError(
-                f"interval stack exceeded {max_intervals} subintervals")
+                f"interval stack exceeded {MAX_INTERVALS} subintervals")
         mid = 0.5 * (lo + hi)
         lm = 0.5 * (lo + mid)
         rm = 0.5 * (mid + hi)
@@ -139,26 +144,25 @@ def adaptive_simpson_2d(f, ax, bx, ay, by, *, tol=1e-9, x_breaks=(),
                             breakpoints=x_breaks)
 
 
-def panel_gauss(f, edges, *, order=32):
+def panel_gauss(f, edges):
     """Gauss-Legendre integral of ``f`` over panels with shared batching.
 
     Parameters
     ----------
     f : callable
         Vectorized integrand; receives the node array of shape
-        ``(..., P, order)`` and must broadcast elementwise.
+        ``(..., P, PANEL_ORDER)`` and must broadcast elementwise.
     edges : ndarray, shape (..., P+1)
         Panel edges, nondecreasing along the last axis.  Zero-width panels
-        contribute zero, which lets callers pad ragged panel lists.
-    order : int
-        Nodes per panel.
+        contribute exactly zero, so a row with fewer panels than the widest
+        is padded on the right by repeating its upper limit.
 
     Returns
     -------
     ndarray of shape ``edges.shape[:-1]``: the sum of the panel integrals.
     """
     edges = np.asarray(edges, dtype=float)
-    x, w = _leggauss(order)
+    x, w = _leggauss(PANEL_ORDER)
     lo = edges[..., :-1]
     hi = edges[..., 1:]
     half = 0.5 * (hi - lo)

@@ -1,4 +1,5 @@
 """Tests for the linear-delay Gaussian propagation machinery."""
+import hashlib
 import math
 
 import numpy as np
@@ -18,8 +19,9 @@ from ddlab.gaussian import (CosineKernel, DegenerateCosineKernel,
                             lag_cov_curve, marginal_density, propagate_state,
                             r_t, rightmost_root, sample_gaussian_paths,
                             sigma2_curve, wiener_closed_form, write_r_slice)
+from ddlab.gaussian import covariance
 from ddlab.gaussian.covariance import sigma2_grid
-from ddlab.quadrature import adaptive_simpson
+from ddlab.quadrature import adaptive_simpson, panel_gauss
 from ddlab.tabular import read_csv
 
 P01 = LinearDdeParams(a=0.0, b=-1.0, tau=1.0)
@@ -82,6 +84,12 @@ def test_fundamental_prefix_is_running_integral():
 def test_fundamental_solution_horizon_cap():
     with pytest.raises(ValueError):
         fundamental_solution(P01, 51.0)
+    # NaN fails the same named check, not a float-to-int cast further in
+    for call in (lambda: fundamental_solution(P01, math.nan),
+                 lambda: fundamental_prefix(P01, math.nan),
+                 lambda: lag_cov_curve(WIENER, P01, [0.5, math.nan])):
+        with pytest.raises(ValueError, match="capped at t <= 50.0 tau"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +174,19 @@ def test_cosine_kernel_is_invariant_at_quarter_period_delay():
 
 
 def test_lag_cov_curve_matches_pointwise_evaluation():
-    ts = np.linspace(0.0, 3.0, 11)
-    for kernel in (WIENER, COSINE):
+    # tau and 2 tau put delay knots on the ends of the windows; the product
+    # and tabulated kernels run batched only up to tau (r_t itself after)
+    ts = np.sort(np.append(np.linspace(0.0, 3.0, 11), [1.0, 2.0]))
+    g9 = np.linspace(-1.0, 0.0, 9)
+    batched = (WIENER, COSINE, DegenerateCosineKernel())
+    early_only = (ProductSeparableKernel(lambda s: s + 1.0,
+                                         lambda s: np.exp(0.3 * s), 1.0),
+                  TabulatedKernel(np.cos(g9[:, None] - g9[None, :]), 1.0))
+    for kernel in batched + early_only:
+        times = ts if kernel in batched else ts[ts <= 1.0]
         for p in (P01, LinearDdeParams(0.4, -0.8, 1.0)):
-            curve = lag_cov_curve(kernel, p, ts)
-            pointwise = [r_t(kernel, p, float(t), -1.0, 0.0) for t in ts]
+            curve = lag_cov_curve(kernel, p, times)
+            pointwise = [r_t(kernel, p, float(t), -1.0, 0.0) for t in times]
             np.testing.assert_allclose(curve, pointwise, atol=1e-10)
 
 
@@ -198,6 +214,36 @@ def test_sigma2_curve_wiener_known_value_and_residual():
     assert curve.at(0.0) == pytest.approx(1.0, abs=1e-12)
     assert curve.at(1.0) == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert curve.residual.max() < 1e-5
+
+
+def _sha(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+def test_sigma2_curve_bytes_at_the_full_horizon(monkeypatch):
+    # how the panels are laid out must never move a byte of the curves; a
+    # row keeps only the knots inside its window, so it needs at most three
+    widths = []
+
+    def counted(f, edges):
+        widths.append(edges.shape[-1] - 1)
+        return panel_gauss(f, edges)
+
+    monkeypatch.setattr(covariance, "panel_gauss", counted)
+    want = {
+        "wiener": ("15b88d47693c436ba9c3f9a2b4a14e14"
+                   "b241dc014bbbe29f42af53d6d9c50413",
+                   "24313b92a8b67aae641cbbb4e3fe8904"
+                   "8db37236f02152b2f0e43c4567852839"),
+        "cosine": ("c58e4ea5559b54e646a451803ce81253"
+                   "6b0609e504b9d52713e1c4ab7f1c7f81",
+                   "eb5802aeef274b4d3b55e54142ae1488"
+                   "dda7ff4326e85f0dee5d483bc3651f49"),
+    }
+    for name, kernel in (("wiener", WIENER), ("cosine", COSINE)):
+        curve = sigma2_curve(kernel, P01, 50.0, 0.5)
+        assert (_sha(curve.sigma2), _sha(curve.residual)) == want[name]
+    assert max(widths) <= 3
 
 
 def test_sigma2_curve_cosine_is_constant_one():

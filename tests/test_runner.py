@@ -265,6 +265,17 @@ def test_gaussian_kind_flat_variance(tmp_path):
     assert np.max(np.abs(cols[1] - 1.0)) < 1e-6
 
 
+def test_gaussian_sigma2_bytes_are_pinned(tmp_path):
+    # the benchmark's gaussian config; how the quadrature panels are laid
+    # out must never move a byte of the curve
+    text = ("kind = gaussian\n[params]\nkernel = brownian\na = 0.0\n"
+            "b = -1.0\ntau = 1.0\nT = 2.0\ndt = 0.001\n")
+    run(parse_config(text), outdir=tmp_path)
+    digest = hashlib.sha256((tmp_path / "sigma2.csv").read_bytes()).hexdigest()
+    assert digest == ("8087c0fc0e21810f051a49c420f72661"
+                      "ab85ab21a960ea40a48f29deeae9d34e")
+
+
 def test_kicked_kind_report_rows(tmp_path):
     text = ("kind = kicked\n[params]\ngamma = 1.0\n"
             "taus = 0.4, 0.2\nn_kicks = 300\nstreams = 16\n")
@@ -750,6 +761,16 @@ def test_cli_numerical_failure_exits_4(tmp_path, monkeypatch):
     monkeypatch.setitem(execute._ENGINES, "map-iterate", lambda cfg: explode)
     cfg = _write(tmp_path, "run.cfg", MINIMAL)
     assert main(["map-iterate", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+
+
+def test_cli_quadrature_failure_names_the_time(tmp_path, capsys):
+    # adaptive Simpson gives up on R_t at 35 tau with these parameters (the
+    # alternating sum for X rounds badly there); the message says where
+    text = ("kind = compare\n[params]\nkernel = brownian\na = 0.0\n"
+            "b = -1.0\nm = 8\ntimes = 35.0\n[ensemble]\nn = 100\nseed = 1\n")
+    cfg = _write(tmp_path, "cmp.cfg", text)
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    assert "R_t at t = 35, s1 = 0, s2 = 0: " in capsys.readouterr().err
 
 
 def test_cli_dry_run_flag(tmp_path):
