@@ -164,12 +164,18 @@ def ensemble_values(samples, tau, field, times, *, seed=None) -> np.ndarray:
     rows of the full block's values.
     """
     block = _block_array(samples, tau)
+    h = tau / (block.shape[1] - 1)
+    return _node_values(block, tau, field, [_grid_index(t, h) for t in times],
+                        seed)
+
+
+def _node_values(block, tau, field, ks, seed):
+    """`ensemble_values` at the step-grid nodes ``ks`` (``t = k h``)."""
     B, m = block.shape[0], block.shape[1] - 1
     h = tau / m
-    ks = [_grid_index(t, h) for t in times]
     if min(ks) < -m:
         raise ValueError("requested time precedes the stored history")
-    out = np.empty((B, len(times)))
+    out = np.empty((B, len(ks)))
 
     wanted = {}
     for col, k in enumerate(ks):
@@ -298,10 +304,13 @@ def evolve_ensemble(samples, tau, field, T, snapshot_times, *, bins=100,
     snapshot_times = [float(t) for t in snapshot_times]
     check_snapshot_times(snapshot_times, T)
 
-    query = list(snapshot_times)
+    block = _block_array(samples, tau)
+    m = block.shape[1] - 1
+    ks = [_grid_index(t, tau / m) for t in snapshot_times]
     if joint:
-        query += [t - tau for t in snapshot_times]
-    vals = ensemble_values(samples, tau, field, query, seed=seed)
+        # one delay back is m nodes back: no second rounding of t - tau
+        ks += [k - m for k in ks]
+    vals = _node_values(block, tau, field, ks, seed)
     B = vals.shape[0]
 
     first = Histogram.from_samples(vals[:, 0], bins)

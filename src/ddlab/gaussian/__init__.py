@@ -8,7 +8,7 @@ from .kernels import (CosineKernel, CovKernel, DegenerateCosineKernel,
                       ProductSeparableKernel, ShiftedWienerKernel,
                       TabulatedKernel)
 from .linear import LinearDdeParams, fundamental_prefix, fundamental_solution
-from .sampling import sample_gaussian_paths
+from .sampling import gaussian_path_slabs, sample_gaussian_paths
 from .stability import StabilityClass, hayes_stable, rightmost_root
 
 __all__ = [
@@ -16,8 +16,9 @@ __all__ = [
     "LinearDdeParams", "ProductSeparableKernel", "ShiftedWienerKernel",
     "SigmaCurve", "StabilityClass", "TabulatedKernel",
     "conditional_mean_check", "factorized_sigma2", "fundamental_prefix",
-    "fundamental_solution", "hayes_stable", "joint_density", "lag_cov_curve",
-    "marginal_density", "propagate_state", "r_t", "rightmost_root",
+    "fundamental_solution", "gaussian_path_slabs", "hayes_stable",
+    "joint_density", "lag_cov_curve", "marginal_density", "propagate_state",
+    "r_t", "rightmost_root",
     "sample_gaussian_paths", "sigma2_curve", "wiener_closed_form",
     "write_r_slice",
 ]

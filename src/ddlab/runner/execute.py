@@ -29,16 +29,17 @@ from ..dde import (AffineCircleDelayField, LinearDelayField,
                    PiecewiseConstantUniform, SineFeedbackField,
                    TentDelayField, _grid_index, check_block)
 from ..ensemble import (ROW_FRACTIONS, TAIL_QUANTILES, ConstantPath,
-                        GaussianHistory, IidUniformPath, Mixture,
-                        as_velocity_histories, check_msd_window,
-                        check_period_schedule, check_pool_size,
-                        check_snapshot_times, detect_density_period,
-                        ensemble_values, evolve_ensemble, evolve_trajectories,
-                        msd_curve, sample_initial, trajectory_grid,
-                        velocity_stats, write_joint_csv, write_snapshot_csv)
+                        IidUniformPath, Mixture, as_velocity_histories,
+                        check_msd_window, check_period_schedule,
+                        check_pool_size, check_snapshot_times,
+                        detect_density_period, ensemble_values,
+                        evolve_ensemble, evolve_trajectories, msd_curve,
+                        sample_initial, trajectory_grid, velocity_stats,
+                        write_joint_csv, write_snapshot_csv)
 from ..errors import DivergenceError
 from ..gaussian import (CosineKernel, DegenerateCosineKernel, LinearDdeParams,
-                        ShiftedWienerKernel, r_t, sigma2_curve)
+                        ShiftedWienerKernel, gaussian_path_slabs, r_t,
+                        sigma2_curve)
 from ..gaussian.covariance import _canonical_window_args, sigma2_grid
 from ..gaussian.linear import check_horizon
 from ..kicked import ou_limit_suite, suite_plan, write_kick_report
@@ -259,12 +260,21 @@ def _project(samples, tau, wt):
 
     einsum (with its default ``optimize=False``), unlike a BLAS product,
     gives the same bytes for any BLAS thread count, row split or operand
-    alignment.
+    alignment, so projecting a chunk slab by slab gives the bytes of
+    projecting it whole.
     """
     return np.einsum("ij,tj->it", check_block(samples, tau)[:, :, 0], wt)
 
 
 def _compare(cfg):
+    """The compare engine: analytic, discrete and Monte Carlo variance.
+
+    The Monte Carlo ensemble streams in fixed-size chunks, which fix the
+    substream seeds.  Each chunk's histories arrive as slabs of the
+    sampler, each projected through the response weights as it comes and
+    then dropped, so no chunk-sized block of paths is ever held: only the
+    chunk's ``(rows, len(times))`` values, which are summed whole.
+    """
     p, e = cfg.params, cfg.ensemble
     tau, m = p["tau"], p["m"]
     lp = LinearDdeParams(p["a"], p["b"], tau)
@@ -284,9 +294,6 @@ def _compare(cfg):
                                times)
         discrete = _sigma2_discrete(kernel, wt, tau)
 
-        # Stream the ensemble in fixed-size chunks, which fix the substream
-        # seeds, so a large run never holds every history at once.  Each
-        # chunk is projected through the weights, not integrated.
         n, chunk = e["n"], p["chunk"]
         n_chunks = -(-n // chunk)
         seeds = np.random.SeedSequence(e["seed"]).generate_state(
@@ -294,10 +301,10 @@ def _compare(cfg):
         total = np.zeros(times.size)
         total_sq = np.zeros(times.size)
         for c in range(n_chunks):
-            block = min(chunk, n - c * chunk)
-            samples = sample_initial(GaussianHistory(kernel), block, m, tau,
-                                     seed=int(seeds[c]))
-            vals = _project(samples, tau, wt)
+            seed = np.random.SeedSequence(int(seeds[c]))
+            slabs = gaussian_path_slabs(kernel, min(chunk, n - c * chunk), m,
+                                        tau, seed)
+            vals = np.concatenate([_project(slab, tau, wt) for slab in slabs])
             if not np.all(np.isfinite(vals)):
                 row, col = np.argwhere(~np.isfinite(vals))[0]
                 raise DivergenceError(times[col], index=c * chunk + int(row))

@@ -144,6 +144,17 @@ def test_snapshot_mass_and_joint_marginal_are_exact():
         assert snap.joint.total == snap.n
 
 
+def test_joint_lag_is_m_nodes_back():
+    # a snapshot time within the step-grid tolerance of a node reads its
+    # lag at that node minus m, the same pairs as the exact node time
+    hs = sample_initial(IidUniformPath(-1.0, 1.0), 300, 8, 1.0, seed=5)
+    field = LinearDelayField(-0.5, 0.3)
+    off = evolve_ensemble(hs, 1.0, field, 2.0, [1.5000000012], bins=9)
+    exact = evolve_ensemble(hs, 1.0, field, 2.0, [1.5], bins=9)
+    assert np.array_equal(off[0].joint.counts, exact[0].joint.counts)
+    assert off[0].joint.total == 300
+
+
 def test_bins_frozen_from_first_snapshot():
     hs = sample_initial(IidUniformPath(0.9, 1.1), 500, 8, 1.0, seed=4)
     # growing solutions drift out of the initial range and get clipped

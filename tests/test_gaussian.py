@@ -15,7 +15,8 @@ from ddlab.gaussian import (CosineKernel, DegenerateCosineKernel,
                             ProductSeparableKernel, ShiftedWienerKernel,
                             TabulatedKernel, conditional_mean_check,
                             factorized_sigma2, fundamental_prefix,
-                            fundamental_solution, hayes_stable, joint_density,
+                            fundamental_solution, gaussian_path_slabs,
+                            hayes_stable, joint_density,
                             lag_cov_curve, marginal_density, propagate_state,
                             r_t, rightmost_root, sample_gaussian_paths,
                             sigma2_curve, wiener_closed_form, write_r_slice)
@@ -658,25 +659,73 @@ def test_wiener_sampler_statistics():
     assert vals[:, -1].var() == pytest.approx(1.0, abs=3 * math.sqrt(2.0 / n))
 
 
+_NODES = np.linspace(-1.0, 0.0, 17)
+
+
 @pytest.mark.parametrize("kernel", [
-    WIENER, ProductSeparableKernel(lambda s: s + 1.0, np.ones_like, 1.0),
-], ids=["wiener", "product-separable"])
+    WIENER,
+    ProductSeparableKernel(lambda s: s + 1.0, np.ones_like, 1.0),
+    COSINE,
+    DegenerateCosineKernel(),
+    TabulatedKernel(np.cos(_NODES[:, None] - _NODES[None, :]), 1.0),
+], ids=["wiener", "product-separable", "cosine", "degenerate-cosine",
+        "cholesky"])
 def test_slab_draws_equal_one_shot_draw(kernel):
-    # the sampler draws its normals in slabs of rows; a one-shot (n, m)
-    # draw from the same generator must give the same bits, also when n is
-    # not a multiple of the slab
+    # the sampler yields its paths in slabs of rows; the slabs in order are
+    # the block, and the block is a one-shot draw from the same generator
+    # bit for bit, also when n is not a multiple of the slab
     from ddlab.gaussian.sampling import _SLAB
     n, m, tau, seed = 2 * _SLAB + 37, 16, 1.0, 2024
+    slabs = [slab.copy()
+             for slab in gaussian_path_slabs(kernel, n, m, tau, seed)]
+    # the Cholesky fallback is one BLAS product, whose bytes depend on
+    # how its rows are split, so it comes as one slab
+    one = isinstance(kernel, TabulatedKernel)
+    assert [len(slab) for slab in slabs] == (
+        [n] if one else [_SLAB, _SLAB, 37])
+    block = sample_gaussian_paths(kernel, n, m, tau, seed)
+    assert np.array_equal(np.concatenate(slabs), block)
+
+    rng = np.random.default_rng(seed)
     s = -tau + np.arange(m + 1) * (tau / m)
-    if kernel is WIENER:
-        scale, v = np.full(m, math.sqrt(tau / m)), 1.0
+    if kernel is COSINE:
+        u = rng.random(n)
+        theta = rng.uniform(0.0, 2.0 * math.pi, n)
+        want = (np.sqrt(-2.0 * np.log(1.0 - u))[:, None]
+                * np.cos(s[None, :] - theta[:, None]))
+    elif isinstance(kernel, DegenerateCosineKernel):
+        want = rng.standard_normal(n)[:, None] * np.cos(s)
+    elif one:
+        gram = kernel.value(s[:, None], s[None, :])
+        chol = np.linalg.cholesky(0.5 * (gram + gram.T)
+                                  + 1e-12 * np.eye(m + 1))
+        want = rng.standard_normal((n, m + 1)) @ chol.T
     else:
-        v = kernel.v(s)
-        scale = np.sqrt(np.maximum(np.diff(kernel.u(s) / v), 0.0))
-    want = np.zeros((n, m + 1))
-    want[:, 1:] = np.random.default_rng(seed).standard_normal((n, m)) * scale
-    want = np.cumsum(want, axis=1) * v
-    assert np.array_equal(sample_gaussian_paths(kernel, n, m, tau, seed), want)
+        if kernel is WIENER:
+            scale, v = np.full(m, math.sqrt(tau / m)), 1.0
+        else:
+            v = kernel.v(s)
+            scale = np.sqrt(np.maximum(np.diff(kernel.u(s) / v), 0.0))
+        want = np.zeros((n, m + 1))
+        want[:, 1:] = rng.standard_normal((n, m)) * scale
+        want = np.cumsum(want, axis=1) * v
+    assert np.array_equal(block, want)
+
+
+@pytest.mark.parametrize("kernel, n, m, tau", [
+    (WIENER, 0, 8, 1.0),
+    (WIENER, 5, 1, 1.0),
+    (WIENER, 5, 8, 0.0),
+    (WIENER, 5, 8, math.nan),
+    (WIENER, 5, 8, 2.0),
+    (ProductSeparableKernel(lambda s: s + 1.0,
+                            lambda s: np.exp(4.0 * (s + 1.0)), 1.0), 5, 8, 1.0),
+], ids=["no-paths", "one-interval", "tau-zero", "tau-nan", "window",
+        "u-over-v-falls"])
+def test_slab_producer_checks_its_arguments_when_called(kernel, n, m, tau):
+    # the checks run at the call, before any slab is asked for
+    with pytest.raises(ValueError):
+        gaussian_path_slabs(kernel, n, m, tau, 0)
 
 
 _GRID = np.linspace(-1.0, 0.0, 5)

@@ -382,6 +382,45 @@ def test_projection_bytes_are_stable():
     assert printed == {whole}
 
 
+def _compare_text(kernel, m, times, chunk, n, seed):
+    return (f"kind = compare\n[params]\nkernel = {kernel}\na = 0.0\n"
+            f"b = -1.0\nm = {m}\ntimes = {times}\nchunk = {chunk}\n"
+            f"[ensemble]\nn = {n}\nseed = {seed}\n")
+
+
+@pytest.mark.parametrize("text, sha", [
+    (_compare_text("brownian", 32, "0.5, 1.0", 500, 1200, 5),
+     "401bbc5c064f19c3fe90a464424771fad667c655765ffc8342c68e67d17213a2"),
+    # chunks cross slab boundaries and the last chunk is short
+    (_compare_text("cosine", 64, "0.25, 0.5, 1.0", 3000, 7001, 9),
+     "9312564604d3bd1c607d085bc8f8e48bf2329ead012928e6009729e98d7a4dca"),
+], ids=["wiener", "cosine"])
+def test_compare_bytes_are_pinned(tmp_path, text, sha):
+    # the chunks' substream seeds and the projection's row-split invariance
+    # fix these bytes, however the sampler hands out a chunk's paths
+    run(parse_config(text), outdir=tmp_path)
+    assert hashlib.sha256(
+        (tmp_path / "compare.csv").read_bytes()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("kernel", ["brownian", "cosine"])
+def test_compare_chunk_never_holds_its_paths(tmp_path, kernel):
+    # one 20 000-path chunk at m = 512: its paths as one block would be
+    # 78 MiB; streamed in slabs the writer's traced peak stays a few MiB
+    import tracemalloc
+
+    cfg = parse_config(_compare_text(kernel, 512, "0.25, 0.5, 1.0", 20000,
+                                     20000, 3))
+    write = execute._ENGINES["compare"](cfg)
+    tracemalloc.start()
+    try:
+        write(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+
+
 def test_brownian_kind_outputs(tmp_path):
     text = ("kind = brownian\n[params]\ngamma = 1.0\nbeta = 10.0\n"
             "T = 250.0\nburn_in = 50.0\nm = 8\nmin_samples = 5000\n"
@@ -623,6 +662,19 @@ def test_cli_dry_run_rejects_what_the_run_rejects(tmp_path, capsys, kind,
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_joint_snapshot_off_by_rounding_runs(tmp_path):
+    # 1.5000000012 passes the step-grid tolerance; the joint read one delay
+    # back is m nodes before the snapshot's own node, not t - tau rounded
+    # again under the tighter tolerance of the smaller time
+    cfg = _write(tmp_path, "hat.cfg",
+                 HAT.replace("m = 8", "m = 8\njoint = true").replace(
+                     "1:2:0.5", "1.5000000012:1.6250000012:0.125"))
+    for flags, out in ((["--dry-run"], "dry"), ([], "run")):
+        assert main(["dde-ensemble", "--config", cfg,
+                     "--out", str(tmp_path / out)] + flags) == 0
+    assert (tmp_path / "run" / "joint.csv").exists()
+
+
 # Per config family: the CLI kind, a runnable base config, and edge values
 # per key; the property test moves up to two keys of a base to an edge.
 _FAMILIES = {
@@ -641,7 +693,8 @@ _FAMILIES = {
              "bins": [0, 1],
              "snapshots": ["-0.5:1:0.5", "5:5:1", "1:2:0.3", "0:0.5:0.5",
                            "0:1:0.25", "2.3:3.3:0.5", "0.3:1.3:0.5",
-                           "1:nan:0.5", "0:inf:1", "1:3:1"]}),
+                           "1:nan:0.5", "0:inf:1", "1:3:1",
+                           "1.5000000012:1.6250000012:0.125"]}),
     "circle": ("dde-ensemble",
                {"params": {"field": "circle", "alpha": 10.0, "a": 0.5,
                            "b": 0.567, "m": 16, "noise_lo": 0.0,
