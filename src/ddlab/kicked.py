@@ -21,14 +21,19 @@ transfer operators the density side uses, for testing how fast the
 observable's correlations die; `ou_limit_suite` measures the velocity
 statistics as tau shrinks with kappa = sqrt(tau).
 
-The suite works in time blocks of `_KICK_BLOCK` kicks.  Three things
-are serial, one numpy call per kick over all streams, because each is a
-true recurrence: the doubling of the angles (once per suite, since every
-tau restarts from the same seeds), the affine velocity update
-v_j = v_{j-1} e^{-gamma tau} + kappa c_j, and the running position sum
-x_j = x_{j-1} + v_{j-1} drift.  Everything else (the readout of the kick
-offsets c_j, the kick and drift products, the squared displacements and
-their means) runs over a whole block of kicks at once.
+The suite works in time blocks of `_KICK_BLOCK` kicks, with every tau
+advanced together.  Three things are serial, one numpy call per kick
+over whole rows, because each is a true recurrence: the doubling of the
+angles (shared by all tau, since every tau restarts from the same
+seeds), the affine velocity update v_j = v_{j-1} e^{-gamma tau} +
+kappa c_j, and the running position sum x_j = x_{j-1} + v_{j-1} drift.
+Everything else (the readout of the kick offsets c_j, the kick and
+drift products, the squared displacements and their means) runs over a
+whole block of kicks at once.  The pooled velocity moments are central,
+so the suite makes two passes and recomputes the velocity blocks in the
+second rather than keep ``(n_kicks, streams)`` of them; `_ExactSum`
+replays numpy's pairwise summation tree over the streamed blocks, so
+each moment has the bits of one ``mean()`` over the whole pool.
 """
 from __future__ import annotations
 
@@ -48,7 +53,7 @@ from .tabular import write_csv
 # effectively aperiodic for any run we can afford.  _SEED_DEN < 2**63, so
 # a numerator p < _SEED_DEN doubles to 2p < 2**64 without uint64 overflow.
 _SEED_DEN = 5 ** 27
-_DEN_U64 = np.uint64(_SEED_DEN)
+_DEN_U64 = np.array(_SEED_DEN, dtype=np.uint64)  # 0-d: cheaper per call
 
 
 def centered_identity(x):
@@ -265,9 +270,14 @@ class OuReport:
     n_samples: int
 
 
-# rows of kicks handled as one block wherever no recurrence runs; the
-# reports do not depend on it
+# kicks per block of `_velocity_blocks`: the suite's buffers scale with
+# it, the reports do not depend on it
 _KICK_BLOCK = 128
+
+# nodes of numpy's pairwise sum that `_ExactSum` reduces in one call; at
+# least numpy's own unrolled block of 128, and the reports do not depend
+# on it
+_SUM_LEAF = 1 << 14
 
 
 def burn_in_kicks(gamma, tau) -> int:
@@ -283,42 +293,131 @@ def burn_in_kicks(gamma, tau) -> int:
                          "a finite transient") from None
 
 
-def _double_mod(p: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+def _double_mod(p: np.ndarray, out: np.ndarray = None,
+                wrap: np.ndarray = None) -> np.ndarray:
     """Exact angle doubling of uint64 numerators over `_SEED_DEN`.
 
-    Writes ``2 p mod _SEED_DEN`` into ``out``, which defaults to ``p``.
+    Writes ``2 p mod _SEED_DEN`` into ``out``, which defaults to ``p``;
+    ``wrap`` is optional scratch of the same shape.  When 2p < D the
+    difference 2p - D wraps past 2**64 and loses the minimum.  (p + p is
+    the left shift by one, and the faster call.)
     """
     if out is None:
         out = p
-    np.left_shift(p, 1, out=out)
-    np.subtract(out, _DEN_U64, out=out, where=out >= _DEN_U64)
-    return out
+    np.add(p, p, out=out)
+    wrap = np.subtract(out, _DEN_U64, out=wrap)
+    return np.minimum(out, wrap, out=out)
 
 
-def _kick_offsets(nums: np.ndarray, n_kicks: int) -> np.ndarray:
-    """``(n_kicks, streams)`` block of c_j = xi_j - 1/2, j = 1..n_kicks.
+class _ExactSum:
+    """``np.add.reduce`` of ``n`` float64 values that arrive in pieces.
 
-    Row j-1 reads out the j-th doubling of the numerators ``nums``
-    through the triangle wave xi = 1 - 2|p/D - 1/2|.  The doubling is
-    serial; the readout runs over `_KICK_BLOCK` rows at a time.
+    numpy sums a contiguous float64 array as one pairwise tree: a node of
+    more than 128 values splits at n2 = n//2 - (n//2) % 8.  This replays
+    that split down to leaves of at most `_SUM_LEAF` values, reduces each
+    leaf with ``np.add.reduce`` as its values arrive (in place when the
+    leaf lies inside one piece, else through a staging row) and adds the
+    leaf sums back up the same tree, so the total has the bits of one
+    ``np.add.reduce`` over the whole sequence.
     """
-    c = np.empty((n_kicks, nums.size))
-    p = np.empty((_KICK_BLOCK + 1, nums.size), dtype=np.uint64)
+
+    @staticmethod
+    def _split(m: int) -> int:
+        """Size of the left child of a node of ``m`` > 128 values."""
+        return m // 2 - (m // 2) % 8
+
+    def __init__(self, n: int):
+        self.n = int(n)
+        self.leaf = _SUM_LEAF
+        self.sizes = []
+        stack = [self.n]
+        while stack:  # depth first, left child on top
+            m = stack.pop()
+            if m <= self.leaf:
+                self.sizes.append(m)
+            else:
+                h = self._split(m)
+                stack += [m - h, h]
+        self.sums = []
+        self.stage = np.empty(min(self.n, self.leaf))
+        self.fill = 0
+
+    def add(self, piece: np.ndarray) -> None:
+        """Feed the next values, a contiguous 1-D float64 array."""
+        i, m = 0, piece.size
+        while i < m:
+            size = self.sizes[len(self.sums)]
+            if not self.fill and i + size <= m:
+                self.sums.append(np.add.reduce(piece[i:i + size]))
+                i += size
+                continue
+            take = min(size - self.fill, m - i)
+            self.stage[self.fill:self.fill + take] = piece[i:i + take]
+            self.fill += take
+            i += take
+            if self.fill == size:
+                self.sums.append(np.add.reduce(self.stage[:size]))
+                self.fill = 0
+
+    def total(self) -> np.float64:
+        if len(self.sums) != len(self.sizes):
+            raise ValueError(f"fed {len(self.sums)} of {len(self.sizes)} "
+                             "leaves")
+        leaves = iter(self.sums)
+
+        def node(m):
+            if m <= self.leaf:
+                return next(leaves)
+            h = self._split(m)
+            return node(h) + node(m - h)
+
+        return node(self.n)
+
+
+def _velocity_blocks(nums: np.ndarray, kappa: np.ndarray,
+                     decay: np.ndarray, n_kicks: int):
+    """Yield ``(a, k, v)`` for each block of kicks a+1 .. a+k.
+
+    ``v`` is a ``(_KICK_BLOCK + 1, taus, streams)`` buffer: ``v[i, t]``
+    holds v_{a+i} at the kick strength ``kappa[t]`` and decay ``decay[t]``,
+    row 0 the last velocity of the previous block (v_0 = 0).  Each row is
+    contiguous, so a kick's update is two calls over all taus and
+    streams.  Every tau restarts from the same seeds, so one doubling of
+    the numerators ``nums`` and one readout c_j = xi_j - 1/2 through the
+    triangle wave xi = 1 - 2|p/D - 1/2| serve all of them.  The buffer is
+    reused: a block holds only until the next one is asked for.
+    """
+    streams = nums.size
+    p = np.empty((_KICK_BLOCK + 1, streams), dtype=np.uint64)
     p[0] = nums  # row 0 carries the last angle of the previous block
+    wrap = np.empty(streams, dtype=np.uint64)
+    c = np.empty((_KICK_BLOCK, 1, streams))
+    kick = np.empty((_KICK_BLOCK, kappa.size, streams))
+    v = np.zeros((_KICK_BLOCK + 1, kappa.size, streams))
+    v_rows, kick_rows = list(v), list(kick)
+    kappa = kappa[:, None]
+    # whole rows, not a broadcast column: the per-kick multiply is faster
+    decay = np.repeat(decay[:, None], streams, axis=1)
     den = float(_SEED_DEN)
     for a in range(0, n_kicks, _KICK_BLOCK):
-        rows = c[a:a + _KICK_BLOCK]
-        k = len(rows)
+        k = min(_KICK_BLOCK, n_kicks - a)
         for i in range(1, k + 1):
-            _double_mod(p[i - 1], out=p[i])
+            _double_mod(p[i - 1], out=p[i], wrap=wrap)
+        rows = c[:k, 0]
         np.divide(p[1:k + 1], den, out=rows)
         np.subtract(rows, 0.5, out=rows)
         np.abs(rows, out=rows)
         np.multiply(2.0, rows, out=rows)
         np.subtract(1.0, rows, out=rows)
         np.subtract(rows, 0.5, out=rows)
+        np.multiply(kappa, c[:k], out=kick[:k])
+        for i in range(k):
+            row = v_rows[i + 1]
+            np.multiply(v_rows[i], decay, out=row)
+            np.add(row, kick_rows[i], out=row)
+        yield a, k, v
         p[0] = p[k]
-    return c
+        v[0] = v[k]
 
 
 def suite_plan(gamma, tau_list, n_kicks):
@@ -354,17 +453,18 @@ def ou_limit_suite(gamma, tau_list, n_kicks, *, ensemble: int = 256) \
     all taken after the first `burn_in_kicks` kicks.  Fully
     deterministic: no random numbers are involved anywhere.
 
-    Every tau restarts from the same seeds, so the kick offsets
-    xi_j - 1/2 are built once (`_kick_offsets`) and shared.  Per tau only
-    the two recurrences run kick by kick, each over whole rows of
-    streams: v_j = v_{j-1} e^{-gamma tau} + kappa (xi_j - 1/2), written
-    into one ``(n_kicks + 1, streams)`` velocity buffer shared by all
-    tau, and the running sum x_j = x_{j-1} + v_{j-1} (1 - e^{-gamma
-    tau}) / gamma.  The kick and drift products, the squared
-    displacements and their per-kick means are taken over `_KICK_BLOCK`
-    rows at a time, and the pooled moments in place on the buffer's
-    post-transient rows, so the suite holds two ``(n_kicks, streams)``
-    float blocks however many tau it runs.
+    Every tau advances together through blocks of `_KICK_BLOCK` kicks
+    (`_velocity_blocks`), so the suite holds block-sized buffers and the
+    ``msd`` curves, never anything of ``(n_kicks, streams)`` size.  The
+    pooled moments are central, so they take two passes.  The first
+    runs the running position sum x_j = x_{j-1} + v_{j-1} (1 -
+    e^{-gamma tau}) / gamma and the squared displacements, and sums the
+    post-transient velocities for their mean mu.  The second recomputes
+    the same velocity blocks and sums (v - mu)^2 and its square: keeping
+    the blocks would take ``(n_kicks, streams)`` floats, recomputing them
+    costs one more doubling and velocity update per kick.  Each sum is an
+    `_ExactSum`, which replays numpy's pairwise tree, so the moments have
+    the bits of ``mean()`` over the whole pooled array.
     """
     gamma, tau_list, n_kicks, burns = suite_plan(gamma, tau_list, n_kicks)
     if not tau_list:
@@ -372,51 +472,64 @@ def ou_limit_suite(gamma, tau_list, n_kicks, *, ensemble: int = 256) \
     seeds = equidistributed_seeds(ensemble)
     nums = np.array([s.numerator * (_SEED_DEN // s.denominator)
                      for s in seeds], dtype=np.uint64)
-    c = _kick_offsets(nums, n_kicks)
-    v = np.zeros((n_kicks + 1, ensemble))  # row j holds v_j; v_0 = 0
-    x = np.empty((_KICK_BLOCK + 1, ensemble))  # row 0 carries x_a
+    kappa = np.array([math.sqrt(tau) for tau in tau_list])
+    decay = np.array([math.exp(-gamma * tau) for tau in tau_list])
+    drift = ((1.0 - decay) / gamma)[:, None]
+    sizes = [(n_kicks - burn + 1) * ensemble for burn in burns]
 
-    reports = []
-    for tau, burn in zip(tau_list, burns):
-        kappa = math.sqrt(tau)
-        decay = math.exp(-gamma * tau)
-        drift = (1.0 - decay) / gamma
-
-        x[0] = 0.0
-        msd = np.empty(n_kicks - burn + 1)
-        for a in range(0, n_kicks, _KICK_BLOCK):
-            k = min(_KICK_BLOCK, n_kicks - a)  # kicks a+1 .. a+k
-            kick = kappa * c[a:a + k]
-            for i in range(k):
-                row = v[a + i + 1]
-                np.multiply(v[a + i], decay, out=row)
-                np.add(row, kick[i], out=row)
-            step = v[a:a + k] * drift
-            # a loop, not np.cumsum: the same bits, but cumsum is slower
-            for i in range(k):
-                np.add(x[i], step[i], out=x[i + 1])
+    # pass 1: positions, msd and the velocity sums
+    x = np.zeros((_KICK_BLOCK + 1, len(tau_list), ensemble))  # row 0: x_a
+    step = np.empty((_KICK_BLOCK, len(tau_list), ensemble))
+    x_rows, step_rows = list(x), list(step)
+    x_ref = np.empty((len(tau_list), ensemble))
+    d = np.empty((_KICK_BLOCK, ensemble))  # one tau's pooled rows
+    msd = [np.empty(n_kicks - burn + 1) for burn in burns]
+    v_sums = [_ExactSum(n) for n in sizes]
+    for a, k, v in _velocity_blocks(nums, kappa, decay, n_kicks):
+        np.multiply(v[:k], drift, out=step[:k])
+        # a loop, not np.cumsum: the same bits, but cumsum is slower
+        for i in range(k):
+            np.add(x_rows[i], step_rows[i], out=x_rows[i + 1])
+        for t, burn in enumerate(burns):
             if a < burn <= a + k:
-                x_ref = x[burn - a].copy()
+                x_ref[t] = x[burn - a, t]
             lo = max(burn - a, 1)
             if lo <= k:
-                sq = np.subtract(x[lo:k + 1], x_ref)
+                sq = np.subtract(x[lo:k + 1, t], x_ref[t])
                 np.square(sq, out=sq)
-                msd[a + lo - burn:a + k + 1 - burn] = sq.mean(axis=1)
-            x[0] = x[k]
-        pooled = v[burn:].ravel()  # a view: the moments overwrite it
-        mu = pooled.mean()
-        np.subtract(pooled, mu, out=pooled)
-        np.square(pooled, out=pooled)
-        m2 = pooled.mean()  # the variance, as pooled.var() computes it
-        np.square(pooled, out=pooled)  # fourth powers, as squares of squares
-        m4 = pooled.mean()
+                msd[t][a + lo - burn:a + k + 1 - burn] = sq.mean(axis=1)
+                rows = d[:k + 1 - lo]
+                np.copyto(rows, v[lo:k + 1, t])
+                v_sums[t].add(rows.reshape(-1))
+        x[0] = x[k]
+    mu = [s.total() / n for s, n in zip(v_sums, sizes)]
+    del v_sums  # and their staging rows
+
+    # pass 2: the same velocities again, for the central moments
+    m2_sums = [_ExactSum(n) for n in sizes]
+    m4_sums = [_ExactSum(n) for n in sizes]
+    for a, k, v in _velocity_blocks(nums, kappa, decay, n_kicks):
+        for t, burn in enumerate(burns):
+            lo = max(burn - a, 1)
+            if lo <= k:
+                rows = d[:k + 1 - lo]
+                np.subtract(v[lo:k + 1, t], mu[t], out=rows)
+                np.square(rows, out=rows)
+                m2_sums[t].add(rows.reshape(-1))
+                np.square(rows, out=rows)  # fourth powers, as squares
+                m4_sums[t].add(rows.reshape(-1))
+
+    reports = []
+    for t, tau in enumerate(tau_list):
+        m2 = m2_sums[t].total() / sizes[t]  # the variance, as var() has it
+        m4 = m4_sums[t].total() / sizes[t]
         kurt = m4 / m2 ** 2 - 3.0
-        t_axis = np.arange(len(msd)) * tau
-        slope, _, r2 = tail_line_fit(t_axis, msd)
+        t_axis = np.arange(len(msd[t])) * tau
+        slope, _, r2 = tail_line_fit(t_axis, msd[t])
         reports.append(OuReport(tau=tau, var_v=float(m2),
                                 normality_stat=abs(float(kurt)),
                                 msd_slope=slope, msd_r2=r2,
-                                mean_v=float(mu), n_samples=pooled.size))
+                                mean_v=float(mu[t]), n_samples=sizes[t]))
     return reports
 
 

@@ -1,5 +1,8 @@
 """Kicked flow: exact updates, chaotic streams, operator decay, OU limit."""
+import hashlib
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +13,7 @@ from ddlab.kicked import (
     _SEED_DEN,
     KickConfig,
     _double_mod,
+    _ExactSum,
     burn_in_kicks,
     centered_identity,
     equidistributed_seeds,
@@ -143,7 +147,7 @@ def test_uint64_doubling_matches_exact_integer_orbit():
     assert 2 * den < 2 ** 64  # doubling a numerator never overflows
     starts = [s.numerator * (den // s.denominator)
               for s in equidistributed_seeds(64)]
-    starts += [1, (den - 1) // 2, (den + 1) // 2, den - 1]
+    starts += [0, 1, (den - 1) // 2, (den + 1) // 2, den - 2, den - 1]
     p = np.array(starts, dtype=np.uint64)
     exact = list(starts)
     for _ in range(1000):
@@ -322,9 +326,84 @@ def test_suite_does_not_depend_on_the_kick_block(monkeypatch):
     for block in (7, kicked._KICK_BLOCK):
         assert 1500 % block and (burns[0] - 1) % block and burns[0] % block
     want = ou_limit_suite(1.0, taus, 1500, ensemble=64)
-    for block in (1, 7):
+    # the pools of 92 800 and fewer velocities span several leaves of
+    # either size
+    for block, leaf in itertools.product((1, 7), (128, kicked._SUM_LEAF)):
         monkeypatch.setattr(kicked, "_KICK_BLOCK", block)
+        monkeypatch.setattr(kicked, "_SUM_LEAF", leaf)
         assert ou_limit_suite(1.0, taus, 1500, ensemble=64) == want
+
+
+def test_six_thousand_kick_report_bytes_are_pinned(tmp_path):
+    # recorded from the suite that kept whole (n_kicks, streams) blocks;
+    # pools of up to 1.1e6 velocities cut the summation tree many times
+    path = tmp_path / "report.csv"
+    write_kick_report(path, ou_limit_suite(1.0, [0.2, 0.1, 0.05], 6000,
+                                           ensemble=192))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "2f17dcfbf97c5f6dde9b0012c551e5af"
+        "a989ed565022ed30d5026cadd93d1f05")
+
+
+def _traced_peak_mib(n_kicks):
+    tracemalloc.start()
+    try:
+        ou_limit_suite(1.0, [0.2, 0.1], n_kicks, ensemble=256)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_suite_memory_does_not_grow_with_the_kicks():
+    short, long = _traced_peak_mib(3000), _traced_peak_mib(12000)
+    # only the msd curves are sized by n_kicks (96 KiB each at 12000)
+    assert long - short < 1.0, (short, long)
+    assert long < 8.0, long
+
+
+def _uneven_pieces(n):
+    # piece sizes cycling through 1, 37 and 512, the last one cut to fit
+    sizes, fed = [], 0
+    for size in itertools.cycle([1, 37, 512]):
+        if fed >= n:
+            return sizes
+        sizes.append(min(size, n - fed))
+        fed += sizes[-1]
+
+
+def _check_exact_sum(lengths):
+    rng = np.random.default_rng(16)
+    for n in lengths:
+        values = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
+        want = np.add.reduce(values)
+        for pieces in (_uneven_pieces(n), [n]):
+            acc = _ExactSum(n)
+            for a, b in itertools.pairwise([0, *itertools.accumulate(pieces)]):
+                acc.add(values[a:b])
+            got = acc.total()
+            assert got == want, (
+                f"numpy {np.__version__} no longer sums {n} float64 values "
+                "as the pairwise tree _ExactSum replays (nodes of more than "
+                "128 split at n//2 - (n//2) % 8): "
+                f"{got!r} != np.add.reduce {want!r}")
+
+
+def test_exact_sum_replays_numpy_pairwise_reduce(monkeypatch):
+    leaf = kicked._SUM_LEAF
+    assert leaf >= 128
+    rng = np.random.default_rng(7)
+    lengths = [1, 7, 8, 127, 128, 129, leaf - 1, leaf, leaf + 1,
+               2 * leaf + 9] + [int(n) for n in rng.integers(1, 10 ** 6, 3)]
+    _check_exact_sum(lengths + [10 ** 6])
+    monkeypatch.setattr(kicked, "_SUM_LEAF", 128)  # the smallest legal leaf
+    _check_exact_sum(lengths)
+
+
+def test_exact_sum_needs_every_value():
+    acc = _ExactSum(300)
+    acc.add(np.ones(299))
+    with pytest.raises(ValueError, match="leaves"):
+        acc.total()
 
 
 def test_double_mod_into_a_separate_row():
