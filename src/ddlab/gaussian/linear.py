@@ -1,21 +1,26 @@
 """Linear delay equation parameters and the fundamental solution.
 
-For ``x'(t) = a x(t) + b x(t - tau)`` the fundamental solution (zero history,
-unit jump at zero) is the finite sum
+For ``x'(t) = a x(t) + b x(t - tau)`` the fundamental solution X (zero
+history, unit jump at zero) is what every covariance formula in this
+subpackage is built from.  It is evaluated by the method of steps on
+``y(t) = e^{-a t} X(t)``, which solves ``y' = b' y(t - tau)`` with
+``b' = b e^{-a tau}``.  On each delay interval y is a polynomial: for
+``t = k tau + s`` with ``0 <= s < tau``,
 
-    X(t) = sum_{k=0}^{floor(t/tau)} (b^k / k!) (t - k tau)^k e^{a (t - k tau)}
+    y(k tau + s) = sum_{j=0}^{k} (b' s)^j / j! * y((k - j) tau),
 
-which is what every covariance formula in this subpackage is built from.
-Terms alternate in sign for ``b < 0`` and can cancel badly, so the sum is
-accumulated with Kahan compensation and each term is formed in log magnitude.
+and the node values ``y(k tau)`` come from the same sum at ``s = tau`` on
+the interval before.  A call builds the nodes up to its largest t (at most
+51 under the horizon cap) and then runs the sum by Horner's rule.
 
-The log k! in each term comes from ``_LOG_FACTORIAL``, a literal table of
-``scipy.special.gammaln(k + 1)`` for k = 0..51 (the horizon cap allows
-k <= 50), written as ``float.hex`` so that it carries every bit.
-``math.lgamma`` differs from it in the last bit at 29 of the 52 entries,
-which would move the printed variance curves; the table keeps scipy off the
-import path without changing an output byte.  A test checks it against
-scipy.
+The closed form ``sum_k b^k (t - k tau)^k e^{a (t - k tau)} / k!`` is the
+same function, but for ``b < 0`` its terms alternate and grow like
+``e^{|b| t}`` whatever X does, so far out they cancel to noise.  Here each
+term is an earlier node value times a Taylor weight.  Within one interval
+the weights sum to at most ``e^{|b' tau|}``, whatever t is; and a rounding
+error d made at node k adds exactly d times the y equation's own
+fundamental solution, started at ``k tau``, to every later value.  So the
+rounding grows no faster than the solutions themselves.
 """
 from __future__ import annotations
 
@@ -29,27 +34,6 @@ from ..quadrature import _leggauss
 
 MAX_HORIZON_DELAYS = 50.0  # evaluation cap for t, in units of tau
 PREFIX_RESOLUTION = 256  # `fundamental_prefix` table nodes per delay
-
-_LOG_FACTORIAL = tuple(map(float.fromhex, (
-    "0x0.0p+0", "0x0.0p+0", "0x1.62e42fefa39efp-1",
-    "0x1.cab0bfa2a2002p+0", "0x1.96ca77c922cf9p+1", "0x1.326643c4479c9p+2",
-    "0x1.a51273acf01cap+2", "0x1.10ce1f32dcc30p+3", "0x1.5358e82fcb70dp+3",
-    "0x1.99a8921a7f7cfp+3", "0x1.e357590954d15p+3", "0x1.180973f3a8d74p+4",
-    "0x1.3fcba16d50143p+4", "0x1.68d5a9c3b32cdp+4", "0x1.930f3df162a43p+4",
-    "0x1.be636a63fd347p+4", "0x1.eabff061f1a85p+4", "0x1.0c0a63f2f353ap+5",
-    "0x1.2329df2d5ee52p+5", "0x1.3ab8153363985p+5", "0x1.52af57aed77bep+5",
-    "0x1.6b0a8643472a9p+5", "0x1.83c4faba84f06p+5", "0x1.9cda78b856a45p+5",
-    "0x1.b6472034e8d14p+5", "0x1.d007622cd65e7p+5", "0x1.ea17f717c6794p+5",
-    "0x1.023aeb67e4feep+6", "0x1.0f8f18d330240p+6", "0x1.1d07353917230p+6",
-    "0x1.2aa208b59d0e5p+6", "0x1.385e6fd9e5a40p+6", "0x1.463b59b942083p+6",
-    "0x1.5437c633ace4bp+6", "0x1.6252c474896b9p+6", "0x1.708b719e11657p+6",
-    "0x1.7ee0f79b26758p+6", "0x1.8d528c1243d94p+6", "0x1.9bdf6f75257a3p+6",
-    "0x1.aa86ec2969811p+6", "0x1.b94855c702ba2p+6", "0x1.c8230869ca104p+6",
-    "0x1.d7166813e12edp+6", "0x1.e621e01eeba4fp+6", "0x1.f544e2ba69cf0p+6",
-    "0x1.023f743addda0p+7", "0x1.09e7b7ea41ea8p+7", "0x1.119afe762626cp+7",
-    "0x1.19590c853a559p+7", "0x1.2121a930c6ec2p+7", "0x1.28f49ddeb1f31p+7",
-    "0x1.30d1b61e86336p+7",
-)))
 
 
 @dataclass(frozen=True)
@@ -76,35 +60,31 @@ def check_horizon(p: LinearDdeParams, t) -> None:
                          f"{MAX_HORIZON_DELAYS} tau; got a later or NaN time")
 
 
+def _taylor(y, k, c, depth):
+    """``sum_{j=0}^{depth} c^j / j! * y[k - j]``, by Horner's rule."""
+    acc = 0.0
+    for j in range(depth, 0, -1):
+        acc = (acc + y[k - j]) * c / j
+    return acc + y[k]
+
+
 def fundamental_solution(p: LinearDdeParams, t):
     """Evaluate ``X(t)``; vectorized over ``t``, zero for ``t < 0``."""
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
     check_horizon(p, t_arr)
-    out = np.zeros_like(t_arr)
-    comp = np.zeros_like(t_arr)
-    kmax = 0 if p.b == 0.0 else int(np.floor(t_arr.max() / p.tau)) if t_arr.size else 0
-    log_b = -np.inf if p.b == 0.0 else math.log(abs(p.b))
-    sign_b = 1.0 if p.b >= 0.0 else -1.0
-    for k in range(max(kmax, 0) + 1):
-        dt = t_arr - k * p.tau
-        live = dt >= 0.0
-        if not live.any():
-            break
-        if k == 0:
-            term = np.where(live, np.exp(p.a * dt), 0.0)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logmag = (k * log_b - _LOG_FACTORIAL[k]
-                          + k * np.log(np.maximum(dt, 0.0)) + p.a * dt)
-            term = np.where(live & (dt > 0.0),
-                            sign_b ** k * np.exp(logmag), 0.0)
-        # Kahan step
-        y = term - comp
-        s = out + y
-        comp = (s - out) - y
-        out = s
+    # t < 0 falls on interval k = -1, whose nodes are all zero
+    k = np.floor(np.maximum(t_arr, -p.tau) / p.tau).astype(int)
+    kmax = max(int(k.max(initial=0)), 0)
+    bp = p.b * math.exp(-p.a * p.tau)
+    # y[kmax + 1 + i] = y(i tau); the kmax + 1 zeros in front are the history
+    y = [0.0] * (kmax + 1) + [1.0]
+    for i in range(1, kmax + 1):
+        y.append(_taylor(y, kmax + i, bp * p.tau, i - 1))
+    s = t_arr - k * p.tau
+    out = _taylor(np.array(y), k + kmax + 1, bp * s, kmax)
+    out = out * np.exp(p.a * np.maximum(t_arr, 0.0))
     return float(out[0]) if scalar else out
 
 

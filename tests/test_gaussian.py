@@ -1,6 +1,7 @@
 """Tests for the linear-delay Gaussian propagation machinery."""
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddlab.errors import DegenerateCovarianceError, KernelPositivityError
-from ddlab.gaussian.linear import _LOG_FACTORIAL, MAX_HORIZON_DELAYS
+from ddlab.gaussian.linear import MAX_HORIZON_DELAYS
 from ddlab.gaussian.stability import _bisect, _kappa_root, _lambertw0
 from ddlab.gaussian import (CosineKernel, DegenerateCosineKernel,
                             GaussianState, LinearDdeParams,
@@ -91,6 +92,30 @@ def test_fundamental_solution_horizon_cap():
                  lambda: lag_cov_curve(WIENER, P01, [0.5, math.nan])):
         with pytest.raises(ValueError, match="capped at t <= 50.0 tau"):
             call()
+
+
+def _exact_x(b, tau, t):
+    # at a = 0 every term of the closed form b^k (t - k tau)^k / k! is rational
+    b, tau, t = Fraction(b), Fraction(tau), Fraction(t)
+    return sum((b ** k * (t - k * tau) ** k / math.factorial(k)
+                for k in range(math.floor(t / tau) + 1)), Fraction(0))
+
+
+@pytest.mark.parametrize("b, tau", [(-1.0, 1.0), (-2.0, 1.0), (-0.5, 2.0),
+                                    (1.0, 1.0), (-3.0, 0.5)])
+def test_fundamental_solution_is_exact_to_the_horizon(b, tau):
+    # X from 0 to the last delay the horizon cap allows, held to the exact
+    # rational sum; for b < 0 that sum's terms grow to 1e11 and more while
+    # X decays, so only a well-conditioned evaluation keeps relative accuracy
+    p = LinearDdeParams(0.0, b, tau)
+    t = np.linspace(0.0, MAX_HORIZON_DELAYS * tau, 201)
+    x = fundamental_solution(p, t)
+    for ti, xi in zip(t, x):
+        exact = _exact_x(b, tau, ti)
+        if exact == 0:
+            assert abs(xi) <= 1e-16, ti
+        else:
+            assert abs(Fraction(xi) - exact) <= 1e-12 * abs(exact), ti
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +216,19 @@ def test_lag_cov_curve_matches_pointwise_evaluation():
             np.testing.assert_allclose(curve, pointwise, atol=1e-10)
 
 
+def test_lag_cov_curve_matches_tight_pointwise_evaluation_late():
+    # past 30 tau both sides are below r_t's default absolute tolerance,
+    # so r_t runs at 1e-16.  The cosine kernel agrees in relative terms;
+    # the Wiener curve reads X's running integral from the prefix table,
+    # whose differences of nearly equal sums limit its relative agreement,
+    # so it is held in absolute terms only
+    times = [35.0, 45.0, 50.0]
+    for kernel, rel, abs_ in ((COSINE, 1e-10, 0.0), (WIENER, 0.0, 1e-16)):
+        curve = lag_cov_curve(kernel, P01, times)
+        tight = [r_t(kernel, P01, t, -1.0, 0.0, tol=1e-16) for t in times]
+        np.testing.assert_allclose(curve, tight, rtol=rel, atol=abs_)
+
+
 def test_tabulated_kernel_roundtrip_and_covariance(tmp_path):
     grid = np.linspace(-1.0, 0.0, 17)
     values = np.cos(grid[:, None] - grid[None, :])
@@ -223,7 +261,8 @@ def _sha(arr):
 
 def test_sigma2_curve_bytes_at_the_full_horizon(monkeypatch):
     # how the panels are laid out must never move a byte of the curves; a
-    # row keeps only the knots inside its window, so it needs at most three
+    # row keeps only the knots inside its window, so it needs at most three.
+    # Recorded from the X that the exact-rational test above holds to 1e-12
     widths = []
 
     def counted(f, edges):
@@ -232,14 +271,14 @@ def test_sigma2_curve_bytes_at_the_full_horizon(monkeypatch):
 
     monkeypatch.setattr(covariance, "panel_gauss", counted)
     want = {
-        "wiener": ("15b88d47693c436ba9c3f9a2b4a14e14"
-                   "b241dc014bbbe29f42af53d6d9c50413",
-                   "24313b92a8b67aae641cbbb4e3fe8904"
-                   "8db37236f02152b2f0e43c4567852839"),
-        "cosine": ("c58e4ea5559b54e646a451803ce81253"
-                   "6b0609e504b9d52713e1c4ab7f1c7f81",
-                   "eb5802aeef274b4d3b55e54142ae1488"
-                   "dda7ff4326e85f0dee5d483bc3651f49"),
+        "wiener": ("09b12007cb08c54f6db18081720dbcc9"
+                   "ae81be572cf544fba68e9de505d242e3",
+                   "1f0a46abe984b5e827782b3da7408015"
+                   "34f7527af847cfd14ba88953a87b4d23"),
+        "cosine": ("9077151c1c4d08a9db736fae74a94f30"
+                   "c7e5e75961de3dbc24652b69658ac2f0",
+                   "ce5f115095ec3600781e9e4c0e96983e"
+                   "01e1016489b60aa5872bf9b39e3ab507"),
     }
     for name, kernel in (("wiener", WIENER), ("cosine", COSINE)):
         curve = sigma2_curve(kernel, P01, 50.0, 0.5)
@@ -461,31 +500,6 @@ def test_classifier_agrees_with_root_oracle_on_grid():
 
 # ---------------------------------------------------------------------------
 # the scalar special functions, held to scipy (a test-only dependency)
-
-
-def test_log_factorial_table_is_scipy_gammaln():
-    from scipy.special import gammaln
-
-    assert len(_LOG_FACTORIAL) == 52
-    for k, value in enumerate(_LOG_FACTORIAL):
-        assert value == float(gammaln(k + 1)), k
-
-
-def test_fundamental_solution_reaches_the_last_delay():
-    # t = 50 tau runs the sum to k = 50, the deepest the horizon cap lets it
-    # go.  At a = 0, b = -1 the terms (-1)^k (50 - k)^k / k! cancel from
-    # about 1e11 down to 1e-7, so the float sum is held to the exact
-    # rational one within rounding of the largest terms.
-    from fractions import Fraction
-
-    p = LinearDdeParams(0.0, -1.0, 1.0)
-    t = MAX_HORIZON_DELAYS * p.tau
-    terms = [Fraction((50 - k) ** k, math.factorial(k)) for k in range(51)]
-    exact = float(sum((-1) ** k * term for k, term in enumerate(terms)))
-    scale = float(sum(terms)) * np.finfo(float).eps
-    assert abs(fundamental_solution(p, t) - exact) <= 16.0 * scale
-    with pytest.raises(ValueError, match="capped"):
-        fundamental_solution(p, t + 0.5)
 
 
 def _scipy_kappa(atau):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ddlab.quadrature
 from ddlab.dde import LinearDelayField
 from ddlab.ensemble import ensemble_values
 from ddlab.errors import ConfigError, QuadratureError
@@ -816,14 +817,17 @@ def test_cli_numerical_failure_exits_4(tmp_path, monkeypatch):
     assert main(["map-iterate", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
 
-def test_cli_quadrature_failure_names_the_time(tmp_path, capsys):
-    # adaptive Simpson gives up on R_t at 35 tau with these parameters (the
-    # alternating sum for X rounds badly there); the message says where
+def test_cli_quadrature_failure_names_the_time(tmp_path, capsys, monkeypatch):
+    # with no room for subintervals adaptive Simpson gives up on R_t at once;
+    # the message says where, and the failed run leaves no directory
+    monkeypatch.setattr(ddlab.quadrature, "MAX_INTERVALS", 0)
     text = ("kind = compare\n[params]\nkernel = brownian\na = 0.0\n"
             "b = -1.0\nm = 8\ntimes = 35.0\n[ensemble]\nn = 100\nseed = 1\n")
     cfg = _write(tmp_path, "cmp.cfg", text)
-    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    out = tmp_path / "o"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 4
     assert "R_t at t = 35, s1 = 0, s2 = 0: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_dry_run_flag(tmp_path):
