@@ -2,23 +2,27 @@
 
 For ``x'(t) = a x(t) + b x(t - tau)`` the fundamental solution X (zero
 history, unit jump at zero) is what every covariance formula in this
-subpackage is built from.  It is evaluated by the method of steps on
-``y(t) = e^{-a t} X(t)``, which solves ``y' = b' y(t - tau)`` with
-``b' = b e^{-a tau}``.  On each delay interval y is a polynomial: for
-``t = k tau + s`` with ``0 <= s < tau``,
+subpackage is built from.  It is evaluated by the method of steps.  On
+each delay interval ``y(t) = e^{-a t} X(t)``, which solves
+``y' = b e^{-a tau} y(t - tau)``, is a polynomial whose Taylor
+coefficients at ``k tau`` are earlier node values; multiplied back by
+``e^{a t}`` this gives, for ``t = k tau + s`` with ``0 <= s < tau``,
 
-    y(k tau + s) = sum_{j=0}^{k} (b' s)^j / j! * y((k - j) tau),
+    X(k tau + s) = e^{a s} sum_{j=0}^{k} (b s)^j / j! * X((k - j) tau),
 
-and the node values ``y(k tau)`` come from the same sum at ``s = tau`` on
+and the node values ``X(k tau)`` come from the same sum at ``s = tau`` on
 the interval before.  A call builds the nodes up to its largest t (at most
-51 under the horizon cap) and then runs the sum by Horner's rule.
+51 under the horizon cap) and then runs the sum by Horner's rule.  Only
+values of X itself are formed, so nothing leaves the float range unless X
+does (y grows like ``e^{-a t} X``, which for strongly negative a
+overflows where X is still representable).
 
 The closed form ``sum_k b^k (t - k tau)^k e^{a (t - k tau)} / k!`` is the
 same function, but for ``b < 0`` its terms alternate and grow like
 ``e^{|b| t}`` whatever X does, so far out they cancel to noise.  Here each
 term is an earlier node value times a Taylor weight.  Within one interval
-the weights sum to at most ``e^{|b' tau|}``, whatever t is; and a rounding
-error d made at node k adds exactly d times the y equation's own
+the weights sum to at most ``e^{(|a| + |b|) tau}``, whatever t is; and a
+rounding error d made at node k adds exactly d times the equation's own
 fundamental solution, started at ``k tau``, to every later value.  So the
 rounding grows no faster than the solutions themselves.
 """
@@ -74,17 +78,18 @@ def fundamental_solution(p: LinearDdeParams, t):
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
     check_horizon(p, t_arr)
-    # t < 0 falls on interval k = -1, whose nodes are all zero
-    k = np.floor(np.maximum(t_arr, -p.tau) / p.tau).astype(int)
-    kmax = max(int(k.max(initial=0)), 0)
-    bp = p.b * math.exp(-p.a * p.tau)
-    # y[kmax + 1 + i] = y(i tau); the kmax + 1 zeros in front are the history
-    y = [0.0] * (kmax + 1) + [1.0]
+    # t < 0 falls on interval k = -1, whose nodes are all zero; clamping
+    # first keeps the offset s in [0, tau) for any t
+    s = np.maximum(t_arr, -p.tau)
+    k = np.floor(s / p.tau).astype(int)
+    s -= k * p.tau
+    kmax = int(k.max(initial=0))
+    # x[kmax + 1 + i] = X(i tau); the kmax + 1 zeros in front are the history
+    x = [0.0] * (kmax + 1) + [1.0]
     for i in range(1, kmax + 1):
-        y.append(_taylor(y, kmax + i, bp * p.tau, i - 1))
-    s = t_arr - k * p.tau
-    out = _taylor(np.array(y), k + kmax + 1, bp * s, kmax)
-    out = out * np.exp(p.a * np.maximum(t_arr, 0.0))
+        x.append(math.exp(p.a * p.tau)
+                 * _taylor(x, kmax + i, p.b * p.tau, i - 1))
+    out = _taylor(np.array(x), k + kmax + 1, p.b * s, kmax) * np.exp(p.a * s)
     return float(out[0]) if scalar else out
 
 

@@ -44,6 +44,10 @@ def test_fundamental_solution_vanishes_for_negative_time():
     assert fundamental_solution(P01, -0.3) == 0.0
     np.testing.assert_array_equal(
         fundamental_solution(P01, np.array([-2.0, -0.1])), [0.0, 0.0])
+    # far below -tau too, while the same call builds nodes out to 45 tau
+    x = fundamental_solution(LinearDdeParams(-2.0, -2.0, 1.0),
+                             [-math.inf, -1e308, -0.5, 45.0])
+    assert list(x[:3]) == [0.0, 0.0, 0.0] and np.isfinite(x[3])
 
 
 def test_fundamental_solution_pure_delay_ramp():
@@ -116,6 +120,31 @@ def test_fundamental_solution_is_exact_to_the_horizon(b, tau):
             assert abs(xi) <= 1e-16, ti
         else:
             assert abs(Fraction(xi) - exact) <= 1e-12 * abs(exact), ti
+
+
+def _log_abs(q):
+    return math.log(abs(q.numerator)) - math.log(q.denominator)
+
+
+def test_fundamental_solution_with_strong_decay_stays_finite():
+    # X = e^{a t} y with y' = b' y(t - tau), b' = b e^{-a tau}; at a = -20
+    # y reaches 1e369 by 50 tau while X is about 1e-63, so X may only be
+    # compared in the log domain.  The reference carries the rounding of
+    # e^{-a tau} and of a t + log|y| (about 1e-13), hence the 1e-11 bound,
+    # scaled by the summed term magnitudes because X changes sign
+    a, b, tau = -20.0, -1.0, 1.0
+    t = np.linspace(0.0, MAX_HORIZON_DELAYS * tau, 201)
+    x = fundamental_solution(LinearDdeParams(a, b, tau), t)
+    assert np.all(np.isfinite(x))
+    bp = Fraction(b) * Fraction(math.exp(-a * tau))
+    for ti, xi in zip(t, x):
+        terms = [bp ** k * (Fraction(ti) - k * Fraction(tau)) ** k
+                 / math.factorial(k) for k in range(math.floor(ti / tau) + 1)]
+        y = sum(terms, Fraction(0))
+        exact = math.exp(a * ti + _log_abs(y)) * (1 if y > 0 else -1)
+        scale = math.exp(a * ti + _log_abs(sum(map(abs, terms))))
+        assert abs(xi - exact) <= 1e-11 * scale, ti
+
 
 
 # ---------------------------------------------------------------------------
