@@ -5,6 +5,8 @@ A :class:`GridDensity` stores cell-averaged values of a probability density on
 is piecewise linear and, because it is built from prefix sums of nonnegative
 numbers, is nondecreasing even in floating point — the transfer-operator
 pushforwards in :mod:`ddlab.maps` rely on that to stay nonnegative exactly.
+A read of it is split in two: `locate` places points on a grid, once, and
+`cumulative_at` reads any function on that grid at the located points.
 """
 from __future__ import annotations
 
@@ -25,19 +27,28 @@ def edge_prefix(values: np.ndarray, w: float) -> np.ndarray:
     return p
 
 
-def cumulative(values: np.ndarray, prefix: np.ndarray, lo: float, w: float,
-               x) -> np.ndarray:
-    """Integral of a piecewise-constant function over ``[lo, x]``, vectorized.
+def locate(lo: float, w: float, n: int, x):
+    """Cell index and in-cell offset of the points ``x``, vectorized.
 
-    ``values`` are the function's values on cells of width ``w`` starting
-    at ``lo``, ``prefix`` is ``edge_prefix(values, w)``, and ``x`` is
-    clipped to the grid.  Signed functions are fine.
+    The cells are ``n`` of width ``w`` from ``lo``, and ``x`` is clipped to
+    them.  This half of a cumulative read depends only on the grid and the
+    points, so a transfer operator locates its preimage points once per
+    grid and reads every density through them with `cumulative_at`.
     """
     x = np.asarray(x, dtype=float)
-    n = values.size
     pos = np.clip((x - lo) / w, 0.0, float(n))
     idx = np.minimum(pos.astype(int), n - 1)
-    frac = np.clip(x - (lo + idx * w), 0.0, w)
+    return idx, np.clip(x - (lo + idx * w), 0.0, w)
+
+
+def cumulative_at(values: np.ndarray, prefix: np.ndarray, cells) -> np.ndarray:
+    """Integral of a piecewise-constant function from the grid's start to
+    the points that ``cells = locate(...)`` placed on its grid.
+
+    ``values`` are the function's cell values and ``prefix`` is
+    ``edge_prefix(values, w)``.  Signed functions are fine.
+    """
+    idx, frac = cells
     return prefix[idx] + values[idx] * frac
 
 
@@ -116,8 +127,8 @@ class GridDensity(UniformGrid):
         if b < a:
             a, b = b, a
         w = self.cell_width
-        c = cumulative(self.values, edge_prefix(self.values, w), self.lo, w,
-                       [a, b])
+        c = cumulative_at(self.values, edge_prefix(self.values, w),
+                          locate(self.lo, w, self.n, [a, b]))
         return float(c[1] - c[0])
 
     def l1_distance(self, other: "GridDensity") -> float:

@@ -256,9 +256,9 @@ def lag_cov_curve(kernel: CovKernel, p: LinearDdeParams, s_values,
     """R_s(-tau, 0) for an array of times; structured kernels run batched.
 
     Evaluation proceeds in blocks of `_CHUNK` times: the batched panel
-    integrals broadcast times x panels x nodes (x prefix-tail nodes), and
-    bounding the leading axis keeps the transient arrays small even for
-    horizons of many delay intervals.
+    integrals broadcast times x panels x nodes, and bounding the leading
+    axis keeps the transient arrays small even for horizons of many delay
+    intervals.
     """
     s = np.asarray(s_values, dtype=float)
     if s.ndim != 1:

@@ -44,8 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fit import tail_line_fit
-from .maps import AffineCircleMap, TentMap, push_circle_values, \
-    push_tent_values
+from .maps import TentMap
 from .tabular import write_csv
 
 # odd prime power: doubling mod _SEED_DEN is a bijection, and the orbit
@@ -221,8 +220,8 @@ def fp_decay_check(map_obj, h, n: int, cells: int = 4096) -> np.ndarray:
     """L1 norms of the transfer operator applied repeatedly to ``h``.
 
     ``h`` may be a callable (evaluated at cell centers) or an array of
-    cell values; the operator acts on signed functions exactly as on
-    densities, since it is linear.  Returns the norms after 1..n
+    cell values; the map's ``transfer`` acts on signed functions exactly as
+    on densities when it is ``linear``.  Returns the norms after 1..n
     applications.
     """
     n = int(n)
@@ -237,20 +236,15 @@ def fp_decay_check(map_obj, h, n: int, cells: int = 4096) -> np.ndarray:
     if values.shape != (cells,):
         raise ValueError("observable values must be a flat grid")
 
-    if isinstance(map_obj, TentMap):
-        def push(vals):
-            return push_tent_values(vals, map_obj.a)
-    elif isinstance(map_obj, AffineCircleMap):
-        def push(vals):
-            return push_circle_values(vals, map_obj.a, map_obj.b)
-    else:
+    if not map_obj.linear:
         raise TypeError(
             f"no signed transfer operator for {type(map_obj).__name__}")
+    transfer = map_obj.transfer(cells)
 
     w = 1.0 / cells
     norms = np.empty(n)
     for t in range(n):
-        values = push(values)
+        values = transfer(values)
         norms[t] = np.abs(values).sum() * w
     return norms
 

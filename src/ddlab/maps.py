@@ -11,12 +11,19 @@ cumulative.  Consequences that the tests pin down:
 * nonnegative input gives nonnegative output exactly, because the cumulative
   of a nonnegative density is nondecreasing even in floating point.
 
+Where the preimage edges fall on the grid depends only on the map and the
+cell count, so each map's ``transfer(n)`` locates them once and returns the
+operator ``values -> values`` on ``n`` cells; ``push``, :func:`iterate` and
+``kicked.fp_decay_check`` all apply that one plan.
+
 Maps provided:
 
 * :class:`TentMap` — ``S(x) = a*x`` on the left half, ``a*(1-x)`` on the
   right, slope ``a`` in ``[1, 2]``.
 * :class:`DensityCoupledTentMap` — a tent map whose slope is a functional of
-  the current density, ``a = 1 + integral of f over a window``.
+  the current density, ``a = 1 + integral of f over a window``.  Its slope
+  changes every step, so its ``transfer`` builds a tent plan per step, and
+  it is the one map that is not ``linear``.
 * :class:`AffineCircleMap` — ``S(x) = (a*x + b) mod 1`` with ``0 < a < 1``;
   a contraction on the circle.
 * :class:`NoisyAffineCircleMap` — the same followed by additive noise drawn
@@ -29,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import GridDensity, cumulative, edge_prefix
+from .density import GridDensity, cumulative_at, edge_prefix, locate
 
 __all__ = [
     "TentMap", "DensityCoupledTentMap", "AffineCircleMap",
@@ -39,6 +46,50 @@ __all__ = [
 ]
 
 
+def _tent_transfer(n: int, a: float):
+    """Exact tent-map pushforward of cell averages on ``n`` cells of
+    ``[0, 1]``, as ``values -> values``."""
+    if not 0.0 < a <= 2.0:
+        raise ValueError("tent slope must lie in (0, 2]")
+    w = 1.0 / n
+    # cells beyond a/2 have empty preimage; clip their edges to a/2
+    e = np.minimum(np.linspace(0.0, 1.0, n + 1), 0.5 * a)
+    left = locate(0.0, w, n, e / a)
+    right = locate(0.0, w, n, 1.0 - e / a)
+
+    def transfer(values):
+        prefix = edge_prefix(values, w)
+        lc = cumulative_at(values, prefix, left)
+        rc = cumulative_at(values, prefix, right)
+        return ((lc[1:] - lc[:-1]) + (rc[:-1] - rc[1:])) / w
+
+    return transfer
+
+
+def _circle_transfer(n: int, a: float, b: float):
+    """Exact pushforward of cell averages on ``n`` cells under
+    ``x -> (a*x + b) mod 1``, as ``values -> values``."""
+    if not 0.0 < a < 1.0:
+        raise ValueError("require 0 < a < 1")
+    if not 0.0 <= b < 1.0:
+        raise ValueError("require 0 <= b < 1")
+    w = 1.0 / n
+    edges = np.linspace(0.0, 1.0, n + 1)
+    # the preimage of each cell in each of the two laps of the circle
+    laps = [locate(0.0, w, n, np.clip((edges + k - b) / a, 0.0, 1.0))
+            for k in (0.0, 1.0)]
+
+    def transfer(values):
+        prefix = edge_prefix(values, w)
+        out = np.zeros(n)
+        for cells in laps:
+            c = cumulative_at(values, prefix, cells)
+            out += c[1:] - c[:-1]
+        return out / w
+
+    return transfer
+
+
 def push_tent_values(values, a: float) -> np.ndarray:
     """Exact tent-map pushforward of cell averages on ``[0, 1]``.
 
@@ -46,38 +97,13 @@ def push_tent_values(values, a: float) -> np.ndarray:
     nonnegativity guarantee needs a nonnegative input.
     """
     values = np.asarray(values, dtype=float)
-    n = values.size
-    w = 1.0 / n
-    if not 0.0 < a <= 2.0:
-        raise ValueError("tent slope must lie in (0, 2]")
-    prefix = edge_prefix(values, w)
-    edges = np.linspace(0.0, 1.0, n + 1)
-    # cells beyond a/2 have empty preimage; clip their edges to a/2
-    e = np.minimum(edges, 0.5 * a)
-    left = cumulative(values, prefix, 0.0, w, e / a)
-    right = cumulative(values, prefix, 0.0, w, 1.0 - e / a)
-    out = (left[1:] - left[:-1]) + (right[:-1] - right[1:])
-    return out / w
+    return _tent_transfer(values.size, a)(values)
 
 
 def push_circle_values(values, a: float, b: float) -> np.ndarray:
     """Exact pushforward of cell averages under ``x -> (a*x + b) mod 1``."""
     values = np.asarray(values, dtype=float)
-    n = values.size
-    w = 1.0 / n
-    if not 0.0 < a < 1.0:
-        raise ValueError("require 0 < a < 1")
-    if not 0.0 <= b < 1.0:
-        raise ValueError("require 0 <= b < 1")
-    prefix = edge_prefix(values, w)
-    edges = np.linspace(0.0, 1.0, n + 1)
-    out = np.zeros(n)
-    for k in (0.0, 1.0):
-        xlo = np.clip((edges[:-1] + k - b) / a, 0.0, 1.0)
-        xhi = np.clip((edges[1:] + k - b) / a, 0.0, 1.0)
-        out += (cumulative(values, prefix, 0.0, w, xhi)
-                - cumulative(values, prefix, 0.0, w, xlo))
-    return out / w
+    return _circle_transfer(values.size, a, b)(values)
 
 
 def circular_smooth_values(values, noise_values) -> np.ndarray:
@@ -107,8 +133,22 @@ def _require_unit_interval(f: GridDensity) -> None:
         raise ValueError("map densities must live on [0, 1]")
 
 
+class _GridMap:
+    """A map acting on grid densities through its ``transfer(n)``.
+
+    ``linear`` says that the transfer is a fixed linear operator, which
+    then moves signed grid functions too.
+    """
+
+    linear = True
+
+    def push(self, f: GridDensity) -> GridDensity:
+        _require_unit_interval(f)
+        return GridDensity(self.transfer(f.n)(f.values), 0.0, 1.0)
+
+
 @dataclass(frozen=True)
-class TentMap:
+class TentMap(_GridMap):
     """Symmetric piecewise-linear map with peak ``a/2`` at ``x = 1/2``."""
 
     a: float
@@ -121,13 +161,12 @@ class TentMap:
         x = np.asarray(x, dtype=float)
         return self.a * np.minimum(x, 1.0 - x)
 
-    def push(self, f: GridDensity) -> GridDensity:
-        _require_unit_interval(f)
-        return GridDensity(push_tent_values(f.values, self.a), 0.0, 1.0)
+    def transfer(self, n: int):
+        return _tent_transfer(n, self.a)
 
 
 @dataclass(frozen=True)
-class DensityCoupledTentMap:
+class DensityCoupledTentMap(_GridMap):
     """Tent map whose slope responds to the density being transported.
 
     The slope applied in one step is ``a[f] = 1 + integral of f over
@@ -138,6 +177,8 @@ class DensityCoupledTentMap:
     window_lo: float
     window_width: float
 
+    linear = False
+
     def __post_init__(self):
         if self.window_width < 0.0:
             raise ValueError("window_width must be nonnegative")
@@ -147,13 +188,13 @@ class DensityCoupledTentMap:
         return 1.0 + f.integrate(self.window_lo,
                                  self.window_lo + self.window_width)
 
-    def push(self, f: GridDensity) -> GridDensity:
-        a = self.coupling(f)
-        return GridDensity(push_tent_values(f.values, a), 0.0, 1.0)
+    def transfer(self, n: int):
+        return lambda values: _tent_transfer(
+            n, self.coupling(GridDensity(values)))(values)
 
 
 @dataclass(frozen=True)
-class AffineCircleMap:
+class AffineCircleMap(_GridMap):
     """Contraction ``x -> (a*x + b) mod 1`` on the unit circle."""
 
     a: float
@@ -169,14 +210,12 @@ class AffineCircleMap:
         x = np.asarray(x, dtype=float)
         return np.mod(self.a * x + self.b, 1.0)
 
-    def push(self, f: GridDensity) -> GridDensity:
-        _require_unit_interval(f)
-        return GridDensity(push_circle_values(f.values, self.a, self.b),
-                           0.0, 1.0)
+    def transfer(self, n: int):
+        return _circle_transfer(n, self.a, self.b)
 
 
 @dataclass(frozen=True)
-class NoisyAffineCircleMap:
+class NoisyAffineCircleMap(_GridMap):
     """Affine circle map followed by additive mod-1 noise.
 
     ``noise`` is a grid density on ``[0, noise.hi]`` whose cell width must
@@ -201,27 +240,28 @@ class NoisyAffineCircleMap:
         if abs(self.noise.mass() - 1.0) > 1e-9:
             raise ValueError("noise density must be normalized")
 
-    def push(self, f: GridDensity) -> GridDensity:
-        _require_unit_interval(f)
-        w = f.cell_width
+    def transfer(self, n: int):
+        w = 1.0 / n
         if abs(self.noise.cell_width - w) > 1e-12 * w:
             raise ValueError(
                 "noise grid cell width must match the density grid "
                 f"({self.noise.cell_width:g} vs {w:g})")
-        pushed = push_circle_values(f.values, self.a, self.b)
-        return GridDensity(circular_smooth_values(pushed, self.noise.values),
-                           0.0, 1.0)
+        circle = _circle_transfer(n, self.a, self.b)
+        return lambda values: circular_smooth_values(circle(values),
+                                                     self.noise.values)
 
 
 def iterate(map_obj, f: GridDensity, steps: int, keep: bool = False):
-    """Apply ``map_obj.push`` repeatedly.
+    """Apply the map's transfer repeatedly, on one plan for ``f``'s grid.
 
     Returns the final density, or the list ``[f, Pf, ..., P^steps f]`` when
-    ``keep`` is true.
+    ``keep`` is true.  Every density is checked as `push` checks it.
     """
+    _require_unit_interval(f)
+    transfer = map_obj.transfer(f.n)
     out = [f] if keep else None
     for _ in range(steps):
-        f = map_obj.push(f)
+        f = GridDensity(transfer(f.values), 0.0, 1.0)
         if keep:
             out.append(f)
     return out if keep else f

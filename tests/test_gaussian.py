@@ -146,6 +146,94 @@ def test_fundamental_solution_with_strong_decay_stays_finite():
         assert abs(xi - exact) <= 1e-11 * scale, ti
 
 
+def _exact_z(b, tau, t):
+    # at a = 0 Z is the rational sum b^k (t - k tau)^{k+1} / (k+1)!
+    b, tau, t = Fraction(b), Fraction(tau), Fraction(t)
+    return sum((b ** k * (t - k * tau) ** (k + 1) / math.factorial(k + 1)
+                for k in range(math.floor(t / tau) + 1)), Fraction(0))
+
+
+@pytest.mark.parametrize("b, tau", [(-1.0, 1.0), (-2.0, 1.0), (-0.5, 2.0),
+                                    (1.0, 1.0), (-3.0, 0.5)])
+def test_fundamental_prefix_is_exact_to_the_horizon(b, tau):
+    # Z(4) = 0 exactly for b = -2, tau = 1, and Z(0) = 0 for every set
+    p = LinearDdeParams(0.0, b, tau)
+    t = np.linspace(0.0, MAX_HORIZON_DELAYS * tau, 201)
+    z = fundamental_prefix(p, t)
+    for ti, zi in zip(t, z):
+        exact = _exact_z(b, tau, ti)
+        if exact == 0:
+            assert abs(zi) <= 1e-15, ti
+        else:
+            assert abs(Fraction(zi) - exact) <= 1e-12 * abs(exact), ti
+
+
+# a != 0: near zero both ways, moderate and large positive a tau (at 12
+# the recursion phi_{j-1} = (e^z - z phi_j) / j, which subtracts for
+# z > 0, misses this bound by 5x), a tau = -20 (on both sides of the
+# switch in phi's starting value) and past e^{-a tau}'s overflow at -800
+_GENERAL_A = [(1e-8, -1.0, 1.0), (-1e-8, -1.0, 1.0), (0.4, -0.8, 1.0),
+              (3.0, -1.0, 1.0), (12.0, -1.0, 1.0), (-20.0, -1.0, 1.0),
+              (1.5, -3.0, 0.5), (-800.0, -1.0, 1.0)]
+
+
+@pytest.mark.parametrize("a, b, tau", _GENERAL_A)
+def test_fundamental_prefix_integrates_the_equation(a, b, tau):
+    # X(t) - 1 = a Z(t) + b Z(t - tau), each side scaled by its terms
+    p = LinearDdeParams(a, b, tau)
+    t = np.linspace(0.0, MAX_HORIZON_DELAYS * tau, 201)
+    x = fundamental_solution(p, t)
+    z = fundamental_prefix(p, t)
+    z_lag = fundamental_prefix(p, t - tau)
+    scale = np.abs(x) + 1.0 + np.abs(a * z) + np.abs(b * z_lag)
+    assert np.all(np.isfinite(z))
+    assert np.all(np.abs(x - 1.0 - a * z - b * z_lag) <= 1e-14 * scale)
+
+
+# Z at 50 tau (i + 0.618) / 12, i < 12, from the 256-nodes-per-delay table
+# of 8-point Gauss panels (and an 8-point tail) that the method of steps
+# replaced
+_TABLE_Z = {
+    (1e-08, -1.0, 1.0): [
+        1.3663724160998194, 1.111840666282917, 1.0191437135342802,
+        0.9998114446149611, 0.9985730765830787, 0.9994390427079821,
+        0.9998749506241132, 0.9999892689643927, 1.000004513146569,
+        1.0000025803454278, 1.0000007266415074, 1.0000001170161141],
+    (-1e-08, -1.0, 1.0): [
+        1.3663723755668464, 1.111840641003342, 1.019143694946907,
+        0.9998114260883181, 0.9985730571431655, 0.9994390228187393,
+        0.9998749306201522, 0.99998924895211, 1.0000044931413878,
+        1.0000025603442042, 1.0000007066414154, 1.0000000970161784],
+    (0.4, -0.8, 1.0): [
+        3.0003639374700577, 2.3110201478743813, 2.5542549732797406,
+        2.4869450186838606, 2.502652576210699, 2.499574077426883,
+        2.5000374279532256, 2.50000744239698, 2.499994683522159,
+        2.5000018956675305, 2.4999994722634646, 2.5000001237873093],
+    (3.0, -1.0, 1.0): [
+        707.7700470008573, 152732521.11330703, 32935673437077.402,
+        7.102341880403971e+18, 1.5315691140340413e+24, 3.302719005311543e+29,
+        7.122076782624136e+34, 1.5358248042300227e+40, 3.3118960961539986e+45,
+        7.141866521174621e+50, 1.5400923194875255e+56, 3.3210986868939196e+61],
+    (-20.0, -1.0, 1.0): [
+        0.047624900440175484, 0.04761904764962491, 0.04761904761904777,
+        0.04761904761904785, 0.04761904761904785, 0.04761904761904785,
+        0.04761904761904785, 0.04761904761904785, 0.04761904761904785,
+        0.04761904761904785, 0.04761904761904785, 0.04761904761904785],
+    (1.5, -3.0, 0.5): [
+        1.8607196013851275, 1.0603534953156732, -5.520261965073921,
+        1.8248282094415842, 31.09930089595274, -20.545587384959497,
+        -141.17294560499693, 178.81922565735863, 621.6121081104972,
+        -1206.8591744827263, -2501.2428363800605, 7321.26642710114],
+}
+
+
+@pytest.mark.parametrize("a, b, tau", list(_TABLE_Z))
+def test_fundamental_prefix_matches_the_panel_table(a, b, tau):
+    t = 50.0 * tau * (np.arange(12) + 0.618) / 12
+    z = fundamental_prefix(LinearDdeParams(a, b, tau), t)
+    want = np.array(_TABLE_Z[(a, b, tau)])
+    assert np.all(np.abs(z - want) <= 1e-12 * np.abs(want))
+
 
 # ---------------------------------------------------------------------------
 # covariance regimes
@@ -291,7 +379,8 @@ def _sha(arr):
 def test_sigma2_curve_bytes_at_the_full_horizon(monkeypatch):
     # how the panels are laid out must never move a byte of the curves; a
     # row keeps only the knots inside its window, so it needs at most three.
-    # Recorded from the X that the exact-rational test above holds to 1e-12
+    # Recorded from the X and (for the Wiener kernel) the Z that the
+    # exact-rational tests above hold to 1e-12
     widths = []
 
     def counted(f, edges):
@@ -300,10 +389,10 @@ def test_sigma2_curve_bytes_at_the_full_horizon(monkeypatch):
 
     monkeypatch.setattr(covariance, "panel_gauss", counted)
     want = {
-        "wiener": ("09b12007cb08c54f6db18081720dbcc9"
-                   "ae81be572cf544fba68e9de505d242e3",
-                   "1f0a46abe984b5e827782b3da7408015"
-                   "34f7527af847cfd14ba88953a87b4d23"),
+        "wiener": ("cb7a26963dd5b5b928ac1ae48313ea49"
+                   "5f7e7c544422cbdfeda03e72d394f5c5",
+                   "56c5c561f790d23c7b8620c955991a87"
+                   "b850a2abea4aca6e3ba9b82abff5841c"),
         "cosine": ("9077151c1c4d08a9db736fae74a94f30"
                    "c7e5e75961de3dbc24652b69658ac2f0",
                    "ce5f115095ec3600781e9e4c0e96983e"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ddlab.kicked as kicked
+from ddlab.density import GridDensity
 from ddlab.kicked import (
     _SEED_DEN,
     KickConfig,
@@ -22,7 +23,8 @@ from ddlab.kicked import (
     ou_limit_suite,
     write_kick_report,
 )
-from ddlab.maps import AffineCircleMap, DensityCoupledTentMap, TentMap
+from ddlab.maps import (AffineCircleMap, DensityCoupledTentMap,
+                        NoisyAffineCircleMap, TentMap)
 from ddlab.tabular import read_csv
 
 
@@ -193,9 +195,46 @@ def test_circle_map_norms_never_increase():
     assert np.all(np.diff(norms) <= 1e-12)
 
 
+def test_noisy_circle_map_norms_never_increase():
+    # the noise convolution is linear too, so the map's transfer moves
+    # signed functions as the plain circle map's does
+    noise = GridDensity.uniform(16, 0.0, 16 / 1024)
+    norms = fp_decay_check(NoisyAffineCircleMap(0.5, 0.567, noise),
+                           centered_identity, 15, cells=1024)
+    assert np.all(np.isfinite(norms))
+    assert np.all(np.diff(norms) <= 1e-12)
+
+
 def test_density_coupled_map_is_rejected():
     with pytest.raises(TypeError):
         fp_decay_check(DensityCoupledTentMap(0.0, 0.5), centered_identity, 3)
+
+
+# sha256 of the norms of a centered indicator, recorded from the push
+# functions that fp_decay_check picked by map type
+_FP_NORMS_SHA = {
+    ("tent", 7): ("0dc230d42c1cf04961e34b018a5789c1"
+                  "5ac4d88a488246521ddc64abbd62fb59"),
+    ("tent", 64): ("883dddf6169b983349e170dc81517b23"
+                   "98dcdab44c5ff3d9c3d0029c94004b4f"),
+    ("tent", 4096): ("9275f69b53aa9a39fa7cbfb59ab5fcc8"
+                     "a14d74cea8aa886e16c4c1c19aaa391d"),
+    ("circle", 7): ("f7f4e4833ab4e90a7d7bc5fbc8732f19"
+                    "2d84b27c849140e0880f991b4c959653"),
+    ("circle", 64): ("88cfccbcf831ebe80045b58dec9ed61f"
+                     "b4984fbd148318fdbd8c06f706cc0369"),
+    ("circle", 4096): ("5e884ea0da17cfe2fe4bdd25ffa60c0a"
+                       "c7a367a8d096f53516bffd76431d8042"),
+}
+
+
+@pytest.mark.parametrize("kind, cells", list(_FP_NORMS_SHA))
+def test_fp_decay_norms_bytes_are_pinned(kind, cells):
+    m = TentMap(1.7) if kind == "tent" else AffineCircleMap(0.5, 0.567)
+    norms = fp_decay_check(m, lambda x: np.where(x <= 0.3, 0.7, -0.3), 12,
+                           cells=cells)
+    digest = hashlib.sha256(norms.tobytes()).hexdigest()
+    assert digest == "".join(_FP_NORMS_SHA[(kind, cells)])
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ histogramming the pointwise-mapped samples on the same grid gives an unbiased
 estimate of the exact cell-averaged pushforward, so the only gap is sampling
 noise (no discretization term).
 """
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,6 +247,63 @@ def test_coupled_operator_is_nonlinear():
     lhs = m.push(mix)
     rhs = GridDensity(0.5 * m.push(u).values + 0.5 * m.push(g).values)
     assert lhs.l1_distance(rhs) > 0.05
+
+
+# ---------------------------------------------------------------------------
+# one transfer plan per grid
+
+
+def _kinds(n):
+    k = max(1, n // 8)
+    return {"tent": TentMap(1.3), "coupled": DensityCoupledTentMap(0.2, 0.3),
+            "circle": AffineCircleMap(0.5, 0.567),
+            "noisy": NoisyAffineCircleMap(
+                0.5, 0.567, GridDensity.uniform(k, 0.0, k / n))}
+
+
+# sha256 of six iterates of random_density(n, n), recorded from the pushes
+# that located every preimage point anew at each step
+_ITERATES_SHA = {
+    ("tent", 7): ("c89cfb863623c17d4b4c03cab5c74246"
+                  "c178e3837657ac0eade93936fdc0fbe6"),
+    ("coupled", 7): ("ddc31a5ea227fa4d5703b2342d19cf15"
+                     "fa704a7d45d7a55cf2388b55cf45d76b"),
+    ("circle", 7): ("c1ad6ff2acbd740cc8dabf0e3b2e7bb3"
+                    "06c4d3a5980dd2b8c2b40a81ce2a9463"),
+    ("noisy", 7): ("f260da8b03f5c6da083319785481b9a9"
+                   "c515a1df2e808ba7567be5bbcfca7e6c"),
+    ("tent", 64): ("6263b9ff0840a42a973b576b854cf1e7"
+                   "820a171280525b52efa77f1c769b462e"),
+    ("coupled", 64): ("d76228c7b34e170a717043176f06f846"
+                      "d3bfc5e66302bd00e4296962cdc58e4d"),
+    ("circle", 64): ("d8a58bdc757b98cbf612b1d8a4bae50f"
+                     "efdac5192ea0bae2f30481f0c8268e7b"),
+    ("noisy", 64): ("28a20b409e561ffbb86871c86a0209db"
+                    "9a95c811a40867edcfdb56dee85eed88"),
+    ("tent", 4096): ("53c10828277ba14989d461eb1218788e"
+                     "d74436a959999693baff422dca253d6c"),
+    ("coupled", 4096): ("d0185304962b890f21af3d96a22d8da2"
+                        "b133fb1e8a1e520eccd25f53013f7431"),
+    ("circle", 4096): ("5d311d44322f29ce5ec87779563b47b5"
+                       "012b21f171a8082b1aefe808803a049f"),
+    ("noisy", 4096): ("a22b3a033a4dae5f16cdc311fb95cfca"
+                      "7fe311ee0db5ab9309abdc0d811d8ce6"),
+}
+
+
+@pytest.mark.parametrize("kind, n", list(_ITERATES_SHA))
+def test_iterate_is_repeated_push_bytewise(kind, n):
+    m = _kinds(n)[kind]
+    seq = iterate(m, random_density(n, n), 6, keep=True)
+    by_push = {"tent": lambda v: push_tent_values(v, m.a),
+               "circle": lambda v: push_circle_values(v, m.a, m.b)}
+    for f, g in zip(seq, seq[1:]):
+        assert m.push(f).values.tobytes() == g.values.tobytes()
+        if kind in by_push:
+            assert by_push[kind](f.values).tobytes() == g.values.tobytes()
+    digest = hashlib.sha256(
+        np.concatenate([g.values for g in seq]).tobytes()).hexdigest()
+    assert digest == "".join(_ITERATES_SHA[(kind, n)])
 
 
 # ---------------------------------------------------------------------------

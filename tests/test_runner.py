@@ -254,6 +254,17 @@ def test_map_iterate_keeps_uniform_invariant(tmp_path):
     assert np.allclose(cols[2], 1.0, atol=1e-12)
 
 
+def test_map_iterate_bytes_are_pinned(tmp_path):
+    # the benchmark's map-iterate config; recorded from the pushes that
+    # located every preimage point anew at each step
+    text = ("kind = map-iterate\n[params]\nmap = tent\na = 1.3\n"
+            "n_iter = 2000\ncells = 4096\n")
+    run(parse_config(text), outdir=tmp_path)
+    digest = hashlib.sha256((tmp_path / "density.csv").read_bytes()).hexdigest()
+    assert digest == ("e48ba1dd8f4e391937857699aec014ad"
+                      "dc1283b8c294721fab56ddfb340c3419")
+
+
 def test_gaussian_kind_flat_variance(tmp_path):
     # delay matched to the kernel's oscillation, where the variance sits at 1
     tau = 1.5707963267948966
@@ -268,13 +279,14 @@ def test_gaussian_kind_flat_variance(tmp_path):
 
 def test_gaussian_sigma2_bytes_are_pinned(tmp_path):
     # the benchmark's gaussian config; how the quadrature panels are laid
-    # out must never move a byte of the curve
+    # out must never move a byte of the curve.  Recorded from the Z that
+    # the method of steps integrates term by term
     text = ("kind = gaussian\n[params]\nkernel = brownian\na = 0.0\n"
             "b = -1.0\ntau = 1.0\nT = 2.0\ndt = 0.001\n")
     run(parse_config(text), outdir=tmp_path)
     digest = hashlib.sha256((tmp_path / "sigma2.csv").read_bytes()).hexdigest()
-    assert digest == ("8087c0fc0e21810f051a49c420f72661"
-                      "ab85ab21a960ea40a48f29deeae9d34e")
+    assert digest == ("dd5a9885cab6484baace90f82b8ebdb1"
+                      "5b5d1ae99a9b301d4ebf61819cd3a549")
 
 
 def test_kicked_kind_report_rows(tmp_path):
