@@ -508,35 +508,26 @@ def velocity_stats(pool, *, bins=60, min_samples=1_000_000) -> VelocityStats:
 
 def write_snapshot_csv(path, snapshots) -> None:
     """All marginal histograms, one row per (snapshot, bin)."""
-    t_col, left, right, dens = [], [], [], []
-    for snap in snapshots:
-        hist = snap.marginal
-        edges = hist.edges
-        d = hist.densities()
-        t_col.extend([snap.t] * hist.n)
-        left.extend(edges[:-1])
-        right.extend(edges[1:])
-        dens.extend(d)
+    hists = [snap.marginal for snap in snapshots]
+    edges = [hist.edges for hist in hists]
     write_csv(path, ["t", "bin_left", "bin_right", "density"],
-              [t_col, left, right, dens])
+              [np.repeat([snap.t for snap in snapshots],
+                         [hist.n for hist in hists]),
+               np.concatenate([e[:-1] for e in edges]),
+               np.concatenate([e[1:] for e in edges]),
+               np.concatenate([hist.densities() for hist in hists])])
 
 
 def write_joint_csv(path, snapshots) -> None:
     """Occupied joint-histogram cells, one row per (snapshot, cell)."""
-    cols = [[], [], [], [], [], []]
+    rows = []
     for snap in snapshots:
         if snap.joint is None:
             continue
         jh = snap.joint
         edges = jh.edges
-        d = jh.densities()
         xi, yi = np.nonzero(jh.counts)
-        for a, b in zip(xi, yi):
-            cols[0].append(snap.t)
-            cols[1].append(edges[a])
-            cols[2].append(edges[a + 1])
-            cols[3].append(edges[b])
-            cols[4].append(edges[b + 1])
-            cols[5].append(d[a, b])
+        rows.append((np.full(xi.size, snap.t), edges[xi], edges[xi + 1],
+                     edges[yi], edges[yi + 1], jh.densities()[xi, yi]))
     write_csv(path, ["t", "x_left", "x_right", "y_left", "y_right",
-                     "density"], cols)
+                     "density"], [np.concatenate(col) for col in zip(*rows)])

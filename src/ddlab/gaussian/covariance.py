@@ -21,10 +21,13 @@ Every integral is split at one knot list: the delay knots r = c - k tau,
 where X(c - r - tau) crosses a multiple of tau, plus the kernel's kinks.
 Neither is filtered to an interval; each quadrature keeps the knots strictly
 inside its own limits.  Scalar evaluation runs adaptive Simpson on those
-panels.  Dense curves integrate the same panels with fixed 24-point
-Gauss-Legendre, one row per time; structured kernels (finite rank, or the
-running-minimum kernel) reduce the double integral to products or a single
-integral first.
+panels.  Both dense curves are one batched evaluator of R at absolute times
+A <= B, which integrates the same panels with fixed 24-point Gauss-Legendre,
+one row per time: the lag curve reads R(s - tau, s) and the variance curve
+reads sigma^2(t) = R(t, t) directly.  Structured kernels (finite rank, or
+the running-minimum kernel) reduce the double integral to products or a
+single integral first; other kernels fall back to `r_t` once both times
+are evolved.
 """
 from __future__ import annotations
 
@@ -47,7 +50,7 @@ __all__ = [
     "write_r_slice",
 ]
 
-_CHUNK = 256  # times per batched block of `lag_cov_curve`
+_CHUNK = 256  # times per batched block of `_cov_curve`
 
 
 # ---------------------------------------------------------------------------
@@ -199,22 +202,23 @@ def r_t(kernel: CovKernel, p: LinearDdeParams, t: float, s1: float, s2: float,
 # batched curves
 
 
-def _lag_cov_block(kernel: CovKernel, p: LinearDdeParams, s, tol):
-    out = np.empty_like(s)
-    early = s <= p.tau
-    if early.any():
-        se = s[early]
-        A = se - p.tau
-        A3 = A[:, None, None]
-        out[early] = (fundamental_solution(p, se) * kernel.value(A, 0.0)
-                      + p.b * _batched_weighted_single(
-                          lambda r: kernel.value(r, A3), p, se,
-                          kernel.kinks(A)))
-    late = ~early
+def _cov_block(kernel: CovKernel, p: LinearDdeParams, A, B, tol):
+    """R at the absolute times A <= B, each regime picked by a mask."""
+    out = np.empty_like(B)
+    hist = B <= 0.0
+    out[hist] = kernel.value(A[hist], B[hist])
+    mid = (A <= 0.0) & ~hist
+    if mid.any():
+        a, b = A[mid], B[mid]
+        a3 = a[:, None, None]
+        out[mid] = (fundamental_solution(p, b) * kernel.value(a, 0.0)
+                    + p.b * _batched_weighted_single(
+                        lambda r: kernel.value(r, a3), p, b, kernel.kinks(a)))
+    late = A > 0.0
     if not late.any():
         return out
-    B = s[late]
-    A = B - p.tau
+    A = A[late]
+    B = B[late]
     sep = kernel.separable_terms()
     if sep is not None:
         ja = [_batched_weighted_single(f, p, A) for f in sep]
@@ -242,8 +246,8 @@ def _lag_cov_block(kernel: CovKernel, p: LinearDdeParams, s, tol):
             gg, np.full_like(B, -p.tau), np.zeros_like(B),
             np.concatenate([_delay_knots(p, A), _delay_knots(p, B)], axis=1))
     else:
-        out[late] = [r_t(kernel, p, float(t), -p.tau, 0.0, tol=tol)
-                     for t in B]
+        out[late] = [r_t(kernel, p, float(b), float(a - b), 0.0, tol=tol)
+                     for a, b in zip(A, B)]
         return out
     out[late] = _evolved(p, fundamental_solution(p, A),
                          fundamental_solution(p, B),
@@ -251,25 +255,28 @@ def _lag_cov_block(kernel: CovKernel, p: LinearDdeParams, s, tol):
     return out
 
 
+def _cov_curve(kernel: CovKernel, p: LinearDdeParams, A, B, tol):
+    """`_cov_block` in blocks of `_CHUNK` times: the batched panel integrals
+    broadcast times x panels x nodes, and bounding the leading axis keeps
+    the transient arrays small even for horizons of many delay intervals.
+    """
+    out = np.empty_like(B)
+    for i in range(0, len(B), _CHUNK):
+        out[i:i + _CHUNK] = _cov_block(kernel, p, A[i:i + _CHUNK],
+                                       B[i:i + _CHUNK], tol)
+    return out
+
+
 def lag_cov_curve(kernel: CovKernel, p: LinearDdeParams, s_values,
                   *, tol: float = 1e-9) -> np.ndarray:
-    """R_s(-tau, 0) for an array of times; structured kernels run batched.
-
-    Evaluation proceeds in blocks of `_CHUNK` times: the batched panel
-    integrals broadcast times x panels x nodes, and bounding the leading
-    axis keeps the transient arrays small even for horizons of many delay
-    intervals.
-    """
+    """R_s(-tau, 0) for an array of times; structured kernels run batched."""
     s = np.asarray(s_values, dtype=float)
     if s.ndim != 1:
         raise ValueError("s_values must be 1-d")
     if np.any(s < -1e-12):
         raise ValueError("times must be nonnegative")
     check_horizon(p, s)
-    out = np.empty_like(s)
-    for i in range(0, len(s), _CHUNK):
-        out[i:i + _CHUNK] = _lag_cov_block(kernel, p, s[i:i + _CHUNK], tol)
-    return out
+    return _cov_curve(kernel, p, s - p.tau, s, tol)
 
 
 @dataclass
@@ -304,31 +311,23 @@ def sigma2_grid(p: LinearDdeParams, T: float, dt: float) -> np.ndarray:
 
 def sigma2_curve(kernel: CovKernel, p: LinearDdeParams, T: float, dt: float,
                  *, tol: float = 1e-9) -> SigmaCurve:
-    """Variance of x(t) on a uniform grid via the integral representation
+    """Variance sigma^2(t) = R_t(0, 0) of x(t) on a uniform grid.
 
-        sigma^2(t) = e^{2at} [ sigma^2(0) + 2b * integral_0^t e^{-2as}
-                               R_s(-tau, 0) ds ].
+    The variance and the lag covariance R_t(-tau, 0) are two independent
+    reads of the batched evaluator, and the variance equation
 
-    The running integral accumulates 5-point Gauss-Legendre panels (one per
-    grid step), and the residual |d sigma^2/dt - 2a sigma^2 - 2b R_t(-tau,0)|
-    uses centered differences, switching to one-sided second-order stencils
-    at the endpoints and at the breakpoints t = k tau where the curve is
-    only C^1 (one-sided grids are exact when tau is a grid multiple).
+        d sigma^2/dt = 2a sigma^2 + 2b R_t(-tau, 0)
+
+    serves only as a check: the residual |d sigma^2/dt - 2a sigma^2 -
+    2b R_t(-tau, 0)| uses centered differences, switching to one-sided
+    second-order stencils at the endpoints and at the breakpoints t = k tau
+    where the curve is only C^1 (one-sided grids are exact when tau is a
+    grid multiple).
     """
     t_grid = sigma2_grid(p, T, dt)
     n = len(t_grid) - 1
-    gx, gw = np.polynomial.legendre.leggauss(5)
-    panel_nodes = (t_grid[:-1, None] + 0.5 * dt * (gx + 1.0)).ravel()
-    all_s = np.concatenate([t_grid, panel_nodes])
-    r_all = lag_cov_curve(kernel, p, all_s, tol=tol)
-    r_grid = r_all[: n + 1]
-    r_panel = r_all[n + 1:].reshape(n, 5)
-    s_panel = panel_nodes.reshape(n, 5)
-    wexp = np.exp(-2.0 * p.a * s_panel)
-    panels = 0.5 * dt * (wexp * r_panel * gw).sum(axis=1)
-    running = np.concatenate([[0.0], np.cumsum(panels)])
-    sigma0 = float(kernel.value(0.0, 0.0))
-    sigma2 = np.exp(2.0 * p.a * t_grid) * (sigma0 + 2.0 * p.b * running)
+    sigma2 = _cov_curve(kernel, p, t_grid, t_grid, tol)
+    r_grid = _cov_curve(kernel, p, t_grid - p.tau, t_grid, tol)
 
     deriv = np.empty_like(sigma2)
     deriv[1:-1] = (sigma2[2:] - sigma2[:-2]) / (2.0 * dt)

@@ -15,9 +15,20 @@ kernel may advertise structure the covariance propagator can exploit:
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from ..density import locate
 from ..tabular import read_csv, write_csv
+
+
+def _window(tau) -> float:
+    """The window length ``tau`` as a float, checked finite and positive."""
+    tau = float(tau)
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"tau must be finite and positive, got {tau!r}")
+    return tau
 
 
 class CovKernel:
@@ -72,9 +83,7 @@ class ShiftedWienerKernel(CovKernel):
     """R(s1, s2) = min(s1, s2) + tau: Wiener path started at ``-tau``."""
 
     def __init__(self, tau):
-        if tau <= 0.0:
-            raise ValueError("tau must be positive")
-        self.tau = float(tau)
+        self.tau = _window(tau)
 
     def _value(self, lo, hi):
         return lo + self.tau
@@ -101,7 +110,7 @@ class ProductSeparableKernel(CovKernel):
     def __init__(self, u, v, tau, ratio_derivative=None):
         self.u = u
         self.v = v
-        self.tau = float(tau)
+        self.tau = _window(tau)
         self.ratio_derivative = ratio_derivative
         if abs(float(u(-self.tau))) > 1e-12:
             raise ValueError("u must vanish at -tau")
@@ -133,10 +142,12 @@ class TabulatedKernel(CovKernel):
             raise ValueError("need a square value grid")
         if values.shape[0] < 2:
             raise ValueError("need at least a 2x2 grid")
+        if not np.isfinite(values).all():
+            raise ValueError("tabulated kernel values must be finite")
         if np.abs(values - values.T).max() > 1e-12:
             raise ValueError("tabulated kernel must be symmetric")
         self.values = values
-        self.tau = float(tau)
+        self.tau = _window(tau)
         self.grid = np.linspace(-self.tau, 0.0, values.shape[0])
 
     def _value(self, lo, hi):
@@ -145,12 +156,10 @@ class TabulatedKernel(CovKernel):
     def _bilinear(self, s1, s2):
         n = self.values.shape[0] - 1
         h = self.tau / n
-        p1 = np.clip((np.asarray(s1) + self.tau) / h, 0.0, float(n))
-        p2 = np.clip((np.asarray(s2) + self.tau) / h, 0.0, float(n))
-        i1 = np.minimum(p1.astype(int), n - 1)
-        i2 = np.minimum(p2.astype(int), n - 1)
-        f1 = p1 - i1
-        f2 = p2 - i2
+        i1, f1 = locate(-self.tau, h, n, s1)
+        i2, f2 = locate(-self.tau, h, n, s2)
+        f1 = f1 / h
+        f2 = f2 / h
         v = self.values
         return ((1 - f1) * (1 - f2) * v[i1, i2] + f1 * (1 - f2) * v[i1 + 1, i2]
                 + (1 - f1) * f2 * v[i1, i2 + 1] + f1 * f2 * v[i1 + 1, i2 + 1])

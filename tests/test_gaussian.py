@@ -335,12 +335,12 @@ def test_lag_cov_curve_matches_pointwise_evaluation():
 
 def test_lag_cov_curve_matches_tight_pointwise_evaluation_late():
     # past 30 tau both sides are below r_t's default absolute tolerance,
-    # so r_t runs at 1e-16.  The cosine kernel agrees in relative terms;
-    # the Wiener curve reads X's running integral from the prefix table,
-    # whose differences of nearly equal sums limit its relative agreement,
-    # so it is held in absolute terms only
+    # so r_t runs at 1e-16.  The cosine kernel agrees to 1e-10 relative;
+    # the Wiener curve integrates differences of nearly equal values of
+    # X's running integral Z, which limit its relative agreement (1.35e-4
+    # at 50 tau), so it is also held to 1e-16 absolute
     times = [35.0, 45.0, 50.0]
-    for kernel, rel, abs_ in ((COSINE, 1e-10, 0.0), (WIENER, 0.0, 1e-16)):
+    for kernel, rel, abs_ in ((COSINE, 1e-10, 0.0), (WIENER, 1e-3, 1e-16)):
         curve = lag_cov_curve(kernel, P01, times)
         tight = [r_t(kernel, P01, t, -1.0, 0.0, tol=1e-16) for t in times]
         np.testing.assert_allclose(curve, tight, rtol=rel, atol=abs_)
@@ -361,6 +361,22 @@ def test_tabulated_kernel_roundtrip_and_covariance(tmp_path):
     assert abs(exact - approx) < 5e-3
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ShiftedWienerKernel(math.nan),
+    lambda: ShiftedWienerKernel(math.inf),
+    lambda: ShiftedWienerKernel(0.0),
+    lambda: TabulatedKernel(np.eye(3), -1.0),
+    lambda: TabulatedKernel(np.eye(3), math.nan),
+    lambda: TabulatedKernel(np.full((3, 3), math.nan), 1.0),
+    lambda: ProductSeparableKernel(lambda s: s + 1.0, np.ones_like, math.nan),
+], ids=["wiener-nan", "wiener-inf", "wiener-zero", "tabulated-negative",
+        "tabulated-nan", "tabulated-nan-values", "product-nan"])
+def test_kernels_reject_bad_windows_and_values(build):
+    # "tau must be finite and positive" or "values must be finite"
+    with pytest.raises(ValueError, match="must be finite"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # variance curves
 
@@ -379,8 +395,8 @@ def _sha(arr):
 def test_sigma2_curve_bytes_at_the_full_horizon(monkeypatch):
     # how the panels are laid out must never move a byte of the curves; a
     # row keeps only the knots inside its window, so it needs at most three.
-    # Recorded from the X and (for the Wiener kernel) the Z that the
-    # exact-rational tests above hold to 1e-12
+    # Recorded from the variance read as R_t(0, 0), with the X and (for the
+    # Wiener kernel) the Z that the exact-rational tests above hold to 1e-12
     widths = []
 
     def counted(f, edges):
@@ -389,19 +405,31 @@ def test_sigma2_curve_bytes_at_the_full_horizon(monkeypatch):
 
     monkeypatch.setattr(covariance, "panel_gauss", counted)
     want = {
-        "wiener": ("cb7a26963dd5b5b928ac1ae48313ea49"
-                   "5f7e7c544422cbdfeda03e72d394f5c5",
-                   "56c5c561f790d23c7b8620c955991a87"
-                   "b850a2abea4aca6e3ba9b82abff5841c"),
-        "cosine": ("9077151c1c4d08a9db736fae74a94f30"
-                   "c7e5e75961de3dbc24652b69658ac2f0",
-                   "ce5f115095ec3600781e9e4c0e96983e"
-                   "01e1016489b60aa5872bf9b39e3ab507"),
+        "wiener": ("0e1bef9fe261dd756271e3218dcffd01"
+                   "43cd1018f97e8c1f97785bfd52d488ed",
+                   "8468f7457bcb79e062c682a8a450a0a6"
+                   "bfdd2020d488cfb869a9dd29ab68dcf8"),
+        "cosine": ("f7a527e725996a4aa86fd5c740db1817"
+                   "929436a5a7e9353af416ebdc221ca898",
+                   "471cb09a497a851ad246e0a1987bef37"
+                   "169714fa2afe6f585abc687ad85c6caf"),
     }
     for name, kernel in (("wiener", WIENER), ("cosine", COSINE)):
         curve = sigma2_curve(kernel, P01, 50.0, 0.5)
         assert (_sha(curve.sigma2), _sha(curve.residual)) == want[name]
     assert max(widths) <= 3
+
+
+@pytest.mark.parametrize("kernel, rel", [(COSINE, 1e-10), (WIENER, 1e-3)],
+                         ids=["cosine", "wiener"])
+def test_sigma2_curve_matches_tight_pointwise_variance_late(kernel, rel):
+    # the curve reads sigma^2 = R_t(0, 0) itself; an integral of the
+    # variance equation from sigma^2(0) cancels once sigma^2 is small (1.57
+    # relative error for the cosine kernel at 50 tau)
+    curve = sigma2_curve(kernel, P01, 50.0, 0.5)
+    for t in (40.0, 45.0, 48.5, 50.0):
+        assert curve.at(t) == pytest.approx(
+            r_t(kernel, P01, t, 0.0, 0.0, tol=1e-16), rel=rel, abs=0.0)
 
 
 def test_sigma2_curve_cosine_is_constant_one():

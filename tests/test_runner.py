@@ -236,6 +236,18 @@ def test_noisy_circle_bytes_are_pinned(tmp_path):
     }
 
 
+def test_noisy_circle_joint_bytes_are_pinned(tmp_path):
+    # recorded from the writers that appended the rows one bin and one
+    # occupied cell at a time
+    text = NOISY_CIRCLE.replace("m = 16", "m = 16\njoint = true")
+    manifest = run(parse_config(text), outdir=tmp_path)
+    digests = {rec["name"]: rec["sha256"] for rec in manifest.outputs}
+    assert digests["joint.csv"] == (
+        "18d5c8cc4c7c0e69274e4f35d801603bbf60376d47e4cb46c146115b03bb96c0")
+    assert digests["snapshots.csv"] == (
+        "ebd0a521dc938f8f1f63fd9a4f18afd3588e19db86134d039c0b943113d94d27")
+
+
 def test_default_outdir_honors_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("DDLAB_OUT", str(tmp_path / "root"))
     cfg = parse_config(MINIMAL)
@@ -279,14 +291,15 @@ def test_gaussian_kind_flat_variance(tmp_path):
 
 def test_gaussian_sigma2_bytes_are_pinned(tmp_path):
     # the benchmark's gaussian config; how the quadrature panels are laid
-    # out must never move a byte of the curve.  Recorded from the Z that
-    # the method of steps integrates term by term
+    # out must never move a byte of the curve.  Recorded from the variance
+    # read as R_t(0, 0) with the Z that the method of steps integrates
+    # term by term
     text = ("kind = gaussian\n[params]\nkernel = brownian\na = 0.0\n"
             "b = -1.0\ntau = 1.0\nT = 2.0\ndt = 0.001\n")
     run(parse_config(text), outdir=tmp_path)
     digest = hashlib.sha256((tmp_path / "sigma2.csv").read_bytes()).hexdigest()
-    assert digest == ("dd5a9885cab6484baace90f82b8ebdb1"
-                      "5b5d1ae99a9b301d4ebf61819cd3a549")
+    assert digest == ("c47a32c3a7fef3887c74bc664c159e33"
+                      "d506166af2500b36b7cb8360e3a8c517")
 
 
 def test_kicked_kind_report_rows(tmp_path):
