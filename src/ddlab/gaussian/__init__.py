@@ -1,7 +1,7 @@
 """Analytic Gaussian-measure propagation for linear delay equations."""
 
-from .covariance import (GaussianState, SigmaCurve, factorized_sigma2,
-                         lag_cov_curve, propagate_state, r_t, sigma2_curve,
+from .covariance import (GaussianState, SigmaCurve, lag_cov_curve,
+                         propagate_state, r_t, sigma2_curve,
                          wiener_closed_form, write_r_slice)
 from .densities import conditional_mean_check, joint_density, marginal_density
 from .kernels import (CosineKernel, CovKernel, DegenerateCosineKernel,
@@ -15,7 +15,7 @@ __all__ = [
     "CosineKernel", "CovKernel", "DegenerateCosineKernel", "GaussianState",
     "LinearDdeParams", "ProductSeparableKernel", "ShiftedWienerKernel",
     "SigmaCurve", "StabilityClass", "TabulatedKernel",
-    "conditional_mean_check", "factorized_sigma2", "fundamental_prefix",
+    "conditional_mean_check", "fundamental_prefix",
     "fundamental_solution", "gaussian_path_slabs", "hayes_stable",
     "joint_density", "lag_cov_curve", "marginal_density", "propagate_state",
     "r_t", "rightmost_root",

@@ -4,8 +4,10 @@ Everything follows from the solution representation
 
     x(t) = X(t) xi(0) + b * integral_{-tau}^{0} X(t - r - tau) xi(r) dr
 
-with X the fundamental solution.  Writing A = t + s1 <= B = t + s2, the
-lagged covariance R_t(s1, s2) = E[x(A) x(B)] falls into three regimes:
+with X the fundamental solution.  Two evaluators build on it.
+
+The pointwise reference `r_t` writes A = t + s1 <= B = t + s2 and splits
+the lagged covariance R_t(s1, s2) = E[x(A) x(B)] into three regimes:
 
 * both times still in the history window (B <= 0): the initial kernel,
   R_0(A, B);
@@ -16,18 +18,24 @@ lagged covariance R_t(s1, s2) = E[x(A) x(B)] falls into three regimes:
 
 The regimes agree at their boundaries (the straddling integral collapses as
 B -> 0+, and the double integral dies as A -> 0+), which the tests check.
-
 Every integral is split at one knot list: the delay knots r = c - k tau,
 where X(c - r - tau) crosses a multiple of tau, plus the kernel's kinks.
 Neither is filtered to an interval; each quadrature keeps the knots strictly
-inside its own limits.  Scalar evaluation runs adaptive Simpson on those
-panels.  Both dense curves are one batched evaluator of R at absolute times
-A <= B, which integrates the same panels with fixed 24-point Gauss-Legendre,
-one row per time: the lag curve reads R(s - tau, s) and the variance curve
-reads sigma^2(t) = R(t, t) directly.  Structured kernels (finite rank, or
-the running-minimum kernel) reduce the double integral to products or a
-single integral first; other kernels fall back to `r_t` once both times
-are evolved.
+inside its own limits, and `r_t` runs adaptive Simpson on those panels.
+
+Both dense curves are one batched evaluator, which carries the kernel's
+factors forward instead: R_t = S_t R_0 S_t*.  If R_0(s1, s2) is a sum or an
+integral of products g(s1) g(s2), each factor g evolves to g(c) in the
+history (c <= 0) and to X(c) g(0) + b * integral X(c - r - tau) g(r) dr
+after, and R(A, B) is the same sum or integral of the evolved products.
+A finite-rank kernel has finitely many factors; the running-minimum kernel
+is the integral over q in [-tau, 0] of 1{q <= s1} 1{q <= s2}, whose factors
+evolve to X(c) + b (Z(c - tau - q) - Z(c - tau)) with Z the running
+integral of X.  The integrals run on the same knot lists with fixed
+24-point Gauss-Legendre, one row per time: the lag curve reads
+R(s - tau, s), and the variance curve reads sigma^2(t) = R(t, t), forming
+each factor once, so sigma^2 is a sum or an integral of squares and never
+negative.  Other kernels run `r_t` at every time.
 """
 from __future__ import annotations
 
@@ -40,14 +48,13 @@ import numpy as np
 from ..errors import QuadratureError
 from ..quadrature import adaptive_simpson, adaptive_simpson_2d, panel_gauss
 from ..tabular import write_csv
-from .kernels import CovKernel, ShiftedWienerKernel
+from .kernels import CovKernel, ShiftedWienerKernel, check_window
 from .linear import (LinearDdeParams, check_horizon, fundamental_prefix,
                      fundamental_solution)
 
 __all__ = [
     "GaussianState", "r_t", "lag_cov_curve", "sigma2_curve", "sigma2_grid",
-    "SigmaCurve", "propagate_state", "wiener_closed_form", "factorized_sigma2",
-    "write_r_slice",
+    "SigmaCurve", "propagate_state", "wiener_closed_form", "write_r_slice",
 ]
 
 _CHUNK = 256  # times per batched block of `_cov_curve`
@@ -127,26 +134,32 @@ def _xx_double(kernel: CovKernel, p: LinearDdeParams, A: float, B: float,
 def _panel_integral(f, lo, hi, knots):
     """Per-row `panel_gauss` of ``f`` over [lo, hi], split at the knots.
 
-    A row's edges are lo, its knots strictly inside (lo, hi) in order, then
-    hi, repeated on the right up to the widest row's panel count.
+    A row's edges are lo, its distinct knots strictly inside (lo, hi) in
+    order, then hi, repeated on the right up to the widest row's panel
+    count.
     """
     lo = lo[:, None]
     hi = hi[:, None]
     knots = np.where((knots > lo) & (knots < hi), knots, hi)
     knots.sort(axis=1)
+    knots[:, 1:] = np.where(knots[:, 1:] == knots[:, :-1], hi, knots[:, 1:])
+    knots.sort(axis=1)
     width = int((knots < hi).sum(axis=1).max(initial=0))
     return panel_gauss(f, np.concatenate([lo, knots[:, :width], hi], axis=1))
 
 
-def _batched_weighted_single(fn, p: LinearDdeParams, c, kinks=()):
-    """Vectorized integral_{-tau}^{min(0, c-tau)} X(c - r - tau) fn(r) dr."""
+def _batched_weighted_single(fn, p: LinearDdeParams, c):
+    """Vectorized integral_{-tau}^{min(0, c-tau)} X(c - r - tau) fn(r) dr.
+
+    ``fn`` may stack several integrands on a leading axis; the result
+    carries the same axis.
+    """
     lo = np.full_like(c, -p.tau)
     hi = np.maximum(np.minimum(0.0, c - p.tau), lo)
-    kinks = np.broadcast_to(kinks, c.shape + np.shape(kinks)[-1:])
     cc = c[:, None, None]
     return _panel_integral(
         lambda r: fundamental_solution(p, cc - r - p.tau) * fn(r), lo, hi,
-        np.concatenate([_delay_knots(p, c), kinks], axis=1))
+        _delay_knots(p, c))
 
 
 def _evolved(p: LinearDdeParams, xa, xb, k00, i_a, i_b, dbl):
@@ -175,6 +188,7 @@ def _canonical_window_args(p, t, s1, s2):
 def r_t(kernel: CovKernel, p: LinearDdeParams, t: float, s1: float, s2: float,
         *, tol: float = 1e-9) -> float:
     """Covariance of the evolved Gaussian process at window offsets s1, s2."""
+    check_window(kernel, p.tau)
     t, s1, s2 = _canonical_window_args(p, t, s1, s2)
     A = t + s1
     B = t + s2
@@ -202,57 +216,68 @@ def r_t(kernel: CovKernel, p: LinearDdeParams, t: float, s1: float, s2: float,
 # batched curves
 
 
+def _finite_rank_factors(sep, p: LinearDdeParams, c):
+    """g_f(c) for the factors f of a finite-rank kernel, evolved; shape
+    ``(len(sep),) + c.shape``.
+
+    f(c) in the history (c <= 0), then
+    X(c) f(0) + b * integral X(c - r - tau) f(r) dr.
+    """
+    def fs(r):
+        return np.stack([f(r) for f in sep])
+
+    evolved = (fundamental_solution(p, c) * fs(0.0)[:, None]
+               + p.b * _batched_weighted_single(fs, p, c))
+    return np.where(c <= 0.0, fs(c), evolved)
+
+
+def _wiener_factor(p: LinearDdeParams, c):
+    """q -> g_q(c): the running-minimum kernel's factor 1{q <= s}, evolved.
+
+    1{q <= c} in the history, then X(c) + b (Z(c - tau - q) - Z(c - tau)).
+    Returns it as a function of the node array q, one row per time, and
+    its knots: the jump at q = c while c is in the history, then the
+    delay knots.
+    """
+    c3 = c[:, None, None]
+    x = fundamental_solution(p, c3)
+    z = fundamental_prefix(p, c3 - p.tau)
+
+    def g(q):
+        return np.where(c3 <= 0.0, q <= c3,
+                        x + p.b * (fundamental_prefix(p, c3 - p.tau - q) - z))
+
+    return g, np.concatenate([c[:, None], _delay_knots(p, c)], axis=1)
+
+
 def _cov_block(kernel: CovKernel, p: LinearDdeParams, A, B, tol):
-    """R at the absolute times A <= B, each regime picked by a mask."""
-    out = np.empty_like(B)
-    hist = B <= 0.0
-    out[hist] = kernel.value(A[hist], B[hist])
-    mid = (A <= 0.0) & ~hist
-    if mid.any():
-        a, b = A[mid], B[mid]
-        a3 = a[:, None, None]
-        out[mid] = (fundamental_solution(p, b) * kernel.value(a, 0.0)
-                    + p.b * _batched_weighted_single(
-                        lambda r: kernel.value(r, a3), p, b, kernel.kinks(a)))
-    late = A > 0.0
-    if not late.any():
-        return out
-    A = A[late]
-    B = B[late]
+    """R at the absolute times A <= B, as the inner product <g(A), g(B)>.
+
+    g is the kernel's factor evolved by the solution operator: a sum over
+    the factors of a finite-rank kernel, an integral over q in [-tau, 0]
+    for the running-minimum kernel.  ``B is A`` reads the variance and
+    forms each factor once.  Other kernels run `r_t` at every time.
+    """
     sep = kernel.separable_terms()
     if sep is not None:
-        ja = [_batched_weighted_single(f, p, A) for f in sep]
-        jb = [_batched_weighted_single(f, p, B) for f in sep]
-        f0 = [float(f(0.0)) for f in sep]
-        i_a = sum(w * j for w, j in zip(f0, ja))
-        i_b = sum(w * j for w, j in zip(f0, jb))
-        dbl = sum(a_ * b_ for a_, b_ in zip(ja, jb))
-    elif isinstance(kernel, ShiftedWienerKernel):
-        def ramp(r):
-            return r + p.tau
+        ga = _finite_rank_factors(sep, p, A)
+        gb = ga if B is A else _finite_rank_factors(sep, p, B)
+        return (ga * gb).sum(axis=0)
+    if isinstance(kernel, ShiftedWienerKernel):
+        ga, knots = _wiener_factor(p, A)
+        gb = ga
+        if B is not A:
+            gb, kb = _wiener_factor(p, B)
+            knots = np.concatenate([knots, kb], axis=1)
 
-        i_a = _batched_weighted_single(ramp, p, A)
-        i_b = _batched_weighted_single(ramp, p, B)
-        a3 = A[:, None, None] - p.tau
-        b3 = B[:, None, None] - p.tau
-        iA = fundamental_prefix(p, a3)
-        iB = fundamental_prefix(p, b3)
+        def integrand(q):
+            u = ga(q)
+            return u * u if gb is ga else u * gb(q)
 
-        def gg(q):
-            return ((fundamental_prefix(p, a3 - q) - iA)
-                    * (fundamental_prefix(p, b3 - q) - iB))
-
-        dbl = _panel_integral(
-            gg, np.full_like(B, -p.tau), np.zeros_like(B),
-            np.concatenate([_delay_knots(p, A), _delay_knots(p, B)], axis=1))
-    else:
-        out[late] = [r_t(kernel, p, float(b), float(a - b), 0.0, tol=tol)
-                     for a, b in zip(A, B)]
-        return out
-    out[late] = _evolved(p, fundamental_solution(p, A),
-                         fundamental_solution(p, B),
-                         float(kernel.value(0.0, 0.0)), i_a, i_b, dbl)
-    return out
+        return _panel_integral(integrand, np.full_like(B, -p.tau),
+                               np.zeros_like(B), knots)
+    return np.array([r_t(kernel, p, float(b), float(a - b), 0.0, tol=tol)
+                     for a, b in zip(A, B)])
 
 
 def _cov_curve(kernel: CovKernel, p: LinearDdeParams, A, B, tol):
@@ -262,8 +287,9 @@ def _cov_curve(kernel: CovKernel, p: LinearDdeParams, A, B, tol):
     """
     out = np.empty_like(B)
     for i in range(0, len(B), _CHUNK):
-        out[i:i + _CHUNK] = _cov_block(kernel, p, A[i:i + _CHUNK],
-                                       B[i:i + _CHUNK], tol)
+        a = A[i:i + _CHUNK]
+        out[i:i + _CHUNK] = _cov_block(kernel, p, a,
+                                       a if B is A else B[i:i + _CHUNK], tol)
     return out
 
 
@@ -276,6 +302,7 @@ def lag_cov_curve(kernel: CovKernel, p: LinearDdeParams, s_values,
     if np.any(s < -1e-12):
         raise ValueError("times must be nonnegative")
     check_horizon(p, s)
+    check_window(kernel, p.tau)
     return _cov_curve(kernel, p, s - p.tau, s, tol)
 
 
@@ -325,6 +352,7 @@ def sigma2_curve(kernel: CovKernel, p: LinearDdeParams, T: float, dt: float,
     grid multiple).
     """
     t_grid = sigma2_grid(p, T, dt)
+    check_window(kernel, p.tau)
     n = len(t_grid) - 1
     sigma2 = _cov_curve(kernel, p, t_grid, t_grid, tol)
     r_grid = _cov_curve(kernel, p, t_grid - p.tau, t_grid, tol)
@@ -427,55 +455,6 @@ def wiener_closed_form(p: LinearDdeParams, t: float):
         sigma2 = (ea * ea * p.tau + (2.0 * b / a ** 2) * ea * core
                   + (b * b / (2.0 * a ** 3)) * _sq_expm1_residue(a * t))
     return r_lag, sigma2
-
-
-def factorized_sigma2(kernel: CovKernel, p: LinearDdeParams, t: float,
-                      *, tol: float = 1e-9) -> float:
-    """Variance via the factorized-kernel identity.
-
-    For kernels expressible as R(s1, s2) = integral eta_r(s1) eta_r(s2) dr,
-    the variance is the r-integral of the squared evolved factor
-    S_t eta_r(0).  The running-minimum kernel uses the closed form of
-    S_t eta_r(0) on t in [0, tau]; other factorizable kernels evaluate the
-    factor by quadrature.
-    """
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    factorization = kernel.eta()
-    if factorization is None:
-        raise ValueError("kernel does not declare a factorization")
-    eta_r, (rlo, rhi) = factorization
-    if isinstance(kernel, ShiftedWienerKernel) and t <= p.tau:
-        a, b = p.a, p.b
-
-        def st0(r):
-            gap = np.maximum(t - r - p.tau, 0.0)
-            if abs(a) < _A_SWITCH:
-                return 1.0 + b * gap
-            return math.exp(a * t) + (b / a) * (np.exp(a * gap) - 1.0)
-
-        return adaptive_simpson(lambda r: st0(r) ** 2, rlo, rhi, tol=tol,
-                                breakpoints=(t - p.tau,))
-
-    def st0_generic(r_arr):
-        out = np.empty_like(np.atleast_1d(np.asarray(r_arr, dtype=float)))
-        r_flat = np.atleast_1d(np.asarray(r_arr, dtype=float))
-        hi_q = min(0.0, t - p.tau)
-        for i, r in enumerate(r_flat):
-            head = fundamental_solution(p, t) * float(eta_r(r, 0.0))
-            if hi_q > -p.tau:
-                inner = adaptive_simpson(
-                    lambda q, r=r: (fundamental_solution(p, t - q - p.tau)
-                                    * eta_r(r, q)),
-                    -p.tau, hi_q, tol=tol,
-                    breakpoints=(r,))
-            else:
-                inner = 0.0
-            out[i] = head + p.b * inner
-        return out.reshape(np.shape(r_arr))
-
-    return adaptive_simpson(lambda r: st0_generic(r) ** 2, rlo, rhi,
-                            tol=max(tol, 1e-8))
 
 
 def write_r_slice(path, kernel: CovKernel, p: LinearDdeParams, t, pairs,

@@ -4,14 +4,18 @@ A kernel is an evaluable symmetric function ``R(s1, s2)``; symmetry is exact
 by construction because evaluation canonicalizes the argument order.  Each
 kernel may advertise structure the covariance propagator can exploit:
 
-* ``separable_terms`` — functions ``f_m`` with ``R = sum_m f_m(s1) f_m(s2)``
-  (finite rank), turning double integrals into products of singles;
+* ``separable_terms`` — factors ``f_m`` with ``R = sum_m f_m(s1) f_m(s2)``
+  (finite rank); the batched covariance evolves each factor and sums the
+  products.  The running-minimum kernel is the continuous analogue,
+  ``R = integral_{-tau}^{0} 1{q <= s1} 1{q <= s2} dq``, which the
+  propagator recognizes by its class;
 * ``kinks`` — candidate ``r`` locations where ``r -> R(r, c)`` may not be
   smooth, as an array broadcasting against ``np.shape(c) + (k,)``.  They
   are not filtered to any interval: each quadrature keeps the ones strictly
-  inside its own limits and splits its panels there;
-* ``eta`` — a factorization ``R(s1, s2) = integral eta_r(s1) eta_r(s2) dr``
-  for the variance identity tested against the generic pipeline.
+  inside its own limits and splits its panels there.
+
+A kernel that carries its own window (``tau``) must be used with that
+window; `check_window` rejects any other.
 """
 from __future__ import annotations
 
@@ -29,6 +33,13 @@ def _window(tau) -> float:
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"tau must be finite and positive, got {tau!r}")
     return tau
+
+
+def check_window(kernel, tau) -> None:
+    """Reject a kernel whose own window is not the requested ``tau``."""
+    own = getattr(kernel, "tau", None)
+    if own is not None and abs(own - tau) > 1e-12 * tau:
+        raise ValueError(f"kernel window {own} != requested tau {tau}")
 
 
 class CovKernel:
@@ -53,10 +64,6 @@ class CovKernel:
     def kinks(self, c):
         """Kink candidates of ``r -> value(r, c)``, shape ``(..., k)``."""
         return np.empty(0)
-
-    def eta(self):
-        """``(eta(r, s), r_support)`` factorization per unit rank, or None."""
-        return None
 
 
 class CosineKernel(CovKernel):
@@ -91,27 +98,18 @@ class ShiftedWienerKernel(CovKernel):
     def kinks(self, c):
         return np.asarray(c, dtype=float)[..., None]
 
-    def eta(self):
-        def eta_r(r, s):
-            return np.where((s >= r) & (s <= 0.0), 1.0, 0.0)
-
-        return eta_r, (-self.tau, 0.0)
-
 
 class ProductSeparableKernel(CovKernel):
     """R(s1, s2) = u(min) v(max) with u(-tau) = 0, v > 0, u/v nondecreasing.
 
     This is the covariance of v(s) W(u(s)/v(s)) for a standard Wiener
-    process W.  When the derivative of u/v is supplied, the kernel
-    factorizes through eta_r(s) = v(s) sqrt((u/v)'(r)) 1_{r <= s}: the
-    r-integral of eta_r(s1) eta_r(s2) telescopes to u(min) v(max).
+    process W.
     """
 
-    def __init__(self, u, v, tau, ratio_derivative=None):
+    def __init__(self, u, v, tau):
         self.u = u
         self.v = v
         self.tau = _window(tau)
-        self.ratio_derivative = ratio_derivative
         if abs(float(u(-self.tau))) > 1e-12:
             raise ValueError("u must vanish at -tau")
 
@@ -120,17 +118,6 @@ class ProductSeparableKernel(CovKernel):
 
     def kinks(self, c):
         return np.asarray(c, dtype=float)[..., None]
-
-    def eta(self):
-        if self.ratio_derivative is None:
-            return None
-        v, dratio = self.v, self.ratio_derivative
-
-        def eta_r(r, s):
-            g = np.sqrt(np.maximum(np.asarray(dratio(r), dtype=float), 0.0))
-            return np.where(r <= s, np.asarray(v(s)) * g, 0.0)
-
-        return eta_r, (-self.tau, 0.0)
 
 
 class TabulatedKernel(CovKernel):

@@ -19,7 +19,8 @@ import numpy as np
 
 from ..errors import KernelPositivityError
 from .kernels import (CosineKernel, DegenerateCosineKernel,
-                      ProductSeparableKernel, ShiftedWienerKernel)
+                      ProductSeparableKernel, ShiftedWienerKernel,
+                      check_window)
 
 __all__ = ["gaussian_path_slabs", "sample_gaussian_paths"]
 
@@ -81,9 +82,7 @@ def gaussian_path_slabs(kernel, n: int, m: int, tau: float, seed):
         raise ValueError("need at least two history intervals")
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError("tau must be positive")
-    own_tau = getattr(kernel, "tau", None)
-    if own_tau is not None and abs(own_tau - tau) > 1e-12 * tau:
-        raise ValueError(f"kernel window {own_tau} != requested tau {tau}")
+    check_window(kernel, tau)
     rng = np.random.default_rng(seed)
     s = -tau + np.arange(m + 1) * (tau / m)
 

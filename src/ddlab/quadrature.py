@@ -16,6 +16,7 @@ exactly zero.  Tests cross-check it against the adaptive engine.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -26,16 +27,11 @@ MAX_INTERVALS = 200_000  # cap on simultaneously active Simpson subintervals
 MIN_WIDTH_FACTOR = 1e-14  # subintervals narrower than this share are final
 PANEL_ORDER = 24  # Gauss-Legendre nodes per panel in `panel_gauss`
 
-_LEG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.cache
 def _leggauss(n: int):
-    try:
-        return _LEG_CACHE[n]
-    except KeyError:
-        xw = np.polynomial.legendre.leggauss(n)
-        _LEG_CACHE[n] = xw
-        return xw
+    # at first use: numpy.polynomial is not loaded with numpy itself
+    return np.polynomial.legendre.leggauss(n)
 
 
 def adaptive_simpson(f, a, b, *, tol=1e-9, breakpoints=()):

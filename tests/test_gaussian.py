@@ -15,7 +15,7 @@ from ddlab.gaussian import (CosineKernel, DegenerateCosineKernel,
                             GaussianState, LinearDdeParams,
                             ProductSeparableKernel, ShiftedWienerKernel,
                             TabulatedKernel, conditional_mean_check,
-                            factorized_sigma2, fundamental_prefix,
+                            fundamental_prefix,
                             fundamental_solution, gaussian_path_slabs,
                             hayes_stable, joint_density,
                             lag_cov_curve, marginal_density, propagate_state,
@@ -317,20 +317,23 @@ def test_cosine_kernel_is_invariant_at_quarter_period_delay():
 
 
 def test_lag_cov_curve_matches_pointwise_evaluation():
-    # tau and 2 tau put delay knots on the ends of the windows; the product
-    # and tabulated kernels run batched only up to tau (r_t itself after)
+    # tau and 2 tau put delay knots on the ends of the windows.  The
+    # factored kernels agree with r_t to quadrature accuracy; the product
+    # and tabulated kernels have no factors, so the curve is r_t itself
     ts = np.sort(np.append(np.linspace(0.0, 3.0, 11), [1.0, 2.0]))
     g9 = np.linspace(-1.0, 0.0, 9)
-    batched = (WIENER, COSINE, DegenerateCosineKernel())
-    early_only = (ProductSeparableKernel(lambda s: s + 1.0,
-                                         lambda s: np.exp(0.3 * s), 1.0),
-                  TabulatedKernel(np.cos(g9[:, None] - g9[None, :]), 1.0))
-    for kernel in batched + early_only:
-        times = ts if kernel in batched else ts[ts <= 1.0]
+    factored = (WIENER, COSINE, DegenerateCosineKernel())
+    pointwise_only = (ProductSeparableKernel(lambda s: s + 1.0,
+                                             lambda s: np.exp(0.3 * s), 1.0),
+                      TabulatedKernel(np.cos(g9[:, None] - g9[None, :]), 1.0))
+    for kernel in factored + pointwise_only:
         for p in (P01, LinearDdeParams(0.4, -0.8, 1.0)):
-            curve = lag_cov_curve(kernel, p, times)
-            pointwise = [r_t(kernel, p, float(t), -1.0, 0.0) for t in times]
-            np.testing.assert_allclose(curve, pointwise, atol=1e-10)
+            curve = lag_cov_curve(kernel, p, ts)
+            pointwise = [r_t(kernel, p, float(t), -1.0, 0.0) for t in ts]
+            if kernel in factored:
+                np.testing.assert_allclose(curve, pointwise, atol=1e-10)
+            else:
+                np.testing.assert_array_equal(curve, pointwise)
 
 
 def test_lag_cov_curve_matches_tight_pointwise_evaluation_late():
@@ -394,9 +397,10 @@ def _sha(arr):
 
 def test_sigma2_curve_bytes_at_the_full_horizon(monkeypatch):
     # how the panels are laid out must never move a byte of the curves; a
-    # row keeps only the knots inside its window, so it needs at most three.
-    # Recorded from the variance read as R_t(0, 0), with the X and (for the
-    # Wiener kernel) the Z that the exact-rational tests above hold to 1e-12
+    # row keeps only the distinct knots inside its window, so it needs at
+    # most two.  Recorded from the evaluator that integrates products of
+    # the kernel's evolved factors, with the X and (for the Wiener kernel)
+    # the Z that the exact-rational tests above hold to 1e-12
     widths = []
 
     def counted(f, edges):
@@ -405,19 +409,19 @@ def test_sigma2_curve_bytes_at_the_full_horizon(monkeypatch):
 
     monkeypatch.setattr(covariance, "panel_gauss", counted)
     want = {
-        "wiener": ("0e1bef9fe261dd756271e3218dcffd01"
-                   "43cd1018f97e8c1f97785bfd52d488ed",
-                   "8468f7457bcb79e062c682a8a450a0a6"
-                   "bfdd2020d488cfb869a9dd29ab68dcf8"),
-        "cosine": ("f7a527e725996a4aa86fd5c740db1817"
-                   "929436a5a7e9353af416ebdc221ca898",
-                   "471cb09a497a851ad246e0a1987bef37"
-                   "169714fa2afe6f585abc687ad85c6caf"),
+        "wiener": ("5771dbef87f351738b76ee26b0fff700"
+                   "d2b16389f45114b1d1901a73f7f251c0",
+                   "62fedc0649b6bcbafa631dba6db35a02"
+                   "6fe7f345de147634f1e1f1c89ac49c2d"),
+        "cosine": ("f71f65eecabe68d68d900b624c76cbbb"
+                   "27a82e9f5534e7e8fd9f4d4687c30e4d",
+                   "2be1f511d069d6aa558127acadf1ddf8"
+                   "ff90e37e3390a24070102543d3e9c974"),
     }
     for name, kernel in (("wiener", WIENER), ("cosine", COSINE)):
         curve = sigma2_curve(kernel, P01, 50.0, 0.5)
         assert (_sha(curve.sigma2), _sha(curve.residual)) == want[name]
-    assert max(widths) <= 3
+    assert max(widths) <= 2
 
 
 @pytest.mark.parametrize("kernel, rel", [(COSINE, 1e-10), (WIENER, 1e-3)],
@@ -563,24 +567,45 @@ def test_near_zero_a_crossover_is_smooth():
 
 @pytest.mark.parametrize("a,b", [(0.0, -1.0), (0.5, -1.0), (-1.0, 0.5)])
 def test_factorized_variance_identity_wiener(a, b):
+    # the curve integrates squares of the evolved factors 1{q <= s}; r_t
+    # assembles the same variance from its single and double integrals
     p = LinearDdeParams(a=a, b=b, tau=1.0)
+    curve = sigma2_curve(WIENER, p, 1.0, 0.1)
     for t in (0.3, 0.8, 1.0):
-        assert factorized_sigma2(WIENER, p, t) == pytest.approx(
-            r_t(WIENER, p, t, 0.0, 0.0), abs=1e-6)
+        assert curve.at(t) == pytest.approx(r_t(WIENER, p, t, 0.0, 0.0),
+                                            abs=1e-9)
 
 
-def test_factorized_variance_identity_product_kernel():
-    # u(s) = s + tau, v = 1 reproduces the running-minimum kernel, so the
-    # generic factor path must agree with both pipelines
+def test_product_kernel_reproduces_the_running_minimum():
+    # u(s) = s + tau, v = 1 is the running-minimum kernel, so r_t's generic
+    # double integral must agree with its Wiener reduction
     uv = ProductSeparableKernel(
         u=lambda s: np.asarray(s, dtype=float) + 1.0,
         v=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-        tau=1.0,
-        ratio_derivative=lambda r: np.ones_like(np.asarray(r, dtype=float)))
+        tau=1.0)
     p = LinearDdeParams(a=0.3, b=-0.7, tau=1.0)
-    generic = r_t(uv, p, 0.6, 0.0, 0.0)
-    assert generic == pytest.approx(r_t(WIENER, p, 0.6, 0.0, 0.0), abs=1e-9)
-    assert factorized_sigma2(uv, p, 0.6) == pytest.approx(generic, abs=1e-6)
+    assert r_t(uv, p, 0.6, 0.0, 0.0) == pytest.approx(
+        r_t(WIENER, p, 0.6, 0.0, 0.0), abs=1e-9)
+
+
+@pytest.mark.parametrize("a,b", [(-2.0, -1.0), (-3.0, -1.0), (-1.0, -0.5)])
+def test_sigma2_curve_is_never_negative(a, b):
+    # strong decay leaves sigma^2 near 1e-35 by 50 tau; as an integral of
+    # squares it cannot round below zero
+    curve = sigma2_curve(WIENER, LinearDdeParams(a, b, 1.0), 50.0, 0.5)
+    assert np.all(curve.sigma2 >= 0.0)
+
+
+def test_covariance_rejects_a_kernel_on_another_window():
+    # a kernel built on [-2, 0] read on a tau = 1 window used to give
+    # sigma^2(1.5) = 0.319 from the curve and -0.556 from r_t
+    kernel, p = ShiftedWienerKernel(2.0), LinearDdeParams(0.0, -1.0, 1.0)
+    for read in (lambda: r_t(kernel, p, 1.5, 0.0, 0.0),
+                 lambda: lag_cov_curve(kernel, p, [1.5]),
+                 lambda: sigma2_curve(kernel, p, 2.0, 0.5),
+                 lambda: gaussian_path_slabs(kernel, 4, 8, p.tau, 0)):
+        with pytest.raises(ValueError, match="kernel window 2.0 != "):
+            read()
 
 
 # ---------------------------------------------------------------------------

@@ -292,14 +292,14 @@ def test_gaussian_kind_flat_variance(tmp_path):
 def test_gaussian_sigma2_bytes_are_pinned(tmp_path):
     # the benchmark's gaussian config; how the quadrature panels are laid
     # out must never move a byte of the curve.  Recorded from the variance
-    # read as R_t(0, 0) with the Z that the method of steps integrates
-    # term by term
+    # read as an integral of the squared evolved factors, with the Z that
+    # the method of steps integrates term by term
     text = ("kind = gaussian\n[params]\nkernel = brownian\na = 0.0\n"
             "b = -1.0\ntau = 1.0\nT = 2.0\ndt = 0.001\n")
     run(parse_config(text), outdir=tmp_path)
     digest = hashlib.sha256((tmp_path / "sigma2.csv").read_bytes()).hexdigest()
-    assert digest == ("c47a32c3a7fef3887c74bc664c159e33"
-                      "d506166af2500b36b7cb8360e3a8c517")
+    assert digest == ("4ddd4d9f39611d3763c8e356c8dd49ea"
+                      "6dc30dad63885435dc794c7e7dfefa02")
 
 
 def test_kicked_kind_report_rows(tmp_path):
