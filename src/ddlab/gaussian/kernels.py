@@ -24,6 +24,7 @@ import math
 import numpy as np
 
 from ..density import locate
+from ..errors import KernelPositivityError
 from ..tabular import read_csv, write_csv
 
 
@@ -121,7 +122,11 @@ class ProductSeparableKernel(CovKernel):
 
 
 class TabulatedKernel(CovKernel):
-    """Bilinear interpolation of values on a uniform grid over [-tau, 0]^2."""
+    """Bilinear interpolation of values on a uniform grid over [-tau, 0]^2.
+
+    The table must be symmetric and positive semidefinite; the constructor
+    raises `KernelPositivityError` for an indefinite one.
+    """
 
     def __init__(self, values, tau):
         values = np.asarray(values, dtype=float)
@@ -133,6 +138,13 @@ class TabulatedKernel(CovKernel):
             raise ValueError("tabulated kernel values must be finite")
         if np.abs(values - values.T).max() > 1e-12:
             raise ValueError("tabulated kernel must be symmetric")
+        # the interpolant is sum_ij V_ij phi_i(s1) phi_j(s2) over the grid's
+        # independent hat functions, so it is PSD exactly when the table is
+        eig = np.linalg.eigvalsh(values)
+        if eig[0] < -1e-12 * np.abs(eig).max():
+            raise KernelPositivityError(
+                "tabulated kernel is not positive semidefinite: smallest "
+                f"eigenvalue {eig[0]:.3g} of the table")
         self.values = values
         self.tau = _window(tau)
         self.grid = np.linspace(-self.tau, 0.0, values.shape[0])

@@ -29,7 +29,10 @@ seeds), the affine velocity update v_j = v_{j-1} e^{-gamma tau} +
 kappa c_j, and the running position sum x_j = x_{j-1} + v_{j-1} drift.
 Everything else (the readout of the kick offsets c_j, the kick and
 drift products, the squared displacements and their means) runs over a
-whole block of kicks at once.  The pooled velocity moments are central,
+whole block of kicks at once.  The kick products kappa c_j go straight
+into the velocity block's rows and the drift products into the position
+block's, where each recurrence then runs in place, so no block exists
+only to hold a product.  The pooled velocity moments are central,
 so the suite makes two passes and recomputes the velocity blocks in the
 second rather than keep ``(n_kicks, streams)`` of them; `_ExactSum`
 replays numpy's pairwise summation tree over the streamed blocks, so
@@ -265,8 +268,10 @@ class OuReport:
 
 
 # kicks per block of `_velocity_blocks`: the suite's buffers scale with
-# it, the reports do not depend on it
-_KICK_BLOCK = 128
+# it, the reports do not depend on it.  At 64, the velocity and position
+# blocks of 3 taus x 512 streams are 0.8 MiB each, so a pass's working
+# set fits a 2 MiB L2 cache.
+_KICK_BLOCK = 64
 
 # nodes of numpy's pairwise sum that `_ExactSum` reduces in one call; at
 # least numpy's own unrolled block of 128, and the reports do not depend
@@ -374,11 +379,13 @@ def _velocity_blocks(nums: np.ndarray, kappa: np.ndarray,
 
     ``v`` is a ``(_KICK_BLOCK + 1, taus, streams)`` buffer: ``v[i, t]``
     holds v_{a+i} at the kick strength ``kappa[t]`` and decay ``decay[t]``,
-    row 0 the last velocity of the previous block (v_0 = 0).  Each row is
-    contiguous, so a kick's update is two calls over all taus and
-    streams.  Every tau restarts from the same seeds, so one doubling of
-    the numerators ``nums`` and one readout c_j = xi_j - 1/2 through the
-    triangle wave xi = 1 - 2|p/D - 1/2| serve all of them.  The buffer is
+    row 0 the last velocity of the previous block (v_0 = 0).  Rows 1..k
+    first receive the kicks kappa c_j; each row is contiguous, so a
+    kick's update v_{j-1} decay + kick is two calls over all taus and
+    streams, through one scratch row.  Every tau restarts from the same
+    seeds, so one doubling of the numerators ``nums`` and one readout
+    c_j = xi_j - 1/2 through the triangle wave xi = 1 - 2|p/D - 1/2|
+    serve all of them.  The buffer is
     reused: a block holds only until the next one is asked for.
     """
     streams = nums.size
@@ -386,9 +393,9 @@ def _velocity_blocks(nums: np.ndarray, kappa: np.ndarray,
     p[0] = nums  # row 0 carries the last angle of the previous block
     wrap = np.empty(streams, dtype=np.uint64)
     c = np.empty((_KICK_BLOCK, 1, streams))
-    kick = np.empty((_KICK_BLOCK, kappa.size, streams))
     v = np.zeros((_KICK_BLOCK + 1, kappa.size, streams))
-    v_rows, kick_rows = list(v), list(kick)
+    v_rows = list(v)
+    scratch = np.empty((kappa.size, streams))
     kappa = kappa[:, None]
     # whole rows, not a broadcast column: the per-kick multiply is faster
     decay = np.repeat(decay[:, None], streams, axis=1)
@@ -404,11 +411,10 @@ def _velocity_blocks(nums: np.ndarray, kappa: np.ndarray,
         np.multiply(2.0, rows, out=rows)
         np.subtract(1.0, rows, out=rows)
         np.subtract(rows, 0.5, out=rows)
-        np.multiply(kappa, c[:k], out=kick[:k])
+        np.multiply(kappa, c[:k], out=v[1:k + 1])  # the kicks, in place
         for i in range(k):
-            row = v_rows[i + 1]
-            np.multiply(v_rows[i], decay, out=row)
-            np.add(row, kick_rows[i], out=row)
+            np.multiply(v_rows[i], decay, out=scratch)
+            np.add(scratch, v_rows[i + 1], out=v_rows[i + 1])
         yield a, k, v
         p[0] = p[k]
         v[0] = v[k]
@@ -473,31 +479,30 @@ def ou_limit_suite(gamma, tau_list, n_kicks, *, ensemble: int = 256) \
 
     # pass 1: positions, msd and the velocity sums
     x = np.zeros((_KICK_BLOCK + 1, len(tau_list), ensemble))  # row 0: x_a
-    step = np.empty((_KICK_BLOCK, len(tau_list), ensemble))
-    x_rows, step_rows = list(x), list(step)
+    x_rows = list(x)
     x_ref = np.empty((len(tau_list), ensemble))
     d = np.empty((_KICK_BLOCK, ensemble))  # one tau's pooled rows
     msd = [np.empty(n_kicks - burn + 1) for burn in burns]
     v_sums = [_ExactSum(n) for n in sizes]
     for a, k, v in _velocity_blocks(nums, kappa, decay, n_kicks):
-        np.multiply(v[:k], drift, out=step[:k])
+        np.multiply(v[:k], drift, out=x[1:k + 1])  # the steps, in place
         # a loop, not np.cumsum: the same bits, but cumsum is slower
         for i in range(k):
-            np.add(x_rows[i], step_rows[i], out=x_rows[i + 1])
+            np.add(x_rows[i], x_rows[i + 1], out=x_rows[i + 1])
         for t, burn in enumerate(burns):
             if a < burn <= a + k:
                 x_ref[t] = x[burn - a, t]
             lo = max(burn - a, 1)
             if lo <= k:
-                sq = np.subtract(x[lo:k + 1, t], x_ref[t])
-                np.square(sq, out=sq)
-                msd[t][a + lo - burn:a + k + 1 - burn] = sq.mean(axis=1)
                 rows = d[:k + 1 - lo]
+                np.subtract(x[lo:k + 1, t], x_ref[t], out=rows)
+                np.square(rows, out=rows)
+                msd[t][a + lo - burn:a + k + 1 - burn] = rows.mean(axis=1)
                 np.copyto(rows, v[lo:k + 1, t])
                 v_sums[t].add(rows.reshape(-1))
         x[0] = x[k]
     mu = [s.total() / n for s, n in zip(v_sums, sizes)]
-    del v_sums  # and their staging rows
+    del v_sums, x, x_rows  # and the sums' staging rows
 
     # pass 2: the same velocities again, for the central moments
     m2_sums = [_ExactSum(n) for n in sizes]

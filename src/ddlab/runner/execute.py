@@ -229,6 +229,16 @@ def _kicked(cfg):
     return write
 
 
+# Unit histories per `ensemble_values` call of `_response_weights`: about
+# 1.4 MiB of integrator state at m = 512.  Each call pays the integrator's
+# fixed per-step cost again, so the rows split into the fewest blocks of
+# at most this many, all of about one size.
+_UNIT_ROWS = 192
+# Gram matrix rows per `kernel.value` call of `_sigma2_discrete`: its
+# full-size temporaries are 256 KiB each at m = 512.
+_GRAM_ROWS = 64
+
+
 def _response_weights(field, tau, m, times):
     """``(len(times), m+1)`` weights of x(t) on the history nodes.
 
@@ -236,10 +246,17 @@ def _response_weights(field, tau, m, times):
     so the state at each grid time is one fixed weighted sum of the m+1
     history nodes (the discrete form of x(t) = X(t) phi(0) + b int
     X(t - tau - s) phi(s) ds).  Integrating the unit histories gives the
-    weights; row ``i`` belongs to ``times[i]``.
+    weights; row ``i`` belongs to ``times[i]``.  They go through
+    `ensemble_values` in row blocks, which give the bits of one pass over
+    all of them.
     """
-    return np.ascontiguousarray(
-        ensemble_values(np.eye(m + 1), tau, field, times).T)
+    wt = np.empty((len(times), m + 1))
+    k = -(-(m + 1) // _UNIT_ROWS)
+    edges = [(m + 1) * i // k for i in range(k + 1)]
+    for a, b in zip(edges, edges[1:]):
+        wt[:, a:b] = ensemble_values(np.eye(b - a, m + 1, k=a), tau, field,
+                                     times).T
+    return wt
 
 
 def _sigma2_discrete(kernel, wt, tau):
@@ -247,23 +264,29 @@ def _sigma2_discrete(kernel, wt, tau):
 
     ``G`` is the kernel's Gram matrix on the nodes, so this is what the
     Monte Carlo variance estimates, free of sampling noise: its gap to the
-    quadrature curve is the grid and integrator bias alone.
+    quadrature curve is the grid and integrator bias alone.  ``G`` is
+    filled `_GRAM_ROWS` rows at a time.
     """
     m = wt.shape[1] - 1
     s = -tau + np.arange(m + 1) * (tau / m)
-    gram = kernel.value(s[:, None], s[None, :])
+    gram = np.empty((m + 1, m + 1))
+    for a in range(0, m + 1, _GRAM_ROWS):
+        gram[a:a + _GRAM_ROWS] = kernel.value(s[a:a + _GRAM_ROWS, None],
+                                              s[None, :])
     return np.einsum("tj,jk,tk->t", wt, gram, wt)
 
 
-def _project(samples, tau, wt):
-    """``(n, len(times))`` values of a validated block through the weights.
+def _project(samples, tau, wt, out=None):
+    """``(n, len(times))`` values of a validated block through the weights,
+    written into ``out`` when given.
 
     einsum (with its default ``optimize=False``), unlike a BLAS product,
     gives the same bytes for any BLAS thread count, row split or operand
     alignment, so projecting a chunk slab by slab gives the bytes of
     projecting it whole.
     """
-    return np.einsum("ij,tj->it", check_block(samples, tau)[:, :, 0], wt)
+    return np.einsum("ij,tj->it", check_block(samples, tau)[:, :, 0], wt,
+                     out=out)
 
 
 def _compare(cfg):
@@ -273,7 +296,8 @@ def _compare(cfg):
     substream seeds.  Each chunk's histories arrive as slabs of the
     sampler, each projected through the response weights as it comes and
     then dropped, so no chunk-sized block of paths is ever held: only the
-    chunk's ``(rows, len(times))`` values, which are summed whole.
+    chunk's ``(rows, len(times))`` values, filled slab by slab into one
+    buffer and summed whole.
     """
     p, e = cfg.params, cfg.ensemble
     tau, m = p["tau"], p["m"]
@@ -300,16 +324,19 @@ def _compare(cfg):
             n_chunks, dtype=np.uint64)
         total = np.zeros(times.size)
         total_sq = np.zeros(times.size)
+        buf = np.empty((min(chunk, n), times.size))
         for c in range(n_chunks):
             seed = np.random.SeedSequence(int(seeds[c]))
-            slabs = gaussian_path_slabs(kernel, min(chunk, n - c * chunk), m,
-                                        tau, seed)
-            vals = np.concatenate([_project(slab, tau, wt) for slab in slabs])
+            vals = buf[:min(chunk, n - c * chunk)]
+            a = 0
+            for slab in gaussian_path_slabs(kernel, len(vals), m, tau, seed):
+                _project(slab, tau, wt, vals[a:a + len(slab)])
+                a += len(slab)
             if not np.all(np.isfinite(vals)):
                 row, col = np.argwhere(~np.isfinite(vals))[0]
                 raise DivergenceError(times[col], index=c * chunk + int(row))
             total += vals.sum(axis=0)
-            total_sq += np.square(vals).sum(axis=0)
+            total_sq += np.square(vals, out=vals).sum(axis=0)
         mean = total / n
         var = (total_sq - n * mean**2) / (n - 1)
         stderr = var * math.sqrt(2.0 / (n - 1))

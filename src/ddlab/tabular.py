@@ -1,13 +1,11 @@
 """CSV helpers.
 
-All numeric output goes through :func:`fmt` so that files are byte-for-byte
-reproducible across runs: floats are printed with 17 significant digits, which
+All numeric output is formatted as :func:`fmt` formats it, so that files are
+byte-for-byte reproducible across runs: floats are printed with 17 significant digits, which
 round-trips any IEEE double exactly, and no locale- or time-dependent state is
 involved anywhere.
 """
 from __future__ import annotations
-
-import io
 
 import numpy as np
 
@@ -17,6 +15,11 @@ def fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
+
+
+# Rows formatted per block: a long table's cells never all exist as
+# strings at once.
+_CSV_ROWS = 1024
 
 
 def render_csv(header, columns) -> str:
@@ -36,11 +39,19 @@ def render_csv(header, columns) -> str:
     for c in columns:
         if len(c) != n:
             raise ValueError("ragged columns")
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for i in range(n):
-        buf.write(",".join(fmt(c[i]) for c in columns) + "\n")
-    return buf.getvalue()
+    parts = [",".join(header) + "\n"]
+    for a in range(0, n, _CSV_ROWS):
+        cells = [_column_text(c[a:a + _CSV_ROWS]) for c in columns]
+        parts.append("\n".join(map(",".join, zip(*cells))) + "\n")
+    return "".join(parts)
+
+
+def _column_text(column: np.ndarray) -> list:
+    """:func:`fmt` of every entry of one column, converted in one call."""
+    values = column.tolist()
+    if column.dtype.kind == "f":
+        return [format(v, ".17g") for v in values]
+    return [fmt(v) for v in values]
 
 
 def write_csv(path, header, columns) -> None:

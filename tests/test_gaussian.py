@@ -937,9 +937,21 @@ def test_sampler_gram_covariance_matches_kernel(kernel):
 
 def test_sampler_rejects_indefinite_tabulated_kernel():
     values = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
-    tab = TabulatedKernel(values, 1.0)
+    # the constructor rejects the table, so no sampler ever sees it
     with pytest.raises(KernelPositivityError):
-        sample_gaussian_paths(tab, 1, 2, 1.0, 0)
+        TabulatedKernel(values, 1.0)
+
+
+def test_indefinite_table_is_rejected_before_any_curve():
+    # the table [[1, 2], [2, 1]] has eigenvalue -1; its curve would print
+    # sigma^2 = 1, -0.406, -0.5 without complaint
+    with pytest.raises(KernelPositivityError, match="eigenvalue -1 "):
+        TabulatedKernel([[1.0, 2.0], [2.0, 1.0]], 1.0)
+    # a PSD table whose smallest eigenvalue rounds below zero still passes
+    g = np.linspace(-1.0, 0.0, 129)
+    table = np.cos(g[:, None] - g[None, :])
+    assert np.linalg.eigvalsh(table)[0] < 0.0
+    TabulatedKernel(table, 1.0)
 
 
 @settings(max_examples=25, deadline=None)

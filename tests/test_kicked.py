@@ -400,6 +400,18 @@ def test_suite_memory_does_not_grow_with_the_kicks():
     assert long < 8.0, long
 
 
+def test_suite_buffers_stay_block_sized_at_the_benchmark_shape():
+    # 3 taus x 512 streams x 20 000 kicks: the velocity and position
+    # blocks, the sums' staging rows and the msd curves, about 4.5 MiB
+    tracemalloc.start()
+    try:
+        ou_limit_suite(1.0, [0.2, 0.1, 0.05], 20000, ensemble=512)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.0, peak
+
+
 def _uneven_pieces(n):
     # piece sizes cycling through 1, 37 and 512, the last one cut to fit
     sizes, fed = [], 0

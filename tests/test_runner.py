@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ddlab.quadrature
+import ddlab.tabular
 from ddlab.dde import LinearDelayField
 from ddlab.ensemble import ensemble_values
 from ddlab.errors import ConfigError, QuadratureError
@@ -26,7 +28,7 @@ from ddlab.runner import (KINDS, RunConfig, RunManifest, Schedule,
                           normalize, parse_config, run)
 from ddlab.runner.cli import main
 from ddlab.runner import execute
-from ddlab.tabular import read_csv
+from ddlab.tabular import fmt, read_csv, render_csv
 
 RECIPES = Path(__file__).resolve().parent.parent / "docs" / "recipes"
 
@@ -194,6 +196,28 @@ def test_normalization_is_layout_insensitive():
 
 # ---------------------------------------------------------------------------
 # run() and manifests
+
+
+@pytest.mark.parametrize("rows", [4, None])
+def test_csv_text_equals_per_cell_fmt(monkeypatch, rows):
+    # columns are converted a block of rows at a time, and every cell
+    # keeps fmt's bytes
+    if rows is not None:
+        monkeypatch.setattr(ddlab.tabular, "_CSV_ROWS", rows)
+    floats = np.array([0.1, -0.0, 0.0, math.nan, math.inf, -math.inf,
+                       5e-324, 1e300, -1.5, 2.0 / 3.0, 123456789.0])
+    ints = np.arange(-5, 6) * 10**12
+    bools = np.arange(11) % 3 == 0
+    singles = np.float32(floats[:3]).repeat(4)[:11]
+    unsigned = np.arange(11, dtype=np.uint64) + 2**63
+    columns = [floats, ints, bools, singles, unsigned]
+    want = "h1,h2,h3,h4,h5\n" + "".join(
+        ",".join(fmt(c[i]) for c in columns) + "\n" for i in range(11))
+    assert render_csv(["h1", "h2", "h3", "h4", "h5"], columns) == want
+    assert [line.split(",")[0] for line in want.splitlines()[1:9]] == [
+        "0.10000000000000001", "-0", "0", "nan", "inf", "-inf",
+        "4.9406564584124654e-324", "1.0000000000000001e+300"]
+    assert render_csv(["t"], [np.empty(0)]) == "t\n"
 
 
 def test_dry_run_writes_manifest_only(tmp_path):
@@ -429,10 +453,9 @@ def test_compare_bytes_are_pinned(tmp_path, text, sha):
         (tmp_path / "compare.csv").read_bytes()).hexdigest() == sha
 
 
-@pytest.mark.parametrize("kernel", ["brownian", "cosine"])
-def test_compare_chunk_never_holds_its_paths(tmp_path, kernel):
-    # one 20 000-path chunk at m = 512: its paths as one block would be
-    # 78 MiB; streamed in slabs the writer's traced peak stays a few MiB
+def _compare_writer_peak(out, kernel):
+    """Traced peak bytes of the compare writer on one 20 000-path chunk at
+    m = 512."""
     import tracemalloc
 
     cfg = parse_config(_compare_text(kernel, 512, "0.25, 0.5, 1.0", 20000,
@@ -440,11 +463,24 @@ def test_compare_chunk_never_holds_its_paths(tmp_path, kernel):
     write = execute._ENGINES["compare"](cfg)
     tracemalloc.start()
     try:
-        write(tmp_path)
-        peak = tracemalloc.get_traced_memory()[1]
+        write(out)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+
+
+@pytest.mark.parametrize("kernel", ["brownian", "cosine"])
+def test_compare_chunk_never_holds_its_paths(tmp_path, kernel):
+    # one 20 000-path chunk at m = 512: its paths as one block would be
+    # 78 MiB; streamed in slabs the writer's traced peak stays a few MiB
+    assert _compare_writer_peak(tmp_path, kernel) < 24 * 2**20
+
+
+@pytest.mark.parametrize("kernel", ["brownian", "cosine"])
+def test_compare_writer_buffers_stay_cache_sized(tmp_path, kernel):
+    # a 1 MiB slab and its 1 MiB normal buffer, the chunk's values, and
+    # the Gram matrix and unit histories built a row block at a time
+    assert _compare_writer_peak(tmp_path, kernel) < 5 * 2**20
 
 
 def test_brownian_kind_outputs(tmp_path):
