@@ -4,38 +4,30 @@ Everything follows from the solution representation
 
     x(t) = X(t) xi(0) + b * integral_{-tau}^{0} X(t - r - tau) xi(r) dr
 
-with X the fundamental solution.  Two evaluators build on it.
+with X the fundamental solution, which carries the initial kernel forward
+as R_t = S_t R_0 S_t*.  If R_0(s1, s2) is a sum or an integral of products
+g(s1) g(s2), each factor g evolves to g(c) in the history (c <= 0) and to
+X(c) g(0) + b * integral X(c - r - tau) g(r) dr after, and R(A, B) at the
+absolute times A <= B is the same sum or integral of the evolved products.
+One batched evaluator, `_cov_block`, does this for every kernel:
 
-The pointwise reference `r_t` writes A = t + s1 <= B = t + s2 and splits
-the lagged covariance R_t(s1, s2) = E[x(A) x(B)] into three regimes:
+* a finite-rank kernel (cosine, degenerate cosine, tabulated) has finitely
+  many factors, and R is the sum of their products;
+* the running-minimum kernel is the integral over q in [-tau, 0] of
+  1{q <= s1} 1{q <= s2}, whose factors evolve to
+  X(c) + b (Z(c - tau - q) - Z(c - tau)) with Z the running integral of X;
+* the product kernel u(min) v(max) is the running minimum time-changed by
+  rho = u/v and scaled by v: its factors v(s) 1{q <= s} are integrated
+  against d rho(q), and by parts against rho's values only.
 
-* both times still in the history window (B <= 0): the initial kernel,
-  R_0(A, B);
-* straddling (A <= 0 < B): one application of the representation,
-  X(B) R_0(A, 0) + b * integral X(B - r - tau) R_0(r, A) dr;
-* both evolved (0 < A): the X-weighted single and double integrals over the
-  initial kernel.
-
-The regimes agree at their boundaries (the straddling integral collapses as
-B -> 0+, and the double integral dies as A -> 0+), which the tests check.
-Every integral is split at one knot list: the delay knots r = c - k tau,
-where X(c - r - tau) crosses a multiple of tau, plus the kernel's kinks.
-Neither is filtered to an interval; each quadrature keeps the knots strictly
-inside its own limits, and `r_t` runs adaptive Simpson on those panels.
-
-Both dense curves are one batched evaluator, which carries the kernel's
-factors forward instead: R_t = S_t R_0 S_t*.  If R_0(s1, s2) is a sum or an
-integral of products g(s1) g(s2), each factor g evolves to g(c) in the
-history (c <= 0) and to X(c) g(0) + b * integral X(c - r - tau) g(r) dr
-after, and R(A, B) is the same sum or integral of the evolved products.
-A finite-rank kernel has finitely many factors; the running-minimum kernel
-is the integral over q in [-tau, 0] of 1{q <= s1} 1{q <= s2}, whose factors
-evolve to X(c) + b (Z(c - tau - q) - Z(c - tau)) with Z the running
-integral of X.  The integrals run on the same knot lists with fixed
-24-point Gauss-Legendre, one row per time: the lag curve reads
-R(s - tau, s), and the variance curve reads sigma^2(t) = R(t, t), forming
-each factor once, so sigma^2 is a sum or an integral of squares and never
-negative.  Other kernels run `r_t` at every time.
+Every integral runs on fixed 24-point Gauss-Legendre panels split at one
+knot list: the delay knots r = c - k tau, where X(c - r - tau) crosses a
+multiple of tau, plus the kernel's kinks.  Neither is filtered to an
+interval; each row keeps the knots strictly inside its own limits.  The
+lag curve reads R(s - tau, s), the variance curve reads
+sigma^2(t) = R(t, t) forming each factor once, so sigma^2 is a sum or an
+integral of squares and never negative, and `r_t` is one read at
+A = t + s1, B = t + s2.
 """
 from __future__ import annotations
 
@@ -45,10 +37,9 @@ import math
 
 import numpy as np
 
-from ..errors import QuadratureError
-from ..quadrature import adaptive_simpson, adaptive_simpson_2d, panel_gauss
+from ..quadrature import panel_gauss, panel_tails
 from ..tabular import write_csv
-from .kernels import CovKernel, ShiftedWienerKernel, check_window
+from .kernels import CovKernel, ShiftedWienerKernel, check_kernel
 from .linear import (LinearDdeParams, check_horizon, fundamental_prefix,
                      fundamental_solution)
 
@@ -75,64 +66,8 @@ def _delay_knots(p: LinearDdeParams, c):
     return c[..., None] - np.arange(1, kmax + 2) * p.tau
 
 
-def _weighted_single(fn, p: LinearDdeParams, c: float, tol: float,
-                     kinks=()) -> float:
-    """integral_{-tau}^{min(0, c - tau)} X(c - r - tau) fn(r) dr."""
-    hi = min(0.0, c - p.tau)
-    lo = -p.tau
-    if hi <= lo:
-        return 0.0
-
-    def f(r):
-        return fundamental_solution(p, c - r - p.tau) * fn(r)
-
-    return adaptive_simpson(f, lo, hi, tol=tol,
-                            breakpoints=np.append(_delay_knots(p, c), kinks))
-
-
-def _xx_double(kernel: CovKernel, p: LinearDdeParams, A: float, B: float,
-               tol: float) -> float:
-    """Double integral of X(A-r1-tau) X(B-r2-tau) K(r1, r2) over the window."""
-    hi1 = min(0.0, A - p.tau)
-    hi2 = min(0.0, B - p.tau)
-    if hi1 <= -p.tau or hi2 <= -p.tau:
-        return 0.0
-    sep = kernel.separable_terms()
-    if sep is not None:
-        return math.fsum(
-            _weighted_single(f, p, A, tol) * _weighted_single(f, p, B, tol)
-            for f in sep)
-    if isinstance(kernel, ShiftedWienerKernel):
-        # min(r1, r2) + tau = measure of {q <= r1} cap {q <= r2} over [-tau, 0]
-        # turns the double integral into a single one over q of the product
-        # of two running integrals of X, which kink at both times' knots.
-        iA = fundamental_prefix(p, A - p.tau)
-        iB = fundamental_prefix(p, B - p.tau)
-
-        def g(q):
-            ga = fundamental_prefix(p, A - p.tau - q) - iA
-            gb = fundamental_prefix(p, B - p.tau - q) - iB
-            return ga * gb
-
-        return adaptive_simpson(
-            g, -p.tau, 0.0, tol=tol,
-            breakpoints=np.append(_delay_knots(p, A), _delay_knots(p, B)))
-
-    def f2(r1, r2):
-        return (fundamental_solution(p, A - r1 - p.tau)
-                * fundamental_solution(p, B - r2 - p.tau)
-                * kernel.value(r1, r2))
-
-    def y_breaks(r1):
-        return np.append(_delay_knots(p, B), kernel.kinks(r1))
-
-    return adaptive_simpson_2d(
-        f2, -p.tau, hi1, -p.tau, hi2, tol=tol,
-        x_breaks=_delay_knots(p, A), y_breaks=y_breaks)
-
-
-def _panel_integral(f, lo, hi, knots):
-    """Per-row `panel_gauss` of ``f`` over [lo, hi], split at the knots.
+def _panel_edges(lo, hi, knots):
+    """Per-row panel edges over [lo, hi], split at the knots.
 
     A row's edges are lo, its distinct knots strictly inside (lo, hi) in
     order, then hi, repeated on the right up to the widest row's panel
@@ -145,11 +80,12 @@ def _panel_integral(f, lo, hi, knots):
     knots[:, 1:] = np.where(knots[:, 1:] == knots[:, :-1], hi, knots[:, 1:])
     knots.sort(axis=1)
     width = int((knots < hi).sum(axis=1).max(initial=0))
-    return panel_gauss(f, np.concatenate([lo, knots[:, :width], hi], axis=1))
+    return np.concatenate([lo, knots[:, :width], hi], axis=1)
 
 
-def _batched_weighted_single(fn, p: LinearDdeParams, c):
-    """Vectorized integral_{-tau}^{min(0, c-tau)} X(c - r - tau) fn(r) dr.
+def _x_weighted_integral(fn, p: LinearDdeParams, c, kinks):
+    """Vectorized integral_{-tau}^{min(0, c-tau)} X(c - r - tau) fn(r) dr,
+    split also at the ``kinks`` of ``fn``.
 
     ``fn`` may stack several integrands on a leading axis; the result
     carries the same axis.
@@ -157,77 +93,32 @@ def _batched_weighted_single(fn, p: LinearDdeParams, c):
     lo = np.full_like(c, -p.tau)
     hi = np.maximum(np.minimum(0.0, c - p.tau), lo)
     cc = c[:, None, None]
-    return _panel_integral(
-        lambda r: fundamental_solution(p, cc - r - p.tau) * fn(r), lo, hi,
-        _delay_knots(p, c))
-
-
-def _evolved(p: LinearDdeParams, xa, xb, k00, i_a, i_b, dbl):
-    """R_t(s1, s2) with both times evolved, from X(A), X(B), K(0, 0), the
-    single integrals at A and B and the double integral."""
-    return xa * xb * k00 + p.b * xa * i_b + p.b * xb * i_a + p.b ** 2 * dbl
+    kinks = np.broadcast_to(kinks, c.shape + np.shape(kinks)[-1:])
+    edges = _panel_edges(lo, hi, np.concatenate([_delay_knots(p, c), kinks],
+                                                axis=1))
+    return panel_gauss(
+        lambda r: fundamental_solution(p, cc - r - p.tau) * fn(r), edges)
 
 
 # ---------------------------------------------------------------------------
-# pointwise covariance
+# the batched evaluator
 
 
-def _canonical_window_args(p, t, s1, s2):
-    if s2 < s1:
-        s1, s2 = s2, s1
-    eps = 1e-12 * p.tau
-    if t < -eps:
-        raise ValueError("t must be nonnegative")
-    if s1 < -p.tau - eps or s2 > eps:
-        raise ValueError("s1, s2 must lie in [-tau, 0]")
-    s1 = min(max(s1, -p.tau), 0.0)
-    s2 = min(max(s2, -p.tau), 0.0)
-    return max(t, 0.0), s1, s2
-
-
-def r_t(kernel: CovKernel, p: LinearDdeParams, t: float, s1: float, s2: float,
-        *, tol: float = 1e-9) -> float:
-    """Covariance of the evolved Gaussian process at window offsets s1, s2."""
-    check_window(kernel, p.tau)
-    t, s1, s2 = _canonical_window_args(p, t, s1, s2)
-    A = t + s1
-    B = t + s2
-    if B <= 0.0:
-        return float(kernel.value(A, B))
-
-    def single(c, fixed):
-        return _weighted_single(lambda r: kernel.value(r, fixed), p, c, tol,
-                                kernel.kinks(fixed))
-
-    try:
-        if A <= 0.0:
-            return float(fundamental_solution(p, B) * kernel.value(A, 0.0)
-                         + p.b * single(B, A))
-        return float(_evolved(p, fundamental_solution(p, A),
-                              fundamental_solution(p, B),
-                              kernel.value(0.0, 0.0), single(A, 0.0),
-                              single(B, 0.0), _xx_double(kernel, p, A, B, tol)))
-    except QuadratureError as err:
-        raise QuadratureError(
-            f"R_t at t = {t:g}, s1 = {s1:g}, s2 = {s2:g}: {err}") from err
-
-
-# ---------------------------------------------------------------------------
-# batched curves
-
-
-def _finite_rank_factors(sep, p: LinearDdeParams, c):
+def _finite_rank_factors(kernel: CovKernel, p: LinearDdeParams, c):
     """g_f(c) for the factors f of a finite-rank kernel, evolved; shape
     ``(len(sep),) + c.shape``.
 
     f(c) in the history (c <= 0), then
-    X(c) f(0) + b * integral X(c - r - tau) f(r) dr.
+    X(c) f(0) + b * integral X(c - r - tau) f(r) dr, split also at the
+    factors' kinks.
     """
+    sep = kernel.separable_terms()
+
     def fs(r):
         return np.stack([f(r) for f in sep])
 
     evolved = (fundamental_solution(p, c) * fs(0.0)[:, None]
-               + p.b * _batched_weighted_single(fs, p, c))
+               + p.b * _x_weighted_integral(fs, p, c, kernel.kinks(c)))
     return np.where(c <= 0.0, fs(c), evolved)
 
 
@@ -250,18 +141,69 @@ def _wiener_factor(p: LinearDdeParams, c):
     return g, np.concatenate([c[:, None], _delay_knots(p, c)], axis=1)
 
 
-def _cov_block(kernel: CovKernel, p: LinearDdeParams, A, B, tol):
+def _product_cov(kernel, p: LinearDdeParams, A, B):
+    """R(A, B) for the product kernel u(min) v(max), integrated by parts.
+
+    R = integral G_q(A) G_q(B) d rho(q) over q <= h = min(A, 0), with
+    rho = u/v (rho(-tau) = 0) and the factor G_q(c) = v(c) 1{q <= c}: in
+    the history it is v(c), and evolved it is
+    X(c) v(0) + b integral_q^0 X(c - r - tau) v(r) dr, whose q-derivative
+    is -b X(c - q - tau) v(q).  By parts,
+    R = rho(h) G_h(A) G_h(B) - integral rho(q) d/dq [G_q(A) G_q(B)] dq,
+    so rho enters through its values only.  The running integral inside
+    G comes from `panel_tails` on the panels of [-tau, 0], split at both
+    times' delay knots and at h; the outer integral keeps the panels
+    below h.  Rows with both times in the history read the kernel.
+    """
+    h = np.minimum(A, 0.0)
+    edges = _panel_edges(np.full_like(A, -p.tau), np.zeros_like(A),
+                         np.concatenate([h[:, None], _delay_knots(p, A),
+                                         _delay_knots(p, B)], axis=1))
+    below = (edges[:, 1:] <= h[:, None])[..., None]
+    at_h = below.sum(axis=1)
+    v0 = kernel.v(0.0)
+
+    def factor(c):
+        """G_q(c) at the panel nodes, G_h(c), and q -> d/dq G_q(c)."""
+        c3 = c[:, None, None]
+
+        def slope(r):  # X(c - r - tau) v(r) = -d/dq G_q(c) / b
+            cc = c.reshape(c.shape + (1,) * (r.ndim - 1))
+            return fundamental_solution(p, cc - r - p.tau) * kernel.v(r)
+
+        tails, after = panel_tails(slope, edges)
+        x = fundamental_solution(p, c3) * v0
+        g = np.where(c3 <= 0.0, kernel.v(c3), x + p.b * tails)
+        tail_h = np.take_along_axis(after, at_h, axis=1)[..., None]
+        g_h = np.where(c3 <= 0.0, kernel.v(c3), x + p.b * tail_h)
+        return g, g_h[:, 0, 0], lambda q: np.where(c3 <= 0.0, 0.0,
+                                                   -p.b * slope(q))
+
+    ga, ga_h, da = factor(A)
+    gb, gb_h, db = (ga, ga_h, da) if B is A else factor(B)
+
+    def rho(q):
+        return kernel.u(q) / kernel.v(q)
+
+    def integrand(q):
+        return np.where(below, rho(q) * (da(q) * gb + ga * db(q)), 0.0)
+
+    r = rho(h) * ga_h * gb_h - panel_gauss(integrand, edges)
+    return np.where(B <= 0.0, kernel.value(A, B), r)
+
+
+def _cov_block(kernel: CovKernel, p: LinearDdeParams, A, B):
     """R at the absolute times A <= B, as the inner product <g(A), g(B)>.
 
     g is the kernel's factor evolved by the solution operator: a sum over
     the factors of a finite-rank kernel, an integral over q in [-tau, 0]
-    for the running-minimum kernel.  ``B is A`` reads the variance and
-    forms each factor once.  Other kernels run `r_t` at every time.
+    for the running-minimum kernel, and an integral against d rho for the
+    product kernel (`_product_cov`).  ``B is A`` reads the variance and
+    forms each factor once.  The kernel has passed `check_kernel`.
     """
-    sep = kernel.separable_terms()
-    if sep is not None:
-        ga = _finite_rank_factors(sep, p, A)
-        gb = ga if B is A else _finite_rank_factors(sep, p, B)
+    if kernel.separable_terms() is not None:
+        ga = _finite_rank_factors(kernel, p, A)
+        gb = ga if B is A else _finite_rank_factors(kernel, p, B)
         return (ga * gb).sum(axis=0)
     if isinstance(kernel, ShiftedWienerKernel):
         ga, knots = _wiener_factor(p, A)
@@ -274,13 +216,12 @@ def _cov_block(kernel: CovKernel, p: LinearDdeParams, A, B, tol):
             u = ga(q)
             return u * u if gb is ga else u * gb(q)
 
-        return _panel_integral(integrand, np.full_like(B, -p.tau),
-                               np.zeros_like(B), knots)
-    return np.array([r_t(kernel, p, float(b), float(a - b), 0.0, tol=tol)
-                     for a, b in zip(A, B)])
+        return panel_gauss(integrand, _panel_edges(np.full_like(B, -p.tau),
+                                                   np.zeros_like(B), knots))
+    return _product_cov(kernel, p, A, B)
 
 
-def _cov_curve(kernel: CovKernel, p: LinearDdeParams, A, B, tol):
+def _cov_curve(kernel: CovKernel, p: LinearDdeParams, A, B):
     """`_cov_block` in blocks of `_CHUNK` times: the batched panel integrals
     broadcast times x panels x nodes, and bounding the leading axis keeps
     the transient arrays small even for horizons of many delay intervals.
@@ -289,21 +230,45 @@ def _cov_curve(kernel: CovKernel, p: LinearDdeParams, A, B, tol):
     for i in range(0, len(B), _CHUNK):
         a = A[i:i + _CHUNK]
         out[i:i + _CHUNK] = _cov_block(kernel, p, a,
-                                       a if B is A else B[i:i + _CHUNK], tol)
+                                       a if B is A else B[i:i + _CHUNK])
     return out
 
 
-def lag_cov_curve(kernel: CovKernel, p: LinearDdeParams, s_values,
-                  *, tol: float = 1e-9) -> np.ndarray:
-    """R_s(-tau, 0) for an array of times; structured kernels run batched."""
+def _canonical_window_args(p, t, s1, s2):
+    if s2 < s1:
+        s1, s2 = s2, s1
+    eps = 1e-12 * p.tau
+    if t < -eps:
+        raise ValueError("t must be nonnegative")
+    if s1 < -p.tau - eps or s2 > eps:
+        raise ValueError("s1, s2 must lie in [-tau, 0]")
+    s1 = min(max(s1, -p.tau), 0.0)
+    s2 = min(max(s2, -p.tau), 0.0)
+    return max(t, 0.0), s1, s2
+
+
+def r_t(kernel: CovKernel, p: LinearDdeParams, t: float, s1: float,
+        s2: float) -> float:
+    """Covariance of the evolved Gaussian process at window offsets s1, s2:
+    one read of the batched evaluator at t + s1 and t + s2."""
+    check_kernel(kernel, p.tau)
+    t, s1, s2 = _canonical_window_args(p, t, s1, s2)
+    a = np.array([t + s1])
+    return float(_cov_block(kernel, p, a,
+                            a if s1 == s2 else np.array([t + s2]))[0])
+
+
+def lag_cov_curve(kernel: CovKernel, p: LinearDdeParams,
+                  s_values) -> np.ndarray:
+    """R_s(-tau, 0) for an array of times."""
     s = np.asarray(s_values, dtype=float)
     if s.ndim != 1:
         raise ValueError("s_values must be 1-d")
     if np.any(s < -1e-12):
         raise ValueError("times must be nonnegative")
     check_horizon(p, s)
-    check_window(kernel, p.tau)
-    return _cov_curve(kernel, p, s - p.tau, s, tol)
+    check_kernel(kernel, p.tau)
+    return _cov_curve(kernel, p, s - p.tau, s)
 
 
 @dataclass
@@ -336,8 +301,8 @@ def sigma2_grid(p: LinearDdeParams, T: float, dt: float) -> np.ndarray:
     return dt * np.arange(n + 1)
 
 
-def sigma2_curve(kernel: CovKernel, p: LinearDdeParams, T: float, dt: float,
-                 *, tol: float = 1e-9) -> SigmaCurve:
+def sigma2_curve(kernel: CovKernel, p: LinearDdeParams, T: float,
+                 dt: float) -> SigmaCurve:
     """Variance sigma^2(t) = R_t(0, 0) of x(t) on a uniform grid.
 
     The variance and the lag covariance R_t(-tau, 0) are two independent
@@ -352,10 +317,10 @@ def sigma2_curve(kernel: CovKernel, p: LinearDdeParams, T: float, dt: float,
     grid multiple).
     """
     t_grid = sigma2_grid(p, T, dt)
-    check_window(kernel, p.tau)
+    check_kernel(kernel, p.tau)
     n = len(t_grid) - 1
-    sigma2 = _cov_curve(kernel, p, t_grid, t_grid, tol)
-    r_grid = _cov_curve(kernel, p, t_grid - p.tau, t_grid, tol)
+    sigma2 = _cov_curve(kernel, p, t_grid, t_grid)
+    r_grid = _cov_curve(kernel, p, t_grid - p.tau, t_grid)
 
     deriv = np.empty_like(sigma2)
     deriv[1:-1] = (sigma2[2:] - sigma2[:-2]) / (2.0 * dt)
@@ -398,17 +363,16 @@ class GaussianState:
         return self.sigma2_t * self.sigma2_lag - self.cross ** 2
 
 
-def propagate_state(kernel: CovKernel, p: LinearDdeParams, t: float,
-                    *, tol: float = 1e-9) -> GaussianState:
-    """Assemble the joint Gaussian state of (x(t), x(t - tau))."""
+def propagate_state(kernel: CovKernel, p: LinearDdeParams,
+                    t: float) -> GaussianState:
+    """Assemble the joint Gaussian state of (x(t), x(t - tau)) from one
+    read of the batched evaluator."""
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    s_t = r_t(kernel, p, t, 0.0, 0.0, tol=tol)
-    cross = r_t(kernel, p, t, -p.tau, 0.0, tol=tol)
-    if t < p.tau:
-        s_lag = float(kernel.value(t - p.tau, t - p.tau))
-    else:
-        s_lag = r_t(kernel, p, t, -p.tau, -p.tau, tol=tol)
+    check_kernel(kernel, p.tau)
+    lag = t - p.tau
+    s_t, cross, s_lag = _cov_block(kernel, p, np.array([t, lag, lag]),
+                                   np.array([t, t, lag])).tolist()
     return GaussianState(t=float(t), sigma2_t=max(s_t, 0.0),
                          sigma2_lag=max(s_lag, 0.0), cross=cross)
 
@@ -457,8 +421,7 @@ def wiener_closed_form(p: LinearDdeParams, t: float):
     return r_lag, sigma2
 
 
-def write_r_slice(path, kernel: CovKernel, p: LinearDdeParams, t, pairs,
-                  *, tol: float = 1e-9):
+def write_r_slice(path, kernel: CovKernel, p: LinearDdeParams, t, pairs):
     """CSV of covariance values at fixed times over window-offset pairs."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     rows_t, rows_s1, rows_s2, rows_r = [], [], [], []
@@ -467,7 +430,6 @@ def write_r_slice(path, kernel: CovKernel, p: LinearDdeParams, t, pairs,
             rows_t.append(ti)
             rows_s1.append(s1)
             rows_s2.append(s2)
-            rows_r.append(r_t(kernel, p, float(ti), float(s1), float(s2),
-                              tol=tol))
+            rows_r.append(r_t(kernel, p, float(ti), float(s1), float(s2)))
     write_csv(path, ["t", "s1", "s2", "R"],
               [rows_t, rows_s1, rows_s2, rows_r])

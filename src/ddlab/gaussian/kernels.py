@@ -6,19 +6,24 @@ kernel may advertise structure the covariance propagator can exploit:
 
 * ``separable_terms`` — factors ``f_m`` with ``R = sum_m f_m(s1) f_m(s2)``
   (finite rank); the batched covariance evolves each factor and sums the
-  products.  The running-minimum kernel is the continuous analogue,
-  ``R = integral_{-tau}^{0} 1{q <= s1} 1{q <= s2} dq``, which the
-  propagator recognizes by its class;
+  products, and the sampler draws ``sum_m y_m f_m(s)`` with independent
+  standard normals ``y_m``.  The two Wiener-type kernels are the
+  continuous analogue, ``R = integral 1{q <= s1} 1{q <= s2} drho(q)``
+  times ``v(s1) v(s2)``, with ``rho(q) = q + tau`` and ``v = 1`` for the
+  running minimum;
 * ``kinks`` — candidate ``r`` locations where ``r -> R(r, c)`` may not be
   smooth, as an array broadcasting against ``np.shape(c) + (k,)``.  They
   are not filtered to any interval: each quadrature keeps the ones strictly
-  inside its own limits and splits its panels there.
+  inside its own limits and splits its panels there.  A finite-rank
+  kernel's kinks are those of its factors.
 
-A kernel that carries its own window (``tau``) must be used with that
-window; `check_window` rejects any other.
+Every entry point of the covariance and the sampler runs `check_kernel`
+first: it rejects a kernel with neither structure, and a kernel that
+carries its own window (``tau``) used with any other window.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -36,8 +41,14 @@ def _window(tau) -> float:
     return tau
 
 
-def check_window(kernel, tau) -> None:
-    """Reject a kernel whose own window is not the requested ``tau``."""
+def check_kernel(kernel, tau) -> None:
+    """Reject a kernel with no factor structure, or whose own window is
+    not the requested ``tau``."""
+    if kernel.separable_terms() is None and not isinstance(
+            kernel, (ShiftedWienerKernel, ProductSeparableKernel)):
+        raise ValueError(
+            f"{type(kernel).__name__} has no factor structure: give it "
+            "separable_terms(), or derive it from a Wiener-type kernel")
     own = getattr(kernel, "tau", None)
     if own is not None and abs(own - tau) > 1e-12 * tau:
         raise ValueError(f"kernel window {own} != requested tau {tau}")
@@ -104,8 +115,12 @@ class ProductSeparableKernel(CovKernel):
     """R(s1, s2) = u(min) v(max) with u(-tau) = 0, v > 0, u/v nondecreasing.
 
     This is the covariance of v(s) W(u(s)/v(s)) for a standard Wiener
-    process W.
+    process W, so it is PSD exactly when those conditions hold.  The
+    constructor checks them on `_CHECK_NODES` nodes of the window and
+    raises `KernelPositivityError` where they fail.
     """
+
+    _CHECK_NODES = 257
 
     def __init__(self, u, v, tau):
         self.u = u
@@ -113,6 +128,18 @@ class ProductSeparableKernel(CovKernel):
         self.tau = _window(tau)
         if abs(float(u(-self.tau))) > 1e-12:
             raise ValueError("u must vanish at -tau")
+        s = np.linspace(-self.tau, 0.0, self._CHECK_NODES)
+        us = np.broadcast_to(np.asarray(u(s), dtype=float), s.shape)
+        vs = np.broadcast_to(np.asarray(v(s), dtype=float), s.shape)
+        if not (np.isfinite(us).all() and np.isfinite(vs).all()):
+            raise KernelPositivityError("u and v must be finite on the window")
+        if not np.all(vs > 0.0):
+            raise KernelPositivityError("v must be positive on the window")
+        fall = np.diff(us / vs).min()
+        if fall < -1e-12:
+            raise KernelPositivityError(
+                f"u/v must be nondecreasing on the window; it falls by "
+                f"{-fall:.3g} between two of {self._CHECK_NODES} nodes")
 
     def _value(self, lo, hi):
         return np.asarray(self.u(lo)) * np.asarray(self.v(hi))
@@ -125,7 +152,11 @@ class TabulatedKernel(CovKernel):
     """Bilinear interpolation of values on a uniform grid over [-tau, 0]^2.
 
     The table must be symmetric and positive semidefinite; the constructor
-    raises `KernelPositivityError` for an indefinite one.
+    raises `KernelPositivityError` for an indefinite one.  The interpolant
+    is ``sum_ij V_ij phi_i(s1) phi_j(s2)`` over the grid's hat functions
+    ``phi_i``, so with ``V = Q L Q^T`` its factors are the piecewise-linear
+    interpolants of the columns of ``Q sqrt(max(L, 0))``, one per grid
+    node, which kink at the grid nodes.
     """
 
     def __init__(self, values, tau):
@@ -138,9 +169,9 @@ class TabulatedKernel(CovKernel):
             raise ValueError("tabulated kernel values must be finite")
         if np.abs(values - values.T).max() > 1e-12:
             raise ValueError("tabulated kernel must be symmetric")
-        # the interpolant is sum_ij V_ij phi_i(s1) phi_j(s2) over the grid's
-        # independent hat functions, so it is PSD exactly when the table is
-        eig = np.linalg.eigvalsh(values)
+        # the hat functions are independent, so the interpolant is PSD
+        # exactly when the table is
+        eig, vec = np.linalg.eigh(values)
         if eig[0] < -1e-12 * np.abs(eig).max():
             raise KernelPositivityError(
                 "tabulated kernel is not positive semidefinite: smallest "
@@ -148,6 +179,9 @@ class TabulatedKernel(CovKernel):
         self.values = values
         self.tau = _window(tau)
         self.grid = np.linspace(-self.tau, 0.0, values.shape[0])
+        factors = vec * np.sqrt(np.maximum(eig, 0.0))
+        self._terms = tuple(functools.partial(np.interp, xp=self.grid, fp=f)
+                            for f in factors.T)
 
     def _value(self, lo, hi):
         return self._bilinear(lo, hi)
@@ -162,6 +196,9 @@ class TabulatedKernel(CovKernel):
         v = self.values
         return ((1 - f1) * (1 - f2) * v[i1, i2] + f1 * (1 - f2) * v[i1 + 1, i2]
                 + (1 - f1) * f2 * v[i1, i2 + 1] + f1 * f2 * v[i1 + 1, i2 + 1])
+
+    def separable_terms(self):
+        return self._terms
 
     def kinks(self, c):
         return self.grid

@@ -5,11 +5,14 @@
 rows, drawn from one generator in vectorized calls, so a consumer that
 reduces each slab as it arrives never holds the whole ensemble.
 `sample_gaussian_paths` writes those slabs into one ``(n, m+1)`` block.
-Each named kernel has an explicit pathwise construction (amplitude-phase
-cosine, cumulative-sum Wiener, time-changed Wiener), so sampling is exact
-in distribution at the grid nodes; kernels without structure fall back to
-a Cholesky factor of the node Gram matrix.  Paths are deterministic per
-seed and do not depend on the slab size.
+Every kernel is drawn through its factors, so sampling is exact in
+distribution at the grid nodes: a finite-rank kernel (cosine, degenerate
+cosine, tabulated) as ``sum_k y_k f_k(s)`` with independent standard
+normals ``y_k``, the Wiener-type kernels as cumulative sums of
+independent increments (time-changed and scaled by v for the product
+kernel).  Each slab is formed elementwise from the normals drawn for its
+rows, so the paths are deterministic per seed and do not depend on the
+slab size.
 """
 from __future__ import annotations
 
@@ -17,10 +20,7 @@ import math
 
 import numpy as np
 
-from ..errors import KernelPositivityError
-from .kernels import (CosineKernel, DegenerateCosineKernel,
-                      ProductSeparableKernel, ShiftedWienerKernel,
-                      check_window)
+from .kernels import ShiftedWienerKernel, check_kernel
 
 __all__ = ["gaussian_path_slabs", "sample_gaussian_paths"]
 
@@ -31,16 +31,16 @@ __all__ = ["gaussian_path_slabs", "sample_gaussian_paths"]
 _SLAB = 256
 
 
-def _slabs(n, m, fill, rows=_SLAB):
-    """Yield ``n`` rows as views of one ``(rows, m+1)`` buffer.
+def _slabs(n, m, fill):
+    """Yield ``n`` rows as views of one ``(_SLAB, m+1)`` buffer.
 
-    ``fill(out, a)`` writes rows ``a, a+1, ...`` of the ensemble into
-    ``out``; every slab overwrites the previous one.
+    ``fill(out)`` writes the next rows of the ensemble into ``out``; every
+    slab overwrites the previous one.
     """
-    buf = np.empty((min(n, rows), m + 1))
-    for a in range(0, n, rows):
-        out = buf[:min(rows, n - a)]
-        fill(out, a)
+    buf = np.empty((min(n, _SLAB), m + 1))
+    for a in range(0, n, _SLAB):
+        out = buf[:min(_SLAB, n - a)]
+        fill(out)
         yield out
 
 
@@ -53,7 +53,7 @@ def _cumsum_fill(rng, scale, v=None):
     """
     zbuf = np.empty((_SLAB, scale.size))
 
-    def fill(out, a):
+    def fill(out):
         z = zbuf[:out.shape[0]]
         rng.standard_normal(out=z)
         out[:, 0] = 0.0
@@ -61,6 +61,25 @@ def _cumsum_fill(rng, scale, v=None):
         np.cumsum(out, axis=1, out=out)
         if v is not None:
             out *= v
+
+    return fill
+
+
+def _finite_rank_fill(rng, factors):
+    """Rows ``sum_k y_k factors[k]`` for fresh standard normals ``y``,
+    summed elementwise in factor order.
+
+    Each slab draws its ``(rows, rank)`` normals in row order, so the rows
+    equal a one-shot ``(n, rank)`` draw bit for bit.
+    """
+    ybuf = np.empty((_SLAB, len(factors)))
+
+    def fill(out):
+        y = ybuf[:out.shape[0]]
+        rng.standard_normal(out=y)
+        np.multiply(y[:, :1], factors[0], out=out)
+        for k in range(1, len(factors)):
+            out += y[:, k:k + 1] * factors[k]
 
     return fill
 
@@ -83,49 +102,20 @@ def gaussian_path_slabs(kernel, n: int, m: int, tau: float, seed):
         raise ValueError("need at least two history intervals")
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError("tau must be positive")
-    check_window(kernel, tau)
+    check_kernel(kernel, tau)
     rng = np.random.default_rng(seed)
     s = -tau + np.arange(m + 1) * (tau / m)
 
-    if isinstance(kernel, CosineKernel):
-        # amplitude from the Rayleigh law by inverse CDF, phase uniform
-        u = rng.random(n)
-        theta = rng.uniform(0.0, 2.0 * math.pi, n)
-        amp = np.sqrt(-2.0 * np.log(1.0 - u))
-
-        def fill(out, a):
-            k = out.shape[0]
-            np.subtract(s, theta[a:a + k, None], out=out)
-            np.cos(out, out=out)
-            out *= amp[a:a + k, None]
-
-        return _slabs(n, m, fill)
-    if isinstance(kernel, DegenerateCosineKernel):
-        z, cos_s = rng.standard_normal(n), np.cos(s)
-        return _slabs(n, m, lambda out, a: np.multiply(
-            z[a:a + out.shape[0], None], cos_s, out=out))
+    sep = kernel.separable_terms()
+    if sep is not None:
+        return _slabs(n, m, _finite_rank_fill(rng, [f(s) for f in sep]))
     if isinstance(kernel, ShiftedWienerKernel):
         return _slabs(n, m, _cumsum_fill(rng, np.full(m, math.sqrt(tau / m))))
-    if isinstance(kernel, ProductSeparableKernel):
-        v = np.asarray(kernel.v(s), dtype=float)
-        d = np.diff(np.asarray(kernel.u(s), dtype=float) / v)
-        if np.any(d < -1e-12):
-            raise ValueError("u/v must be nondecreasing on the window")
-        return _slabs(n, m, _cumsum_fill(rng, np.sqrt(np.maximum(d, 0.0)), v))
-    gram = np.asarray(kernel.value(s[:, None], s[None, :]), dtype=float)
-    gram = 0.5 * (gram + gram.T)
-    try:
-        chol = np.linalg.cholesky(gram + 1e-12 * np.eye(m + 1))
-    except np.linalg.LinAlgError as exc:
-        raise KernelPositivityError(
-            "Gram matrix is not positive semidefinite "
-            "(Cholesky failed after jitter)") from exc
-
-    # one slab: a BLAS product's bytes depend on how its rows are split
-    def fill(out, a):
-        out[...] = rng.standard_normal((n, m + 1)) @ chol.T
-
-    return _slabs(n, m, fill, rows=n)
+    v = np.asarray(kernel.v(s), dtype=float)
+    d = np.diff(np.asarray(kernel.u(s), dtype=float) / v)
+    if np.any(d < -1e-12):
+        raise ValueError("u/v must be nondecreasing on the window")
+    return _slabs(n, m, _cumsum_fill(rng, np.sqrt(np.maximum(d, 0.0)), v))
 
 
 def sample_gaussian_paths(kernel, n: int, m: int, tau: float,

@@ -10,13 +10,14 @@ proportional to interval length, so the final absolute error is close to
 For dense curve evaluation (thousands of nearby integrals of panel-smooth
 integrands) adaptivity in pure Python is too slow; :func:`panel_gauss` applies
 a fixed 24-point Gauss-Legendre rule to a batch of panels in one vectorized
-pass.  Rows of a batch may hold fewer panels than the widest one: they are
-padded on the right with zero-width panels at their upper limit, which add
-exactly zero.  Tests cross-check it against the adaptive engine.
+pass, and :func:`panel_tails` gives the integral from each of its nodes to
+the end, for an integrand that is itself a running integral.  Rows of a
+batch may hold fewer panels than the widest one: they are padded on the
+right with zero-width panels at their upper limit, which add exactly zero.
+Tests cross-check both against the adaptive engine.
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -27,11 +28,22 @@ MAX_INTERVALS = 200_000  # cap on simultaneously active Simpson subintervals
 MIN_WIDTH_FACTOR = 1e-14  # subintervals narrower than this share are final
 PANEL_ORDER = 24  # Gauss-Legendre nodes per panel in `panel_gauss`
 
-
-@functools.cache
-def _leggauss(n: int):
-    # at first use: numpy.polynomial is not loaded with numpy itself
-    return np.polynomial.legendre.leggauss(n)
+# The positive half of the symmetric 24-point Gauss-Legendre rule on
+# [-1, 1], bit for bit as numpy.polynomial.legendre.leggauss(24) gives it.
+# numpy.polynomial is not loaded with numpy itself; importing it would cost
+# each process about 66 ms and 1.1 MiB.
+_HALF_NODES = (
+    0.06405689286260563, 0.1911188674736163, 0.3150426796961634,
+    0.4337935076260451, 0.5454214713888396, 0.6480936519369755,
+    0.7401241915785544, 0.820001985973903, 0.8864155270044011,
+    0.9382745520027328, 0.9747285559713095, 0.9951872199970213)
+_HALF_WEIGHTS = (
+    0.12793819534675202, 0.12583745634682825, 0.1216704729278033,
+    0.11550566805372552, 0.10744427011596556, 0.09761865210411393,
+    0.0861901615319532, 0.07334648141108016, 0.05929858491543636,
+    0.04427743881741941, 0.02853138862893356, 0.01234122979998869)
+_NODES = np.concatenate([-np.array(_HALF_NODES[::-1]), _HALF_NODES])
+_WEIGHTS = np.concatenate([_HALF_WEIGHTS[::-1], _HALF_WEIGHTS])
 
 
 def adaptive_simpson(f, a, b, *, tol=1e-9, breakpoints=()):
@@ -116,30 +128,6 @@ def adaptive_simpson(f, a, b, *, tol=1e-9, breakpoints=()):
     return math.fsum(accepted)
 
 
-def adaptive_simpson_2d(f, ax, bx, ay, by, *, tol=1e-9, x_breaks=(),
-                        y_breaks=None):
-    """Iterated adaptive Simpson for a double integral over a rectangle.
-
-    ``f(x, y)`` must broadcast over ndarrays.  ``y_breaks``, if given, maps a
-    scalar ``x`` to inner-integrand kink locations.  The absolute error is
-    roughly ``tol * (1 + bx - ax)``; callers that need better shrink ``tol``.
-    """
-    if bx <= ax or by <= ay:
-        return 0.0
-
-    def outer(xs):
-        out = np.empty_like(xs, dtype=float)
-        for i, x in enumerate(np.atleast_1d(xs)):
-            brk = y_breaks(x) if y_breaks is not None else ()
-            out[i] = adaptive_simpson(
-                lambda ys, x=x: f(np.full_like(ys, x), ys),
-                ay, by, tol=tol, breakpoints=brk)
-        return out
-
-    return adaptive_simpson(outer, ax, bx, tol=tol * max(bx - ax, 1.0),
-                            breakpoints=x_breaks)
-
-
 def panel_gauss(f, edges):
     """Gauss-Legendre integral of ``f`` over panels with shared batching.
 
@@ -157,12 +145,41 @@ def panel_gauss(f, edges):
     -------
     ndarray of shape ``edges.shape[:-1]``: the sum of the panel integrals.
     """
-    edges = np.asarray(edges, dtype=float)
-    x, w = _leggauss(PANEL_ORDER)
-    lo = edges[..., :-1]
-    hi = edges[..., 1:]
-    half = 0.5 * (hi - lo)
-    nodes = lo[..., None] + half[..., None] * (x + 1.0)
+    nodes, half, w = _panel_nodes(edges)
     vals = np.asarray(f(nodes), dtype=float)
     panel = half * (vals * w).sum(axis=-1)
     return panel.sum(axis=-1)
+
+
+def _panel_nodes(edges):
+    """The Gauss nodes of the panels ``edges``, their half-widths and the
+    rule's weights."""
+    edges = np.asarray(edges, dtype=float)
+    lo = edges[..., :-1]
+    half = 0.5 * (edges[..., 1:] - lo)
+    return lo[..., None] + half[..., None] * (_NODES + 1.0), half, _WEIGHTS
+
+
+def panel_tails(f, edges):
+    """Integrals of ``f`` from each `panel_gauss` node to the last edge.
+
+    ``f`` and ``edges`` are as in `panel_gauss`, and the nodes are the ones
+    `panel_gauss` passes to its integrand for the same edges.  The rest of
+    a node's own panel takes a nested rule of its own, and the panels after
+    it add their `panel_gauss` sums, accumulated from the right.
+
+    Returns
+    -------
+    tails : ndarray of shape ``edges.shape[:-1] + (P, PANEL_ORDER)``
+        the integral from each node to the last edge;
+    after : ndarray of shape ``edges.shape``
+        the integral from each edge to the last edge.
+    """
+    nodes, half, w = _panel_nodes(edges)
+    rest = 0.5 * (np.asarray(edges, dtype=float)[..., 1:, None] - nodes)
+    inner = nodes[..., None] + rest[..., None] * (_NODES + 1.0)
+    own = rest * (np.asarray(f(inner), dtype=float) * w).sum(axis=-1)
+    panel = half * (np.asarray(f(nodes), dtype=float) * w).sum(axis=-1)
+    after = np.zeros(np.shape(edges))
+    after[..., :-1] = np.cumsum(panel[..., ::-1], axis=-1)[..., ::-1]
+    return own + after[..., 1:, None], after

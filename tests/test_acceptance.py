@@ -24,11 +24,13 @@ from ddlab.ensemble import (IidUniformPath, Mixture, as_velocity_histories,
                             sample_initial, velocity_stats)
 from ddlab.gaussian import (CosineKernel, DegenerateCosineKernel,
                             LinearDdeParams, ShiftedWienerKernel,
-                            fundamental_solution, hayes_stable, r_t,
+                            fundamental_solution, hayes_stable,
                             rightmost_root, sigma2_curve, wiener_closed_form)
 from ddlab.kicked import fp_decay_check, ou_limit_suite
 from ddlab.maps import TentMap, detect_asymptotic_period, iterate
 from ddlab.runner import parse_config, run
+
+from covariance_reference import r_t
 
 
 def random_density(seed, n=4096):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ddlab.errors import DegenerateCovarianceError, KernelPositivityError
 from ddlab.gaussian.linear import MAX_HORIZON_DELAYS
 from ddlab.gaussian.stability import _bisect, _kappa_root, _lambertw0
-from ddlab.gaussian import (CosineKernel, DegenerateCosineKernel,
+from ddlab.gaussian import (CosineKernel, CovKernel, DegenerateCosineKernel,
                             GaussianState, LinearDdeParams,
                             ProductSeparableKernel, ShiftedWienerKernel,
                             TabulatedKernel, conditional_mean_check,
@@ -19,12 +19,14 @@ from ddlab.gaussian import (CosineKernel, DegenerateCosineKernel,
                             fundamental_solution, gaussian_path_slabs,
                             hayes_stable, joint_density,
                             lag_cov_curve, marginal_density, propagate_state,
-                            r_t, rightmost_root, sample_gaussian_paths,
+                            rightmost_root, sample_gaussian_paths,
                             sigma2_curve, wiener_closed_form, write_r_slice)
 from ddlab.gaussian import covariance
 from ddlab.gaussian.covariance import sigma2_grid
-from ddlab.quadrature import adaptive_simpson, panel_gauss
+from ddlab.quadrature import adaptive_simpson, panel_gauss, panel_tails
 from ddlab.tabular import read_csv
+
+from covariance_reference import r_t
 
 P01 = LinearDdeParams(a=0.0, b=-1.0, tau=1.0)
 WIENER = ShiftedWienerKernel(1.0)
@@ -316,24 +318,91 @@ def test_cosine_kernel_is_invariant_at_quarter_period_delay():
             math.cos(s2 - s1), abs=1e-10)
 
 
+_G9 = np.linspace(-1.0, 0.0, 9)
+_KERNELS = {
+    "wiener": WIENER,
+    "cosine": COSINE,
+    "degenerate-cosine": DegenerateCosineKernel(),
+    "product": ProductSeparableKernel(lambda s: s + 1.0,
+                                      lambda s: np.exp(0.3 * s), 1.0),
+    "tabulated": TabulatedKernel(np.cos(_G9[:, None] - _G9[None, :]), 1.0),
+}
+
+
 def test_lag_cov_curve_matches_pointwise_evaluation():
-    # tau and 2 tau put delay knots on the ends of the windows.  The
-    # factored kernels agree with r_t to quadrature accuracy; the product
-    # and tabulated kernels have no factors, so the curve is r_t itself
+    # tau and 2 tau put delay knots on the ends of the windows.  Every
+    # kernel's curve integrates its evolved factors, and the adaptive
+    # reference integrates the kernel itself
     ts = np.sort(np.append(np.linspace(0.0, 3.0, 11), [1.0, 2.0]))
-    g9 = np.linspace(-1.0, 0.0, 9)
-    factored = (WIENER, COSINE, DegenerateCosineKernel())
-    pointwise_only = (ProductSeparableKernel(lambda s: s + 1.0,
-                                             lambda s: np.exp(0.3 * s), 1.0),
-                      TabulatedKernel(np.cos(g9[:, None] - g9[None, :]), 1.0))
-    for kernel in factored + pointwise_only:
+    for kernel in _KERNELS.values():
         for p in (P01, LinearDdeParams(0.4, -0.8, 1.0)):
             curve = lag_cov_curve(kernel, p, ts)
             pointwise = [r_t(kernel, p, float(t), -1.0, 0.0) for t in ts]
-            if kernel in factored:
-                np.testing.assert_allclose(curve, pointwise, atol=1e-10)
-            else:
-                np.testing.assert_array_equal(curve, pointwise)
+            np.testing.assert_allclose(curve, pointwise, atol=1e-10)
+
+
+# (t, s1, s2): both in the history, straddling (also from the window's
+# left end), both evolved, and evolved past a delay knot of each time
+_READS = [(0.2, -0.9, -0.5), (0.0, -0.8, 0.0), (0.6, -0.8, -0.4),
+          (0.7, -1.0, 0.0), (0.9, -0.8, -0.4), (1.0, -0.3, -0.3),
+          (1.7, 0.0, 0.0), (2.5, -0.7, -0.1)]
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+def test_reads_match_the_adaptive_reference(name):
+    # r_t is one read of the batched evaluator, and propagate_state one
+    # read of three entries; both agree with the independent adaptive
+    # quadrature of the kernel
+    kernel = _KERNELS[name]
+    for p in (P01, LinearDdeParams(0.4, -0.8, 1.0)):
+        for t, s1, s2 in _READS:
+            assert covariance.r_t(kernel, p, t, s1, s2) == pytest.approx(
+                r_t(kernel, p, t, s1, s2), abs=1e-10)
+        for t in (0.4, 1.3):
+            state = propagate_state(kernel, p, t)
+            assert state.sigma2_t == pytest.approx(
+                r_t(kernel, p, t, 0.0, 0.0), abs=1e-10)
+            assert state.cross == pytest.approx(
+                r_t(kernel, p, t, -1.0, 0.0), abs=1e-10)
+            assert state.sigma2_lag == pytest.approx(
+                r_t(kernel, p, t, -1.0, -1.0), abs=1e-10)
+
+
+def test_tabulated_factors_reproduce_the_interpolant():
+    # the hats' factors sum back to the bilinear table, also off the grid
+    tab = _KERNELS["tabulated"]
+    s = np.linspace(-1.0, 0.0, 41)
+    factors = np.stack([f(s) for f in tab.separable_terms()])
+    np.testing.assert_allclose(factors.T @ factors,
+                               tab.value(s[:, None], s[None, :]),
+                               rtol=0.0, atol=1e-14)
+
+
+def test_panel_rule_is_numpys_gauss_legendre():
+    # the rule is stored so that no run imports numpy.polynomial
+    from ddlab import quadrature
+    x, w = np.polynomial.legendre.leggauss(quadrature.PANEL_ORDER)
+    assert np.array_equal(quadrature._NODES, x)
+    assert np.array_equal(quadrature._WEIGHTS, w)
+
+
+def test_panel_tails_match_adaptive_integrals():
+    # the running integral from each node to the last edge, on panels of
+    # two rows with different edges, one row padded by a zero-width panel
+    def f(r):
+        return np.exp(0.7 * r) * np.cos(3.0 * r)
+
+    edges = np.array([[-1.0, -0.6, 0.0, 0.0], [-1.0, -0.5, -0.2, 0.0]])
+    tails, after = panel_tails(f, edges)
+    seen = []  # the nodes panel_gauss hands its integrand
+    panel_gauss(lambda q: seen.append(q) or q, edges)
+    for row in range(2):
+        for node, tail in zip(seen[0][row].ravel(), tails[row].ravel()):
+            assert tail == pytest.approx(
+                adaptive_simpson(f, node, 0.0, tol=1e-14), abs=1e-14)
+        for edge, rest in zip(edges[row], after[row]):
+            assert rest == pytest.approx(
+                adaptive_simpson(f, edge, 0.0, tol=1e-14), abs=1e-14)
 
 
 def test_lag_cov_curve_matches_tight_pointwise_evaluation_late():
@@ -601,6 +670,8 @@ def test_covariance_rejects_a_kernel_on_another_window():
     # sigma^2(1.5) = 0.319 from the curve and -0.556 from r_t
     kernel, p = ShiftedWienerKernel(2.0), LinearDdeParams(0.0, -1.0, 1.0)
     for read in (lambda: r_t(kernel, p, 1.5, 0.0, 0.0),
+                 lambda: covariance.r_t(kernel, p, 1.5, 0.0, 0.0),
+                 lambda: propagate_state(kernel, p, 1.5),
                  lambda: lag_cov_curve(kernel, p, [1.5]),
                  lambda: sigma2_curve(kernel, p, 2.0, 0.5),
                  lambda: gaussian_path_slabs(kernel, 4, 8, p.tau, 0)):
@@ -854,7 +925,7 @@ _NODES = np.linspace(-1.0, 0.0, 17)
     DegenerateCosineKernel(),
     TabulatedKernel(np.cos(_NODES[:, None] - _NODES[None, :]), 1.0),
 ], ids=["wiener", "product-separable", "cosine", "degenerate-cosine",
-        "cholesky"])
+        "tabulated"])
 def test_slab_draws_equal_one_shot_draw(kernel):
     # the sampler yields its paths in slabs of rows; the slabs in order are
     # the block, and the block is a one-shot draw from the same generator
@@ -863,28 +934,20 @@ def test_slab_draws_equal_one_shot_draw(kernel):
     n, m, tau, seed = 2 * _SLAB + 37, 16, 1.0, 2024
     slabs = [slab.copy()
              for slab in gaussian_path_slabs(kernel, n, m, tau, seed)]
-    # the Cholesky fallback is one BLAS product, whose bytes depend on
-    # how its rows are split, so it comes as one slab
-    one = isinstance(kernel, TabulatedKernel)
-    assert [len(slab) for slab in slabs] == (
-        [n] if one else [_SLAB, _SLAB, 37])
+    assert [len(slab) for slab in slabs] == [_SLAB, _SLAB, 37]
     block = sample_gaussian_paths(kernel, n, m, tau, seed)
     assert np.array_equal(np.concatenate(slabs), block)
 
     rng = np.random.default_rng(seed)
     s = -tau + np.arange(m + 1) * (tau / m)
-    if kernel is COSINE:
-        u = rng.random(n)
-        theta = rng.uniform(0.0, 2.0 * math.pi, n)
-        want = (np.sqrt(-2.0 * np.log(1.0 - u))[:, None]
-                * np.cos(s[None, :] - theta[:, None]))
-    elif isinstance(kernel, DegenerateCosineKernel):
+    if isinstance(kernel, DegenerateCosineKernel):
         want = rng.standard_normal(n)[:, None] * np.cos(s)
-    elif one:
-        gram = kernel.value(s[:, None], s[None, :])
-        chol = np.linalg.cholesky(0.5 * (gram + gram.T)
-                                  + 1e-12 * np.eye(m + 1))
-        want = rng.standard_normal((n, m + 1)) @ chol.T
+    elif kernel.separable_terms() is not None:
+        factors = [f(s) for f in kernel.separable_terms()]
+        y = rng.standard_normal((n, len(factors)))
+        want = y[:, :1] * factors[0]
+        for k in range(1, len(factors)):
+            want += y[:, k:k + 1] * factors[k]
     else:
         if kernel is WIENER:
             scale, v = np.full(m, math.sqrt(tau / m)), 1.0
@@ -903,14 +966,68 @@ def test_slab_draws_equal_one_shot_draw(kernel):
     (WIENER, 5, 8, 0.0),
     (WIENER, 5, 8, math.nan),
     (WIENER, 5, 8, 2.0),
-    (ProductSeparableKernel(lambda s: s + 1.0,
-                            lambda s: np.exp(4.0 * (s + 1.0)), 1.0), 5, 8, 1.0),
-], ids=["no-paths", "one-interval", "tau-zero", "tau-nan", "window",
-        "u-over-v-falls"])
+], ids=["no-paths", "one-interval", "tau-zero", "tau-nan", "window"])
 def test_slab_producer_checks_its_arguments_when_called(kernel, n, m, tau):
     # the checks run at the call, before any slab is asked for
     with pytest.raises(ValueError):
         gaussian_path_slabs(kernel, n, m, tau, 0)
+
+
+@pytest.mark.parametrize("u, v, fragment", [
+    (lambda s: s + 1.0, lambda s: np.exp(4.0 * (s + 1.0)), "nondecreasing"),
+    (lambda s: s + 1.0, lambda s: -np.ones_like(s), "v must be positive"),
+    (lambda s: s + 1.0, lambda s: 0.0 * s, "v must be positive"),
+    (lambda s: np.where(s > -0.5, np.nan, s + 1.0), np.ones_like,
+     "must be finite"),
+], ids=["u-over-v-falls", "v-negative", "v-zero", "u-nan"])
+def test_product_kernel_rejects_a_non_covariance(u, v, fragment):
+    # u(min) v(max) is a covariance exactly when v > 0 and u/v does not
+    # fall; the constructor checks before any curve or sampler runs
+    with pytest.raises(KernelPositivityError, match=fragment):
+        ProductSeparableKernel(u, v, 1.0)
+
+
+def test_falling_ratio_is_rejected_before_any_curve():
+    # u/v falls past s = -0.75, and its curve printed sigma^2 = -1.59,
+    # -4.56 and -1.66 at t = 1.25, 1.5 and 1.75 without complaint
+    with pytest.raises(KernelPositivityError):
+        sigma2_curve(ProductSeparableKernel(
+            lambda s: s + 1.0, lambda s: np.exp(4.0 * (s + 1.0)), 1.0),
+            LinearDdeParams(0.0, -1.0, 1.0), 2.0, 0.25)
+
+
+class _Plain(CovKernel):
+    """A symmetric function with no factor structure."""
+
+    def _value(self, lo, hi):
+        return np.exp(-(hi - lo))
+
+
+def test_a_kernel_without_factors_is_rejected_at_entry():
+    kernel = _Plain()
+    for read in (lambda: covariance.r_t(kernel, P01, 1.5, 0.0, 0.0),
+                 lambda: lag_cov_curve(kernel, P01, [1.5]),
+                 lambda: sigma2_curve(kernel, P01, 2.0, 0.5),
+                 lambda: propagate_state(kernel, P01, 1.5),
+                 lambda: gaussian_path_slabs(kernel, 4, 8, P01.tau, 0)):
+        with pytest.raises(ValueError, match="_Plain has no factor structure"):
+            read()
+
+
+def _excess_kurtosis(vals):
+    z = vals - vals.mean(axis=0)
+    return (z ** 4).mean(axis=0) / (z ** 2).mean(axis=0) ** 2 - 3.0
+
+
+@pytest.mark.parametrize("kernel", [
+    COSINE, TabulatedKernel(np.cos(_NODES[:, None] - _NODES[None, :]), 1.0),
+], ids=["cosine", "tabulated"])
+def test_finite_rank_draws_are_gaussian_at_every_node(kernel):
+    # a draw can have the right covariance and the wrong law: a constant
+    # amplitude sqrt(2) times cos(s - theta) gives excess kurtosis -1.5
+    n = 20000
+    vals = sample_gaussian_paths(kernel, n, 16, 1.0, 31)
+    assert np.all(np.abs(_excess_kurtosis(vals)) < 5.0 * math.sqrt(24.0 / n))
 
 
 _GRID = np.linspace(-1.0, 0.0, 5)

@@ -22,13 +22,15 @@ from ddlab.dde import LinearDelayField
 from ddlab.ensemble import ensemble_values
 from ddlab.errors import ConfigError, QuadratureError
 from ddlab.gaussian import (CosineKernel, DegenerateCosineKernel,
-                            LinearDdeParams, ShiftedWienerKernel, r_t,
+                            LinearDdeParams, ShiftedWienerKernel,
                             sample_gaussian_paths)
 from ddlab.runner import (KINDS, RunConfig, RunManifest, Schedule,
                           normalize, parse_config, run)
 from ddlab.runner.cli import main
 from ddlab.runner import execute
 from ddlab.tabular import fmt, read_csv, render_csv
+
+from covariance_reference import r_t
 
 RECIPES = Path(__file__).resolve().parent.parent / "docs" / "recipes"
 
@@ -440,10 +442,10 @@ def _compare_text(kernel, m, times, chunk, n, seed):
 
 @pytest.mark.parametrize("text, sha", [
     (_compare_text("brownian", 32, "0.5, 1.0", 500, 1200, 5),
-     "401bbc5c064f19c3fe90a464424771fad667c655765ffc8342c68e67d17213a2"),
+     "12ff82a938675547b096fbbb5d58ec8500f8b25ca575eef8f4f9e9651aa17b2e"),
     # chunks cross slab boundaries and the last chunk is short
     (_compare_text("cosine", 64, "0.25, 0.5, 1.0", 3000, 7001, 9),
-     "9312564604d3bd1c607d085bc8f8e48bf2329ead012928e6009729e98d7a4dca"),
+     "fae282effe2cd3f1fba3f88e8777843fa62d3c85e3d6d0f52ca606338daf9066"),
 ], ids=["wiener", "cosine"])
 def test_compare_bytes_are_pinned(tmp_path, text, sha):
     # the chunks' substream seeds and the projection's row-split invariance
@@ -817,6 +819,12 @@ _SECTION_OF = {"lo": "ensemble", "n": "ensemble", "value": "ensemble",
                "mixture": "ensemble", "snapshots": "output", "bins": "output"}
 
 
+def _render(sections):
+    return "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n"
+                                       for k, v in keys.items())
+                   for s, keys in sections.items())
+
+
 @st.composite
 def _configs(draw):
     """Small configs of every kind with up to two keys at a rule's edge."""
@@ -827,9 +835,25 @@ def _configs(draw):
         section = _SECTION_OF.get(key, "params")
         sections.setdefault(section, {})[key] = draw(
             st.sampled_from(edges[key]))
-    return kind, "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n"
-                                              for k, v in keys.items())
-                         for s, keys in sections.items())
+    return kind, _render(sections)
+
+
+@pytest.mark.parametrize("family, kernel", [
+    (family, None) for family in sorted(_FAMILIES)] + [
+    ("gaussian", "cosine"), ("gaussian", "degenerate-cosine"),
+    ("compare", "cosine")])
+def test_no_run_path_runs_adaptive_quadrature(tmp_path, monkeypatch, family,
+                                              kernel):
+    # with no room for a single subinterval any adaptive Simpson call
+    # raises at once, so a run that exits 0 ran none
+    monkeypatch.setattr(ddlab.quadrature, "MAX_INTERVALS", 0)
+    kind, base, _ = _FAMILIES[family]
+    sections = {s: dict(keys) for s, keys in base.items()}
+    if kernel is not None:
+        sections["params"]["kernel"] = kernel
+    cfg = _write(tmp_path, "run.cfg", _render(sections))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
@@ -879,15 +903,18 @@ def test_cli_numerical_failure_exits_4(tmp_path, monkeypatch):
 
 
 def test_cli_quadrature_failure_names_the_time(tmp_path, capsys, monkeypatch):
-    # with no room for subintervals adaptive Simpson gives up on R_t at once;
-    # the message says where, and the failed run leaves no directory
-    monkeypatch.setattr(ddlab.quadrature, "MAX_INTERVALS", 0)
+    # a quadrature that gives up inside the compare writer exits 4, and the
+    # failed run leaves no directory
+    def give_up(kernel, wt, tau):
+        raise QuadratureError("tolerance not reached")
+
+    monkeypatch.setattr(execute, "_sigma2_discrete", give_up)
     text = ("kind = compare\n[params]\nkernel = brownian\na = 0.0\n"
             "b = -1.0\nm = 8\ntimes = 35.0\n[ensemble]\nn = 100\nseed = 1\n")
     cfg = _write(tmp_path, "cmp.cfg", text)
     out = tmp_path / "o"
     assert main(["compare", "--config", cfg, "--out", str(out)]) == 4
-    assert "R_t at t = 35, s1 = 0, s2 = 0: " in capsys.readouterr().err
+    assert "tolerance not reached" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -913,6 +940,24 @@ def test_import_loads_no_scipy():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, ddlab, ddlab.runner\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"
+
+
+def test_gaussian_runs_load_no_numpy_polynomial(tmp_path):
+    # the panel rule is stored; numpy.polynomial costs 66 ms and 1.1 MiB
+    src = str(Path(execute.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = [(GAUSSIAN, tmp_path / "g"),
+            (_compare_text("cosine", 8, "0.5", 50, 100, 1), tmp_path / "c")]
+    code = ("import sys\n"
+            "from ddlab.runner import parse_config, run\n"
+            + "".join(f"run(parse_config({text!r}), outdir={str(out)!r})\n"
+                      for text, out in runs)
+            + "print(sorted(m for m in sys.modules"
+              " if m.startswith('numpy.polynomial')))")
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "[]"
