@@ -17,10 +17,10 @@ __version__ = "0.1.0"
 
 from .density import GridDensity, Histogram
 from .errors import (ConfigError, DdlabError, DegenerateCovarianceError,
-                     DivergenceError, KernelPositivityError, QuadratureError)
+                     DivergenceError, KernelPositivityError)
 
 __all__ = [
     "GridDensity", "Histogram", "DdlabError", "ConfigError",
-    "DivergenceError", "QuadratureError", "DegenerateCovarianceError",
+    "DivergenceError", "DegenerateCovarianceError",
     "KernelPositivityError", "__version__",
 ]

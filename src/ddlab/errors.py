@@ -30,10 +30,6 @@ class DivergenceError(DdlabError):
         super().__init__(f"non-finite state at t = {self.time:g}{where}")
 
 
-class QuadratureError(DdlabError):
-    """Adaptive quadrature could not meet the requested tolerance."""
-
-
 class DegenerateCovarianceError(DdlabError):
     """Covariance matrix is singular to working precision; no density exists."""
 

@@ -13,12 +13,11 @@ One batched evaluator, `_cov_block`, does this for every kernel:
 
 * a finite-rank kernel (cosine, degenerate cosine, tabulated) has finitely
   many factors, and R is the sum of their products;
-* the running-minimum kernel is the integral over q in [-tau, 0] of
-  1{q <= s1} 1{q <= s2}, whose factors evolve to
-  X(c) + b (Z(c - tau - q) - Z(c - tau)) with Z the running integral of X;
-* the product kernel u(min) v(max) is the running minimum time-changed by
-  rho = u/v and scaled by v: its factors v(s) 1{q <= s} are integrated
-  against d rho(q), and by parts against rho's values only.
+* the product kernel u(min) v(max), the running minimum min(s1, s2) + tau
+  among them (u = s + tau, v = 1), is the integral over q in [-tau, 0]
+  of 1{q <= s1} 1{q <= s2} time-changed by rho = u/v and scaled by v: its
+  factors v(s) 1{q <= s} are integrated against d rho(q), and by parts
+  against rho's values only.
 
 Every integral runs on fixed 24-point Gauss-Legendre panels split at one
 knot list: the delay knots r = c - k tau, where X(c - r - tau) crosses a
@@ -39,9 +38,8 @@ import numpy as np
 
 from ..quadrature import panel_gauss, panel_tails
 from ..tabular import write_csv
-from .kernels import CovKernel, ShiftedWienerKernel, check_kernel
-from .linear import (LinearDdeParams, check_horizon, fundamental_prefix,
-                     fundamental_solution)
+from .kernels import CovKernel, check_kernel
+from .linear import LinearDdeParams, check_horizon, fundamental_solution
 
 __all__ = [
     "GaussianState", "r_t", "lag_cov_curve", "sigma2_curve", "sigma2_grid",
@@ -122,25 +120,6 @@ def _finite_rank_factors(kernel: CovKernel, p: LinearDdeParams, c):
     return np.where(c <= 0.0, fs(c), evolved)
 
 
-def _wiener_factor(p: LinearDdeParams, c):
-    """q -> g_q(c): the running-minimum kernel's factor 1{q <= s}, evolved.
-
-    1{q <= c} in the history, then X(c) + b (Z(c - tau - q) - Z(c - tau)).
-    Returns it as a function of the node array q, one row per time, and
-    its knots: the jump at q = c while c is in the history, then the
-    delay knots.
-    """
-    c3 = c[:, None, None]
-    x = fundamental_solution(p, c3)
-    z = fundamental_prefix(p, c3 - p.tau)
-
-    def g(q):
-        return np.where(c3 <= 0.0, q <= c3,
-                        x + p.b * (fundamental_prefix(p, c3 - p.tau - q) - z))
-
-    return g, np.concatenate([c[:, None], _delay_knots(p, c)], axis=1)
-
-
 def _product_cov(kernel, p: LinearDdeParams, A, B):
     """R(A, B) for the product kernel u(min) v(max), integrated by parts.
 
@@ -164,20 +143,21 @@ def _product_cov(kernel, p: LinearDdeParams, A, B):
     v0 = kernel.v(0.0)
 
     def factor(c):
-        """G_q(c) at the panel nodes, G_h(c), and q -> d/dq G_q(c)."""
+        """G_q(c) and d/dq G_q(c) at the panel nodes, and G_h(c)."""
         c3 = c[:, None, None]
+        slope = []  # X(c - q - tau) v(q) = -d/dq G_q(c) / b at the nodes
 
-        def slope(r):  # X(c - r - tau) v(r) = -d/dq G_q(c) / b
-            cc = c.reshape(c.shape + (1,) * (r.ndim - 1))
-            return fundamental_solution(p, cc - r - p.tau) * kernel.v(r)
+        def running(r):
+            slope.append(fundamental_solution(p, c3 - r - p.tau)
+                         * kernel.v(r))
+            return slope[0]
 
-        tails, after = panel_tails(slope, edges)
+        tails, after = panel_tails(running, edges)
         x = fundamental_solution(p, c3) * v0
         g = np.where(c3 <= 0.0, kernel.v(c3), x + p.b * tails)
         tail_h = np.take_along_axis(after, at_h, axis=1)[..., None]
         g_h = np.where(c3 <= 0.0, kernel.v(c3), x + p.b * tail_h)
-        return g, g_h[:, 0, 0], lambda q: np.where(c3 <= 0.0, 0.0,
-                                                   -p.b * slope(q))
+        return g, g_h[:, 0, 0], np.where(c3 <= 0.0, 0.0, -p.b * slope[0])
 
     ga, ga_h, da = factor(A)
     gb, gb_h, db = (ga, ga_h, da) if B is A else factor(B)
@@ -185,8 +165,8 @@ def _product_cov(kernel, p: LinearDdeParams, A, B):
     def rho(q):
         return kernel.u(q) / kernel.v(q)
 
-    def integrand(q):
-        return np.where(below, rho(q) * (da(q) * gb + ga * db(q)), 0.0)
+    def integrand(q):  # panel_gauss hands it the nodes panel_tails used
+        return np.where(below, rho(q) * (da * gb + ga * db), 0.0)
 
     r = rho(h) * ga_h * gb_h - panel_gauss(integrand, edges)
     return np.where(B <= 0.0, kernel.value(A, B), r)
@@ -196,28 +176,14 @@ def _cov_block(kernel: CovKernel, p: LinearDdeParams, A, B):
     """R at the absolute times A <= B, as the inner product <g(A), g(B)>.
 
     g is the kernel's factor evolved by the solution operator: a sum over
-    the factors of a finite-rank kernel, an integral over q in [-tau, 0]
-    for the running-minimum kernel, and an integral against d rho for the
-    product kernel (`_product_cov`).  ``B is A`` reads the variance and
+    the factors of a finite-rank kernel, and an integral against d rho for
+    the product kernel (`_product_cov`).  ``B is A`` reads the variance and
     forms each factor once.  The kernel has passed `check_kernel`.
     """
     if kernel.separable_terms() is not None:
         ga = _finite_rank_factors(kernel, p, A)
         gb = ga if B is A else _finite_rank_factors(kernel, p, B)
         return (ga * gb).sum(axis=0)
-    if isinstance(kernel, ShiftedWienerKernel):
-        ga, knots = _wiener_factor(p, A)
-        gb = ga
-        if B is not A:
-            gb, kb = _wiener_factor(p, B)
-            knots = np.concatenate([knots, kb], axis=1)
-
-        def integrand(q):
-            u = ga(q)
-            return u * u if gb is ga else u * gb(q)
-
-        return panel_gauss(integrand, _panel_edges(np.full_like(B, -p.tau),
-                                                   np.zeros_like(B), knots))
     return _product_cov(kernel, p, A, B)
 
 

@@ -19,9 +19,8 @@ import math
 import numpy as np
 
 from ..errors import DegenerateCovarianceError
-from ..quadrature import adaptive_simpson
 
-__all__ = ["marginal_density", "joint_density", "conditional_mean_check"]
+__all__ = ["marginal_density", "joint_density"]
 
 _DEGENERATE_TOL = 1e-12
 
@@ -50,26 +49,3 @@ def joint_density(state, x, y):
             + state.sigma2_t * y * y)
     out = np.exp(-0.5 * quad / det) / (2.0 * math.pi * math.sqrt(det))
     return float(out) if out.ndim == 0 else out
-
-
-def conditional_mean_check(state, x, *, tol=1e-10):
-    """|integral of y f(x, y) dy - (cross / sigma2_t) x f_marginal(x)|.
-
-    The first moment of the lagged coordinate at fixed x must reduce to the
-    regression line; this integrates the left side numerically and returns
-    the absolute deviation, a direct check that the joint density, the
-    marginal, and the covariance entries are assembled consistently.
-    """
-    det = state.det
-    if det <= _DEGENERATE_TOL or state.sigma2_t <= _DEGENERATE_TOL:
-        raise DegenerateCovarianceError("conditional mean needs a "
-                                        "non-degenerate state")
-    x = float(x)
-    mean_y = state.cross / state.sigma2_t * x
-    sd_y = math.sqrt(det / state.sigma2_t)
-    width = 12.0 * sd_y
-    integral = adaptive_simpson(
-        lambda y: y * joint_density(state, x, y),
-        mean_y - width, mean_y + width, tol=tol)
-    expected = mean_y * marginal_density(state, x)
-    return abs(integral - expected)

@@ -7,10 +7,10 @@ kernel may advertise structure the covariance propagator can exploit:
 * ``separable_terms`` — factors ``f_m`` with ``R = sum_m f_m(s1) f_m(s2)``
   (finite rank); the batched covariance evolves each factor and sums the
   products, and the sampler draws ``sum_m y_m f_m(s)`` with independent
-  standard normals ``y_m``.  The two Wiener-type kernels are the
+  standard normals ``y_m``.  The product kernel ``u(min) v(max)`` is the
   continuous analogue, ``R = integral 1{q <= s1} 1{q <= s2} drho(q)``
-  times ``v(s1) v(s2)``, with ``rho(q) = q + tau`` and ``v = 1`` for the
-  running minimum;
+  times ``v(s1) v(s2)`` with ``rho = u/v``; the running minimum is the
+  product kernel with ``u(s) = s + tau`` and ``v = 1``;
 * ``kinks`` — candidate ``r`` locations where ``r -> R(r, c)`` may not be
   smooth, as an array broadcasting against ``np.shape(c) + (k,)``.  They
   are not filtered to any interval: each quadrature keeps the ones strictly
@@ -45,10 +45,10 @@ def check_kernel(kernel, tau) -> None:
     """Reject a kernel with no factor structure, or whose own window is
     not the requested ``tau``."""
     if kernel.separable_terms() is None and not isinstance(
-            kernel, (ShiftedWienerKernel, ProductSeparableKernel)):
+            kernel, ProductSeparableKernel):
         raise ValueError(
             f"{type(kernel).__name__} has no factor structure: give it "
-            "separable_terms(), or derive it from a Wiener-type kernel")
+            "separable_terms(), or derive it from ProductSeparableKernel")
     own = getattr(kernel, "tau", None)
     if own is not None and abs(own - tau) > 1e-12 * tau:
         raise ValueError(f"kernel window {own} != requested tau {tau}")
@@ -98,19 +98,6 @@ class DegenerateCosineKernel(CovKernel):
         return (np.cos,)
 
 
-class ShiftedWienerKernel(CovKernel):
-    """R(s1, s2) = min(s1, s2) + tau: Wiener path started at ``-tau``."""
-
-    def __init__(self, tau):
-        self.tau = _window(tau)
-
-    def _value(self, lo, hi):
-        return lo + self.tau
-
-    def kinks(self, c):
-        return np.asarray(c, dtype=float)[..., None]
-
-
 class ProductSeparableKernel(CovKernel):
     """R(s1, s2) = u(min) v(max) with u(-tau) = 0, v > 0, u/v nondecreasing.
 
@@ -142,10 +129,22 @@ class ProductSeparableKernel(CovKernel):
                 f"{-fall:.3g} between two of {self._CHECK_NODES} nodes")
 
     def _value(self, lo, hi):
-        return np.asarray(self.u(lo)) * np.asarray(self.v(hi))
+        # an array lo is value()'s own temporary, so the product overwrites
+        # it instead of taking a Gram-block-sized temporary of its own
+        return np.multiply(self.u(lo), self.v(hi),
+                           out=lo if isinstance(lo, np.ndarray) else None)
 
     def kinks(self, c):
         return np.asarray(c, dtype=float)[..., None]
+
+
+class ShiftedWienerKernel(ProductSeparableKernel):
+    """R(s1, s2) = min(s1, s2) + tau: Wiener path started at ``-tau``, the
+    product kernel with u(s) = s + tau and v = 1."""
+
+    def __init__(self, tau):
+        tau = _window(tau)
+        super().__init__(lambda s: s + tau, lambda s: 1.0, tau)
 
 
 class TabulatedKernel(CovKernel):

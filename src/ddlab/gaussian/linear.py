@@ -25,19 +25,6 @@ the weights sum to at most ``e^{(|a| + |b|) tau}``, whatever t is; and a
 rounding error d made at node k adds exactly d times the equation's own
 fundamental solution, started at ``k tau``, to every later value.  So the
 rounding grows no faster than the solutions themselves.
-
-The running integral ``Z(t) = integral_0^t X``, which the Wiener kernel's
-variance needs, comes from the same pieces integrated term by term:
-
-    Z(k tau + s) = Z(k tau)
-                   + s sum_{j=0}^{k} (b s)^j / j! phi_j(a s) X((k - j) tau),
-
-with ``phi_j(z) = integral_0^1 e^{z u} u^j du`` and the nodes ``Z(k tau)``
-the running sums of whole-delay pieces.  Nothing divides by a or b; at
-``a = 0``, ``phi_j = 1 / (j + 1)`` and the sum is one Horner pass.  For
-``a > 0`` each phi_j is a series of positive terms, and for ``a < 0`` a
-recursion in j that adds positive terms (`_phi_series`,
-`_phi_recursion`), so no digits cancel in phi for any a.
 """
 from __future__ import annotations
 
@@ -110,87 +97,4 @@ def fundamental_solution(p: LinearDdeParams, t):
     check_horizon(p, t_arr)
     idx, s, x, kmax = _steps(p, t_arr)
     out = _taylor(x, idx, p.b * s, kmax) * np.exp(p.a * s)
-    return float(out[0]) if scalar else out
-
-
-def _phi_series(z, depth):
-    """Yield ``phi_j(z)`` for ``j = depth, ..., 0``, for ``z >= 0``.
-
-    ``phi_j(z) = sum_n z^n / (n! (n + j + 1))``: positive terms, summed to
-    the last one that counts.  At ``z = 0`` only ``n = 0`` is left.
-    """
-    powers = [1.0]  # z^n / n!
-    total = 1.0
-    while True:
-        term = powers[-1] * z / len(powers)
-        if not np.any(term > 2.0 ** -56 * total):
-            break
-        powers.append(term)
-        total = total + term
-    for j in range(depth, -1, -1):
-        yield sum(zn / (n + j + 1) for n, zn in enumerate(powers))
-
-
-def _phi_recursion(x, depth):
-    """Yield ``phi_j(-x)`` for ``j = depth, ..., 0``, for ``x >= 0``.
-
-    ``phi_{j-1}(-x) = (e^{-x} + x phi_j(-x)) / j`` adds two positive
-    terms, so it never loses digits; it starts from ``phi_depth``, summed
-    as ``e^{-x} sum_n x^n depth! / (n + depth + 1)!`` up to
-    ``x = depth + 1`` and taken from ``depth! x^{-depth-1} (1 - e^{-x}
-    sum_{m <= depth} x^m / m!)`` beyond, where that sum is at most about
-    half of ``e^x`` and the series would need ever more terms.
-    """
-    ex = np.exp(-x)
-    near = np.minimum(x, depth + 1.0)
-    term = np.full_like(near, 1.0 / (depth + 1))
-    series = term
-    n = 0
-    while np.any(term > 2.0 ** -56 * series):
-        n += 1
-        term = term * near / (n + depth + 1)
-        series = series + term
-    far = np.maximum(x, depth + 1.0)
-    term = tail = np.exp(-far)
-    scale = 1.0 / far
-    for m in range(1, depth + 1):
-        term = term * far / m
-        tail = tail + term
-        scale = scale * m / far
-    phi = np.where(x <= depth + 1.0, np.exp(-near) * series,
-                   scale * (1.0 - tail))
-    yield phi
-    for j in range(depth, 0, -1):
-        phi = (ex + x * phi) / j
-        yield phi
-
-
-def _piece(p: LinearDdeParams, y, idx, s, depth):
-    """``integral_0^s X(k tau + u) du``, where ``y[idx] = X(k tau)`` as
-    `_steps` lays them out: ``s sum_j (b s)^j / j! phi_j(a s) y[idx - j]``,
-    by Horner's rule."""
-    phi = (_phi_series(p.a * s, depth) if p.a >= 0.0
-           else _phi_recursion(-p.a * s, depth))
-    c = p.b * s
-    acc = 0.0
-    for j in range(depth, 0, -1):
-        acc = (acc + y[idx - j] * next(phi)) * c / j
-    return s * (acc + y[idx] * next(phi))
-
-
-def fundamental_prefix(p: LinearDdeParams, z):
-    """``Z(z)``, the integral of X over ``[0, z]``; vectorized.
-
-    Negative ``z`` clips to zero (X vanishes there).  ``Z(k tau + s)`` is
-    the node ``Z(k tau)``, a running sum of whole-delay pieces, plus the
-    piece over ``[k tau, k tau + s]``.
-    """
-    z_arr = np.maximum(np.asarray(z, dtype=float), 0.0)
-    check_horizon(p, z_arr)
-    scalar = z_arr.ndim == 0
-    idx, s, x, kmax = _steps(p, np.atleast_1d(z_arr))
-    whole = _piece(p, x, np.arange(kmax) + kmax + 1, np.full(kmax, p.tau),
-                   kmax)
-    nodes = np.concatenate([[0.0], np.cumsum(whole)])
-    out = nodes[idx - kmax - 1] + _piece(p, x, idx, s, kmax)
     return float(out[0]) if scalar else out

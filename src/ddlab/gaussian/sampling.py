@@ -8,11 +8,11 @@ reduces each slab as it arrives never holds the whole ensemble.
 Every kernel is drawn through its factors, so sampling is exact in
 distribution at the grid nodes: a finite-rank kernel (cosine, degenerate
 cosine, tabulated) as ``sum_k y_k f_k(s)`` with independent standard
-normals ``y_k``, the Wiener-type kernels as cumulative sums of
-independent increments (time-changed and scaled by v for the product
-kernel).  Each slab is formed elementwise from the normals drawn for its
-rows, so the paths are deterministic per seed and do not depend on the
-slab size.
+normals ``y_k``, the product kernel ``u(min) v(max)`` (the running
+minimum among them) as cumulative sums of independent increments of
+``u/v``, scaled by v.  Each slab is formed elementwise from the normals
+drawn for its rows, so the paths are deterministic per seed and do not
+depend on the slab size.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .kernels import ShiftedWienerKernel, check_kernel
+from .kernels import check_kernel
 
 __all__ = ["gaussian_path_slabs", "sample_gaussian_paths"]
 
@@ -109,13 +109,13 @@ def gaussian_path_slabs(kernel, n: int, m: int, tau: float, seed):
     sep = kernel.separable_terms()
     if sep is not None:
         return _slabs(n, m, _finite_rank_fill(rng, [f(s) for f in sep]))
-    if isinstance(kernel, ShiftedWienerKernel):
-        return _slabs(n, m, _cumsum_fill(rng, np.full(m, math.sqrt(tau / m))))
     v = np.asarray(kernel.v(s), dtype=float)
     d = np.diff(np.asarray(kernel.u(s), dtype=float) / v)
     if np.any(d < -1e-12):
         raise ValueError("u/v must be nondecreasing on the window")
-    return _slabs(n, m, _cumsum_fill(rng, np.sqrt(np.maximum(d, 0.0)), v))
+    # v = 1 (the running minimum) takes no scaling pass over each slab
+    return _slabs(n, m, _cumsum_fill(rng, np.sqrt(np.maximum(d, 0.0)),
+                                     None if np.all(v == 1.0) else v))
 
 
 def sample_gaussian_paths(kernel, n: int, m: int, tau: float,

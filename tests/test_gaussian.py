@@ -14,8 +14,7 @@ from ddlab.gaussian.stability import _bisect, _kappa_root, _lambertw0
 from ddlab.gaussian import (CosineKernel, CovKernel, DegenerateCosineKernel,
                             GaussianState, LinearDdeParams,
                             ProductSeparableKernel, ShiftedWienerKernel,
-                            TabulatedKernel, conditional_mean_check,
-                            fundamental_prefix,
+                            TabulatedKernel,
                             fundamental_solution, gaussian_path_slabs,
                             hayes_stable, joint_density,
                             lag_cov_curve, marginal_density, propagate_state,
@@ -23,10 +22,11 @@ from ddlab.gaussian import (CosineKernel, CovKernel, DegenerateCosineKernel,
                             sigma2_curve, wiener_closed_form, write_r_slice)
 from ddlab.gaussian import covariance
 from ddlab.gaussian.covariance import sigma2_grid
-from ddlab.quadrature import adaptive_simpson, panel_gauss, panel_tails
+from ddlab.quadrature import PANEL_ORDER, panel_gauss, panel_tails
 from ddlab.tabular import read_csv
 
-from covariance_reference import r_t
+from covariance_reference import (adaptive_simpson, conditional_mean_check,
+                                  fundamental_prefix, r_t)
 
 P01 = LinearDdeParams(a=0.0, b=-1.0, tau=1.0)
 WIENER = ShiftedWienerKernel(1.0)
@@ -386,31 +386,63 @@ def test_panel_rule_is_numpys_gauss_legendre():
     assert np.array_equal(quadrature._WEIGHTS, w)
 
 
+def _panel_nodes_seen(edges):
+    """The nodes `panel_gauss` hands its integrand for ``edges``."""
+    seen = []
+    panel_gauss(lambda q: seen.append(q) or q, edges)
+    return seen[0]
+
+
 def test_panel_tails_match_adaptive_integrals():
     # the running integral from each node to the last edge, on panels of
-    # two rows with different edges, one row padded by a zero-width panel
-    def f(r):
+    # two rows with different edges, one row padded by a zero-width panel;
+    # then the product kernel's slope X(c - r - tau) v(r), whose running
+    # integral its evolved factor holds, on panels split at each row's
+    # delay knots c - k tau
+    p = LinearDdeParams(0.4, -0.8, 1.0)
+    c = np.array([2.6, 3.35])
+    v = _KERNELS["product"].v
+
+    def smooth(r):
         return np.exp(0.7 * r) * np.cos(3.0 * r)
 
-    edges = np.array([[-1.0, -0.6, 0.0, 0.0], [-1.0, -0.5, -0.2, 0.0]])
-    tails, after = panel_tails(f, edges)
-    seen = []  # the nodes panel_gauss hands its integrand
-    panel_gauss(lambda q: seen.append(q) or q, edges)
-    for row in range(2):
-        for node, tail in zip(seen[0][row].ravel(), tails[row].ravel()):
-            assert tail == pytest.approx(
-                adaptive_simpson(f, node, 0.0, tol=1e-14), abs=1e-14)
-        for edge, rest in zip(edges[row], after[row]):
-            assert rest == pytest.approx(
-                adaptive_simpson(f, edge, 0.0, tol=1e-14), abs=1e-14)
+    smooth_edges = np.array([[-1.0, -0.6, 0.0, 0.0], [-1.0, -0.5, -0.2, 0.0]])
+    slope_edges = covariance._panel_edges(
+        np.full(2, -1.0), np.zeros(2), covariance._delay_knots(p, c))
+    np.testing.assert_allclose(slope_edges, [[-1.0, -0.4, 0.0],
+                                             [-1.0, -0.65, 0.0]])
+    for f, rows, edges in (
+            (smooth, (smooth, smooth), smooth_edges),
+            (lambda r: fundamental_solution(p, c[:, None, None] - r - 1.0)
+             * v(r),
+             [lambda r, ci=ci: fundamental_solution(p, ci - r - 1.0) * v(r)
+              for ci in c], slope_edges)):
+        tails, after = panel_tails(f, edges)
+        nodes = _panel_nodes_seen(edges)
+        for fi, e, row_nodes, tail, rest in zip(rows, edges, nodes, tails,
+                                                after):
+            for node, t in zip(row_nodes.ravel(), tail.ravel()):
+                assert t == pytest.approx(adaptive_simpson(
+                    fi, node, 0.0, tol=1e-14, breakpoints=e), abs=1e-14)
+            for edge, r in zip(e, rest):
+                assert r == pytest.approx(adaptive_simpson(
+                    fi, edge, 0.0, tol=1e-14, breakpoints=e), abs=1e-14)
+    # within its own panel every node reads a polynomial of degree < 24
+    # exactly: x^k integrates to (hi^{k+1} - x^{k+1}) / (k + 1)
+    nodes = _panel_nodes_seen(smooth_edges)
+    hi = smooth_edges[:, 1:, None]
+    for k in range(PANEL_ORDER):
+        tails, after = panel_tails(lambda r: r ** k, smooth_edges)
+        exact = (hi ** (k + 1) - nodes ** (k + 1)) / (k + 1)
+        assert np.abs(tails - after[:, 1:, None] - exact).max() <= 1e-15, k
 
 
 def test_lag_cov_curve_matches_tight_pointwise_evaluation_late():
     # past 30 tau both sides are below r_t's default absolute tolerance,
     # so r_t runs at 1e-16.  The cosine kernel agrees to 1e-10 relative;
-    # the Wiener curve integrates differences of nearly equal values of
-    # X's running integral Z, which limit its relative agreement (1.35e-4
-    # at 50 tau), so it is also held to 1e-16 absolute
+    # the Wiener reference integrates differences of nearly equal values
+    # of X's running integral Z, which limit its relative agreement, so it
+    # is also held to 1e-16 absolute
     times = [35.0, 45.0, 50.0]
     for kernel, rel, abs_ in ((COSINE, 1e-10, 0.0), (WIENER, 1e-3, 1e-16)):
         curve = lag_cov_curve(kernel, P01, times)
@@ -468,8 +500,9 @@ def test_sigma2_curve_bytes_at_the_full_horizon(monkeypatch):
     # how the panels are laid out must never move a byte of the curves; a
     # row keeps only the distinct knots inside its window, so it needs at
     # most two.  Recorded from the evaluator that integrates products of
-    # the kernel's evolved factors, with the X and (for the Wiener kernel)
-    # the Z that the exact-rational tests above hold to 1e-12
+    # the kernel's evolved factors, with the X that the exact-rational
+    # tests above hold to 1e-12; the Wiener factors' running integrals
+    # read through the panel rule's tail matrix
     widths = []
 
     def counted(f, edges):
@@ -478,10 +511,10 @@ def test_sigma2_curve_bytes_at_the_full_horizon(monkeypatch):
 
     monkeypatch.setattr(covariance, "panel_gauss", counted)
     want = {
-        "wiener": ("5771dbef87f351738b76ee26b0fff700"
-                   "d2b16389f45114b1d1901a73f7f251c0",
-                   "62fedc0649b6bcbafa631dba6db35a02"
-                   "6fe7f345de147634f1e1f1c89ac49c2d"),
+        "wiener": ("5128f6e168064dc4b3ac98a8bd9e5c92"
+                   "af89a8957de465bbef97fd96af733cc7",
+                   "714b263d8e16331caac3a6231701defd"
+                   "cd03fdaf856ec596c40997ecb4f95cef"),
         "cosine": ("f71f65eecabe68d68d900b624c76cbbb"
                    "27a82e9f5534e7e8fd9f4d4687c30e4d",
                    "2be1f511d069d6aa558127acadf1ddf8"
@@ -503,6 +536,29 @@ def test_sigma2_curve_matches_tight_pointwise_variance_late(kernel, rel):
     for t in (40.0, 45.0, 48.5, 50.0):
         assert curve.at(t) == pytest.approx(
             r_t(kernel, P01, t, 0.0, 0.0, tol=1e-16), rel=rel, abs=0.0)
+
+
+def _exact_wiener_sigma2(t):
+    # a = 0, b = -1, tau = 1: sigma^2(t) = integral_0^1 G(u)^2 du with the
+    # evolved factor G(u) = X(t) + Z(t - 1) - Z(t - 1 + u), and on
+    # [t - 1, t] Z is the polynomial sum_k (-1)^k (u + t-1-k)^{k+1} / (k+1)!
+    coef = [_exact_x(-1, 1, t) + _exact_z(-1, 1, t - 1)] + [0] * t
+    for k in range(t):
+        c = Fraction((-1) ** k, math.factorial(k + 1))
+        for i in range(k + 2):
+            coef[i] -= c * math.comb(k + 1, i) * (t - 1 - k) ** (k + 1 - i)
+    return sum(ci * cj / (i + j + 1) for i, ci in enumerate(coef)
+               for j, cj in enumerate(coef))
+
+
+def test_sigma2_curve_wiener_is_exact_late():
+    # sigma^2 falls to 1.5e-14 by 50 tau; it is held to the exact rational
+    # value, which an evolved factor read as a difference of nearly equal
+    # values of Z misses by 5e-10 relative there
+    curve = sigma2_curve(WIENER, P01, 50.0, 0.5)
+    for t in (20, 35, 50):
+        exact = _exact_wiener_sigma2(t)
+        assert abs(Fraction(curve.at(t)) - exact) <= 1e-13 * exact, t
 
 
 def test_sigma2_curve_cosine_is_constant_one():

@@ -20,7 +20,7 @@ import ddlab.quadrature
 import ddlab.tabular
 from ddlab.dde import LinearDelayField
 from ddlab.ensemble import ensemble_values
-from ddlab.errors import ConfigError, QuadratureError
+from ddlab.errors import ConfigError, DegenerateCovarianceError
 from ddlab.gaussian import (CosineKernel, DegenerateCosineKernel,
                             LinearDdeParams, ShiftedWienerKernel,
                             sample_gaussian_paths)
@@ -315,17 +315,46 @@ def test_gaussian_kind_flat_variance(tmp_path):
     assert np.max(np.abs(cols[1] - 1.0)) < 1e-6
 
 
+_GAUSSIAN_BENCH = ("kind = gaussian\n[params]\nkernel = brownian\na = 0.0\n"
+                   "b = -1.0\ntau = 1.0\nT = 2.0\ndt = 0.001\n")
+
+_HASH_SIGMA2 = f"""
+import hashlib, sys
+from ddlab.runner import parse_config, run
+run(parse_config({_GAUSSIAN_BENCH!r}), outdir=sys.argv[1])
+print(hashlib.sha256(open(sys.argv[1] + "/sigma2.csv", "rb").read())
+      .hexdigest())
+"""
+
+
+def _printed_at_blas_threads(snippet, *args):
+    """What ``snippet`` prints in a fresh interpreter at 1 and 2 BLAS
+    threads, as a set."""
+    src = str(Path(execute.__file__).resolve().parents[2])
+    printed = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-c", snippet, *args], env=env,
+                             capture_output=True, text=True, check=True)
+        printed.add(res.stdout.strip())
+    return printed
+
+
 def test_gaussian_sigma2_bytes_are_pinned(tmp_path):
     # the benchmark's gaussian config; how the quadrature panels are laid
-    # out must never move a byte of the curve.  Recorded from the variance
-    # read as an integral of the squared evolved factors, with the Z that
-    # the method of steps integrates term by term
-    text = ("kind = gaussian\n[params]\nkernel = brownian\na = 0.0\n"
-            "b = -1.0\ntau = 1.0\nT = 2.0\ndt = 0.001\n")
-    run(parse_config(text), outdir=tmp_path)
+    # out, and how many threads BLAS runs, must never move a byte of the
+    # curve.  Recorded from the variance read as an integral of the squared
+    # evolved factors, whose running integrals the panel rule's tail
+    # matrix reads
+    want = ("1709d2fec711706a75ea35987124b116"
+            "a7de54795eb8eff76d95d4d786d2e731")
+    run(parse_config(_GAUSSIAN_BENCH), outdir=tmp_path)
     digest = hashlib.sha256((tmp_path / "sigma2.csv").read_bytes()).hexdigest()
-    assert digest == ("4ddd4d9f39611d3763c8e356c8dd49ea"
-                      "6dc30dad63885435dc794c7e7dfefa02")
+    assert digest == want
+    assert _printed_at_blas_threads(_HASH_SIGMA2, str(tmp_path / "g")) == {
+        want}
 
 
 def test_kicked_kind_report_rows(tmp_path):
@@ -422,16 +451,7 @@ def test_projection_bytes_are_stable():
     assert digest(execute._project(shifted(samples), tau, wt)) == whole
     assert digest(execute._project(samples, tau, shifted(wt))) == whole
 
-    src = str(Path(execute.__file__).resolve().parents[2])
-    printed = set()
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        res = subprocess.run([sys.executable, "-c", _HASH_CHUNK], env=env,
-                             capture_output=True, text=True, check=True)
-        printed.add(res.stdout.strip())
-    assert printed == {whole}
+    assert _printed_at_blas_threads(_HASH_CHUNK) == {whole}
 
 
 def _compare_text(kernel, m, times, chunk, n, seed):
@@ -442,7 +462,7 @@ def _compare_text(kernel, m, times, chunk, n, seed):
 
 @pytest.mark.parametrize("text, sha", [
     (_compare_text("brownian", 32, "0.5, 1.0", 500, 1200, 5),
-     "12ff82a938675547b096fbbb5d58ec8500f8b25ca575eef8f4f9e9651aa17b2e"),
+     "3daef8f16e06065a488cbede59405cb8de328a0db08754fdf5fbdc500665e1a4"),
     # chunks cross slab boundaries and the last chunk is short
     (_compare_text("cosine", 64, "0.25, 0.5, 1.0", 3000, 7001, 9),
      "fae282effe2cd3f1fba3f88e8777843fa62d3c85e3d6d0f52ca606338daf9066"),
@@ -842,11 +862,10 @@ def _configs(draw):
     (family, None) for family in sorted(_FAMILIES)] + [
     ("gaussian", "cosine"), ("gaussian", "degenerate-cosine"),
     ("compare", "cosine")])
-def test_no_run_path_runs_adaptive_quadrature(tmp_path, monkeypatch, family,
-                                              kernel):
-    # with no room for a single subinterval any adaptive Simpson call
-    # raises at once, so a run that exits 0 ran none
-    monkeypatch.setattr(ddlab.quadrature, "MAX_INTERVALS", 0)
+def test_no_run_path_runs_adaptive_quadrature(tmp_path, family, kernel):
+    # the package holds only the fixed panel rule, and a run of every kind
+    # exits 0 with it
+    assert not hasattr(ddlab.quadrature, "adaptive_simpson")
     kind, base, _ = _FAMILIES[family]
     sections = {s: dict(keys) for s, keys in base.items()}
     if kernel is not None:
@@ -860,7 +879,7 @@ def test_no_run_path_runs_adaptive_quadrature(tmp_path, monkeypatch, family,
 @given(_configs())
 def test_dry_run_fails_exactly_when_the_run_fails_on_its_config(case):
     # what a dry run cannot foresee comes out of the work itself: a
-    # divergence (exit 3) or a quadrature that misses its tolerance (exit 4)
+    # divergence (exit 3) or any other numerical failure (exit 4)
     kind, text = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg = _write(Path(tmp), "run.cfg", text)
@@ -895,7 +914,7 @@ def test_cli_compare_projection_overflow_exits_3(tmp_path, monkeypatch,
 
 def test_cli_numerical_failure_exits_4(tmp_path, monkeypatch):
     def explode(out):
-        raise QuadratureError("tolerance not reached")
+        raise DegenerateCovarianceError("variance at or below tolerance")
 
     monkeypatch.setitem(execute._ENGINES, "map-iterate", lambda cfg: explode)
     cfg = _write(tmp_path, "run.cfg", MINIMAL)
@@ -903,10 +922,10 @@ def test_cli_numerical_failure_exits_4(tmp_path, monkeypatch):
 
 
 def test_cli_quadrature_failure_names_the_time(tmp_path, capsys, monkeypatch):
-    # a quadrature that gives up inside the compare writer exits 4, and the
+    # a numerical failure inside the compare writer exits 4, and the
     # failed run leaves no directory
     def give_up(kernel, wt, tau):
-        raise QuadratureError("tolerance not reached")
+        raise DegenerateCovarianceError("variance at or below tolerance")
 
     monkeypatch.setattr(execute, "_sigma2_discrete", give_up)
     text = ("kind = compare\n[params]\nkernel = brownian\na = 0.0\n"
@@ -914,7 +933,7 @@ def test_cli_quadrature_failure_names_the_time(tmp_path, capsys, monkeypatch):
     cfg = _write(tmp_path, "cmp.cfg", text)
     out = tmp_path / "o"
     assert main(["compare", "--config", cfg, "--out", str(out)]) == 4
-    assert "tolerance not reached" in capsys.readouterr().err
+    assert "variance at or below tolerance" in capsys.readouterr().err
     assert not out.exists()
 
 
