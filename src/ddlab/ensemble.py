@@ -269,9 +269,6 @@ class JointHistogram(UniformGrid):
     def densities(self) -> np.ndarray:
         return self.counts / (self.total * self.bin_width ** 2)
 
-    def x_marginal(self) -> Histogram:
-        return Histogram(self.counts.sum(axis=1), self.lo, self.hi)
-
 
 @dataclass(frozen=True)
 class DensitySnapshot:

@@ -2,7 +2,7 @@
 
 from .covariance import (GaussianState, SigmaCurve, lag_cov_curve,
                          propagate_state, r_t, sigma2_curve,
-                         wiener_closed_form, write_r_slice)
+                         wiener_closed_form)
 from .densities import joint_density, marginal_density
 from .kernels import (CosineKernel, CovKernel, DegenerateCosineKernel,
                       ProductSeparableKernel, ShiftedWienerKernel,
@@ -19,5 +19,4 @@ __all__ = [
     "joint_density", "lag_cov_curve", "marginal_density", "propagate_state",
     "r_t", "rightmost_root",
     "sample_gaussian_paths", "sigma2_curve", "wiener_closed_form",
-    "write_r_slice",
 ]

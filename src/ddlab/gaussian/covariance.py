@@ -43,7 +43,7 @@ from .linear import LinearDdeParams, check_horizon, fundamental_solution
 
 __all__ = [
     "GaussianState", "r_t", "lag_cov_curve", "sigma2_curve", "sigma2_grid",
-    "SigmaCurve", "propagate_state", "wiener_closed_form", "write_r_slice",
+    "SigmaCurve", "propagate_state", "wiener_closed_form",
 ]
 
 _CHUNK = 256  # times per batched block of `_cov_curve`
@@ -386,16 +386,3 @@ def wiener_closed_form(p: LinearDdeParams, t: float):
                   + (b * b / (2.0 * a ** 3)) * _sq_expm1_residue(a * t))
     return r_lag, sigma2
 
-
-def write_r_slice(path, kernel: CovKernel, p: LinearDdeParams, t, pairs):
-    """CSV of covariance values at fixed times over window-offset pairs."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    rows_t, rows_s1, rows_s2, rows_r = [], [], [], []
-    for ti in t_arr:
-        for (s1, s2) in pairs:
-            rows_t.append(ti)
-            rows_s1.append(s1)
-            rows_s2.append(s2)
-            rows_r.append(r_t(kernel, p, float(ti), float(s1), float(s2)))
-    write_csv(path, ["t", "s1", "s2", "R"],
-              [rows_t, rows_s1, rows_s2, rows_r])

@@ -32,11 +32,10 @@ drift products, the squared displacements and their means) runs over a
 whole block of kicks at once.  The kick products kappa c_j go straight
 into the velocity block's rows and the drift products into the position
 block's, where each recurrence then runs in place, so no block exists
-only to hold a product.  The pooled velocity moments are central,
-so the suite makes two passes and recomputes the velocity blocks in the
-second rather than keep ``(n_kicks, streams)`` of them; `_ExactSum`
-replays numpy's pairwise summation tree over the streamed blocks, so
-each moment has the bits of one ``mean()`` over the whole pool.
+only to hold a product.  The same pass sums the powers v .. v^4 of the
+post-transient velocities, one sum over the streams per kick, folded
+across the kicks in order with their rounding errors (`_fold`); the
+central moments come from those power sums.
 """
 from __future__ import annotations
 
@@ -78,14 +77,13 @@ class KickConfig:
     observable: object = None
 
     def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise ValueError("gamma must be positive")
-        if not self.tau > 0.0:
-            raise ValueError("tau must be positive")
-        if self.kappa is None:
+        if self.kappa is None and self.tau > 0.0:
             object.__setattr__(self, "kappa", math.sqrt(self.tau))
-        if not self.kappa > 0.0:
-            raise ValueError("kappa must be positive")
+        for name in ("gamma", "tau", "kappa"):
+            val = getattr(self, name)
+            if not (math.isfinite(val) and val > 0.0):
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {val!r}")
         if self.observable is None:
             object.__setattr__(self, "observable", centered_identity)
 
@@ -269,14 +267,9 @@ class OuReport:
 
 # kicks per block of `_velocity_blocks`: the suite's buffers scale with
 # it, the reports do not depend on it.  At 64, the velocity and position
-# blocks of 3 taus x 512 streams are 0.8 MiB each, so a pass's working
+# blocks of 3 taus x 512 streams are 0.8 MiB each, so the pass's working
 # set fits a 2 MiB L2 cache.
 _KICK_BLOCK = 64
-
-# nodes of numpy's pairwise sum that `_ExactSum` reduces in one call; at
-# least numpy's own unrolled block of 128, and the reports do not depend
-# on it
-_SUM_LEAF = 1 << 14
 
 
 def burn_in_kicks(gamma, tau) -> int:
@@ -308,69 +301,21 @@ def _double_mod(p: np.ndarray, out: np.ndarray = None,
     return np.minimum(out, wrap, out=out)
 
 
-class _ExactSum:
-    """``np.add.reduce`` of ``n`` float64 values that arrive in pieces.
+def _fold(s: np.ndarray, e: np.ndarray) -> None:
+    """Add columns 1.. of each row of ``s`` into its column 0, in order.
 
-    numpy sums a contiguous float64 array as one pairwise tree: a node of
-    more than 128 values splits at n2 = n//2 - (n//2) % 8.  This replays
-    that split down to leaves of at most `_SUM_LEAF` values, reduces each
-    leaf with ``np.add.reduce`` as its values arrive (in place when the
-    leaf lies inside one piece, else through a staging row) and adds the
-    leaf sums back up the same tree, so the total has the bits of one
-    ``np.add.reduce`` over the whole sequence.
+    Column 0 of ``e`` runs the sum of the additions' rounding errors,
+    each recovered exactly by TwoSum; its other columns are scratch.
+    ``s + e`` is then the cascaded sum Sum2 of Ogita, Rump and Oishi
+    (SIAM J. Sci. Comput. 26, 2005), as accurate as a sum of the terms
+    in twice the working precision.  Both folds are sequential, so the
+    totals do not depend on how the terms were split among calls.
     """
-
-    @staticmethod
-    def _split(m: int) -> int:
-        """Size of the left child of a node of ``m`` > 128 values."""
-        return m // 2 - (m // 2) % 8
-
-    def __init__(self, n: int):
-        self.n = int(n)
-        self.leaf = _SUM_LEAF
-        self.sizes = []
-        stack = [self.n]
-        while stack:  # depth first, left child on top
-            m = stack.pop()
-            if m <= self.leaf:
-                self.sizes.append(m)
-            else:
-                h = self._split(m)
-                stack += [m - h, h]
-        self.sums = []
-        self.stage = np.empty(min(self.n, self.leaf))
-        self.fill = 0
-
-    def add(self, piece: np.ndarray) -> None:
-        """Feed the next values, a contiguous 1-D float64 array."""
-        i, m = 0, piece.size
-        while i < m:
-            size = self.sizes[len(self.sums)]
-            if not self.fill and i + size <= m:
-                self.sums.append(np.add.reduce(piece[i:i + size]))
-                i += size
-                continue
-            take = min(size - self.fill, m - i)
-            self.stage[self.fill:self.fill + take] = piece[i:i + take]
-            self.fill += take
-            i += take
-            if self.fill == size:
-                self.sums.append(np.add.reduce(self.stage[:size]))
-                self.fill = 0
-
-    def total(self) -> np.float64:
-        if len(self.sums) != len(self.sizes):
-            raise ValueError(f"fed {len(self.sums)} of {len(self.sizes)} "
-                             "leaves")
-        leaves = iter(self.sums)
-
-        def node(m):
-            if m <= self.leaf:
-                return next(leaves)
-            h = self._split(m)
-            return node(h) + node(m - h)
-
-        return node(self.n)
+    run = np.add.accumulate(s, axis=1)
+    b = run[:, 1:] - run[:, :-1]
+    e[:, 1:] = (run[:, :-1] - (run[:, 1:] - b)) + (s[:, 1:] - b)
+    s[:, 0] = run[:, -1]
+    e[:, 0] = np.add.accumulate(e, axis=1)[:, -1]
 
 
 def _velocity_blocks(nums: np.ndarray, kappa: np.ndarray,
@@ -454,17 +399,15 @@ def ou_limit_suite(gamma, tau_list, n_kicks, *, ensemble: int = 256) \
     deterministic: no random numbers are involved anywhere.
 
     Every tau advances together through blocks of `_KICK_BLOCK` kicks
-    (`_velocity_blocks`), so the suite holds block-sized buffers and the
-    ``msd`` curves, never anything of ``(n_kicks, streams)`` size.  The
-    pooled moments are central, so they take two passes.  The first
-    runs the running position sum x_j = x_{j-1} + v_{j-1} (1 -
-    e^{-gamma tau}) / gamma and the squared displacements, and sums the
-    post-transient velocities for their mean mu.  The second recomputes
-    the same velocity blocks and sums (v - mu)^2 and its square: keeping
-    the blocks would take ``(n_kicks, streams)`` floats, recomputing them
-    costs one more doubling and velocity update per kick.  Each sum is an
-    `_ExactSum`, which replays numpy's pairwise tree, so the moments have
-    the bits of ``mean()`` over the whole pooled array.
+    (`_velocity_blocks`) in one pass, so the suite holds block-sized
+    buffers and the ``msd`` curves, never anything of ``(n_kicks,
+    streams)`` size.  The pass runs the running position sum x_j =
+    x_{j-1} + v_{j-1} (1 - e^{-gamma tau}) / gamma and the squared
+    displacements, and sums v, v^2, v^3 and v^4 over the post-transient
+    velocities; the central moments come from those power sums
+    (`_fold`).  Each power's sum over the streams is taken kick by kick
+    and folded across the kicks in kick order, so the reports do not
+    depend on where the blocks split.
     """
     gamma, tau_list, n_kicks, burns = suite_plan(gamma, tau_list, n_kicks)
     if not tau_list:
@@ -477,13 +420,15 @@ def ou_limit_suite(gamma, tau_list, n_kicks, *, ensemble: int = 256) \
     drift = ((1.0 - decay) / gamma)[:, None]
     sizes = [(n_kicks - burn + 1) * ensemble for burn in burns]
 
-    # pass 1: positions, msd and the velocity sums
     x = np.zeros((_KICK_BLOCK + 1, len(tau_list), ensemble))  # row 0: x_a
     x_rows = list(x)
     x_ref = np.empty((len(tau_list), ensemble))
     d = np.empty((_KICK_BLOCK, ensemble))  # one tau's pooled rows
     msd = [np.empty(n_kicks - burn + 1) for burn in burns]
-    v_sums = [_ExactSum(n) for n in sizes]
+    # per tau, the running sums of v .. v^4 (column 0) and a block's
+    # per-kick sums after them; `err` likewise for the rounding errors
+    sums = np.zeros((len(tau_list), 4, _KICK_BLOCK + 1))
+    err = np.zeros_like(sums)
     for a, k, v in _velocity_blocks(nums, kappa, decay, n_kicks):
         np.multiply(v[:k], drift, out=x[1:k + 1])  # the steps, in place
         # a loop, not np.cumsum: the same bits, but cumsum is slower
@@ -494,41 +439,33 @@ def ou_limit_suite(gamma, tau_list, n_kicks, *, ensemble: int = 256) \
                 x_ref[t] = x[burn - a, t]
             lo = max(burn - a, 1)
             if lo <= k:
-                rows = d[:k + 1 - lo]
+                rows, vt = d[:k + 1 - lo], v[lo:k + 1, t]
                 np.subtract(x[lo:k + 1, t], x_ref[t], out=rows)
                 np.square(rows, out=rows)
                 msd[t][a + lo - burn:a + k + 1 - burn] = rows.mean(axis=1)
-                np.copyto(rows, v[lo:k + 1, t])
-                v_sums[t].add(rows.reshape(-1))
+                s = sums[t, :, :k + 2 - lo]
+                np.add.reduce(vt, axis=1, out=s[0, 1:])
+                np.multiply(vt, vt, out=rows)
+                np.add.reduce(rows, axis=1, out=s[1, 1:])
+                for power in (2, 3):
+                    np.multiply(rows, vt, out=rows)
+                    np.add.reduce(rows, axis=1, out=s[power, 1:])
+                _fold(s, err[t, :, :k + 2 - lo])
         x[0] = x[k]
-    mu = [s.total() / n for s, n in zip(v_sums, sizes)]
-    del v_sums, x, x_rows  # and the sums' staging rows
-
-    # pass 2: the same velocities again, for the central moments
-    m2_sums = [_ExactSum(n) for n in sizes]
-    m4_sums = [_ExactSum(n) for n in sizes]
-    for a, k, v in _velocity_blocks(nums, kappa, decay, n_kicks):
-        for t, burn in enumerate(burns):
-            lo = max(burn - a, 1)
-            if lo <= k:
-                rows = d[:k + 1 - lo]
-                np.subtract(v[lo:k + 1, t], mu[t], out=rows)
-                np.square(rows, out=rows)
-                m2_sums[t].add(rows.reshape(-1))
-                np.square(rows, out=rows)  # fourth powers, as squares
-                m4_sums[t].add(rows.reshape(-1))
 
     reports = []
     for t, tau in enumerate(tau_list):
-        m2 = m2_sums[t].total() / sizes[t]  # the variance, as var() has it
-        m4 = m4_sums[t].total() / sizes[t]
-        kurt = m4 / m2 ** 2 - 3.0
+        mu, e2, e3, e4 = (sums[t, :, 0] + err[t, :, 0]) / sizes[t]
+        mu2 = mu * mu
+        m2 = e2 - mu2  # the variance, as var() has it
+        m4 = e4 - 4.0 * mu * e3 + 6.0 * mu2 * e2 - 3.0 * mu2 * mu2
+        kurt = m4 / (m2 * m2) - 3.0
         t_axis = np.arange(len(msd[t])) * tau
         slope, _, r2 = tail_line_fit(t_axis, msd[t])
         reports.append(OuReport(tau=tau, var_v=float(m2),
                                 normality_stat=abs(float(kurt)),
                                 msd_slope=slope, msd_r2=r2,
-                                mean_v=float(mu[t]), n_samples=sizes[t]))
+                                mean_v=float(mu), n_samples=sizes[t]))
     return reports
 
 

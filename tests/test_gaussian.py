@@ -19,7 +19,7 @@ from ddlab.gaussian import (CosineKernel, CovKernel, DegenerateCosineKernel,
                             hayes_stable, joint_density,
                             lag_cov_curve, marginal_density, propagate_state,
                             rightmost_root, sample_gaussian_paths,
-                            sigma2_curve, wiener_closed_form, write_r_slice)
+                            sigma2_curve, wiener_closed_form)
 from ddlab.gaussian import covariance
 from ddlab.gaussian.covariance import sigma2_grid
 from ddlab.quadrature import PANEL_ORDER, panel_gauss, panel_tails
@@ -538,17 +538,24 @@ def test_sigma2_curve_matches_tight_pointwise_variance_late(kernel, rel):
             r_t(kernel, P01, t, 0.0, 0.0, tol=1e-16), rel=rel, abs=0.0)
 
 
-def _exact_wiener_sigma2(t):
-    # a = 0, b = -1, tau = 1: sigma^2(t) = integral_0^1 G(u)^2 du with the
-    # evolved factor G(u) = X(t) + Z(t - 1) - Z(t - 1 + u), and on
-    # [t - 1, t] Z is the polynomial sum_k (-1)^k (u + t-1-k)^{k+1} / (k+1)!
-    coef = [_exact_x(-1, 1, t) + _exact_z(-1, 1, t - 1)] + [0] * t
-    for k in range(t):
-        c = Fraction((-1) ** k, math.factorial(k + 1))
+def _exact_wiener_factor(c):
+    # a = 0, b = -1, tau = 1: the evolved factor at the integer time c is
+    # G_c(u) = X(c) + Z(c - 1) - Z(c - 1 + u) on [0, 1], and on [c - 1, c]
+    # Z is the polynomial sum_k (-1)^k (u + c-1-k)^{k+1} / (k+1)!; returns
+    # its coefficients in powers of u
+    coef = [_exact_x(-1, 1, c) + _exact_z(-1, 1, c - 1)] + [0] * c
+    for k in range(c):
+        ck = Fraction((-1) ** k, math.factorial(k + 1))
         for i in range(k + 2):
-            coef[i] -= c * math.comb(k + 1, i) * (t - 1 - k) ** (k + 1 - i)
-    return sum(ci * cj / (i + j + 1) for i, ci in enumerate(coef)
-               for j, cj in enumerate(coef))
+            coef[i] -= ck * math.comb(k + 1, i) * (c - 1 - k) ** (k + 1 - i)
+    return coef
+
+
+def _exact_wiener_r(c1, c2):
+    # R(c1, c2) = integral_0^1 G_c1(u) G_c2(u) du
+    return sum(ci * cj / (i + j + 1)
+               for i, ci in enumerate(_exact_wiener_factor(c1))
+               for j, cj in enumerate(_exact_wiener_factor(c2)))
 
 
 def test_sigma2_curve_wiener_is_exact_late():
@@ -557,8 +564,18 @@ def test_sigma2_curve_wiener_is_exact_late():
     # values of Z misses by 5e-10 relative there
     curve = sigma2_curve(WIENER, P01, 50.0, 0.5)
     for t in (20, 35, 50):
-        exact = _exact_wiener_sigma2(t)
+        exact = _exact_wiener_r(t, t)
         assert abs(Fraction(curve.at(t)) - exact) <= 1e-13 * exact, t
+
+
+def test_lag_cov_curve_wiener_is_exact_late():
+    # R_t(-1, 0) = integral_0^1 G_{t-1} G_t du, exactly; the pointwise
+    # reference of the late test above only reaches 1e-3 relative here
+    times = [20, 35, 50]
+    curve = lag_cov_curve(WIENER, P01, [float(t) for t in times])
+    for t, got in zip(times, curve):
+        exact = _exact_wiener_r(t - 1, t)
+        assert abs(Fraction(got) - exact) <= 1e-13 * abs(exact), t
 
 
 def test_sigma2_curve_cosine_is_constant_one():
@@ -608,16 +625,6 @@ def test_sigma2_grid_is_the_curves_grid():
     np.testing.assert_array_equal(sigma2_grid(P01, 1.0, 0.25),
                                   sigma2_curve(WIENER, P01, 1.0, 0.25).t)
     assert sigma2_grid(P01, 50.0, 0.5)[-1] == 50.0  # the horizon itself
-
-
-def test_r_slice_csv(tmp_path):
-    path = tmp_path / "slice.csv"
-    pairs = [(-1.0, 0.0), (-0.5, 0.0), (0.0, 0.0)]
-    write_r_slice(path, WIENER, P01, [0.5], pairs)
-    header, cols = read_csv(path)
-    assert header == ["t", "s1", "s2", "R"]
-    assert cols[3][0] == pytest.approx(r_t(WIENER, P01, 0.5, -1.0, 0.0))
-    assert len(cols[0]) == 3
 
 
 def test_growth_lower_bound_for_positive_feedback():

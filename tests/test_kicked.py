@@ -1,6 +1,5 @@
 """Kicked flow: exact updates, chaotic streams, operator decay, OU limit."""
 import hashlib
-import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -14,7 +13,6 @@ from ddlab.kicked import (
     _SEED_DEN,
     KickConfig,
     _double_mod,
-    _ExactSum,
     burn_in_kicks,
     centered_identity,
     equidistributed_seeds,
@@ -48,6 +46,13 @@ def test_config_validation():
         KickConfig(gamma=1.0, tau=-0.1)
     with pytest.raises(ValueError):
         KickConfig(gamma=1.0, tau=0.1, kappa=0.0)
+    # an infinite tau once ran to v = [0, inf, nan, nan], an infinite
+    # gamma froze x at 0
+    for bad in (math.inf, -math.inf, math.nan):
+        for name in ("gamma", "tau", "kappa"):
+            kw = {"gamma": 1.0, "tau": 0.1, "kappa": 0.3, name: bad}
+            with pytest.raises(ValueError, match=name):
+                KickConfig(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +342,29 @@ def _big_int_suite(gamma, tau_list, n_kicks, ensemble):
         resid = msd[mask] - (slope * t[mask] + intercept)
         centered = msd[mask] - msd[mask].mean()
         r2 = 1.0 - float(resid @ resid) / float(centered @ centered)
-        reports.append(dict(tau=tau, var_v=float(pooled.var()),
+        reports.append(dict(tau=tau, pool=pooled,
                             normality_stat=abs(float(m4 / m2 ** 2 - 3.0)),
                             msd_slope=float(slope), msd_r2=r2,
-                            mean_v=float(mu), n_samples=len(pooled)))
+                            n_samples=len(pooled)))
     return reports
+
+
+def _exact_moments(values):
+    # mean, variance and excess kurtosis of float64 values as exact
+    # rationals, from Python-integer power sums: every value is an integer
+    # over one common power of two, which cancels from the kurtosis
+    ratios = [v.as_integer_ratio() for v in values.tolist()]
+    den = max(d for _, d in ratios)
+    ints = [p * (den // d) for p, d in ratios]
+    squares = [i * i for i in ints]
+    n, s1, s2 = len(ints), sum(ints), sum(squares)
+    s3 = sum(q * i for q, i in zip(squares, ints))
+    s4 = sum(q * q for q in squares)
+    m2 = n * s2 - s1 * s1  # n^2 den^2 times the variance
+    m4 = n ** 3 * s4 - 4 * n * n * s1 * s3 + 6 * n * s1 * s1 * s2 \
+        - 3 * s1 ** 4  # n^4 den^4 times the fourth central moment
+    return (Fraction(s1, n * den), Fraction(m2, (n * den) ** 2),
+            Fraction(m4, m2 * m2) - 3)
 
 
 def test_suite_matches_big_int_reference():
@@ -349,9 +372,17 @@ def test_suite_matches_big_int_reference():
     want = _big_int_suite(1.0, [0.2, 0.1], 1500, ensemble=64)
     assert len(got) == len(want) == 2
     for rep, ref in zip(got, want):
-        # the fourth moment is now a square of squares, not pow(d, 4)
+        # the suite's fourth moment comes from power sums, not pow(d, 4)
         stat = ref.pop("normality_stat")
         assert rep.normality_stat == pytest.approx(stat, rel=1e-12, abs=0.0)
+        # the moments come from compensated power sums, so they are held
+        # to the exact moments of the reference's own pool
+        mean, var, excess = _exact_moments(ref.pop("pool"))
+        for field, exact, rel in (("mean_v", mean, 4.5e-16),
+                                  ("var_v", var, 4.5e-16),
+                                  ("normality_stat", abs(excess), 5e-15)):
+            value = Fraction(getattr(rep, field))
+            assert abs(value - exact) <= rel * abs(exact), field
         for field, value in ref.items():
             assert getattr(rep, field) == value, field
 
@@ -365,23 +396,20 @@ def test_suite_does_not_depend_on_the_kick_block(monkeypatch):
     for block in (7, kicked._KICK_BLOCK):
         assert 1500 % block and (burns[0] - 1) % block and burns[0] % block
     want = ou_limit_suite(1.0, taus, 1500, ensemble=64)
-    # the pools of 92 800 and fewer velocities span several leaves of
-    # either size
-    for block, leaf in itertools.product((1, 7), (128, kicked._SUM_LEAF)):
+    for block in (1, 7):
         monkeypatch.setattr(kicked, "_KICK_BLOCK", block)
-        monkeypatch.setattr(kicked, "_SUM_LEAF", leaf)
         assert ou_limit_suite(1.0, taus, 1500, ensemble=64) == want
 
 
 def test_six_thousand_kick_report_bytes_are_pinned(tmp_path):
-    # recorded from the suite that kept whole (n_kicks, streams) blocks;
-    # pools of up to 1.1e6 velocities cut the summation tree many times
+    # recorded from the one-pass suite, whose moments come from power
+    # sums folded kick by kick, after the exact-moment check above passed
     path = tmp_path / "report.csv"
     write_kick_report(path, ou_limit_suite(1.0, [0.2, 0.1, 0.05], 6000,
                                            ensemble=192))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "2f17dcfbf97c5f6dde9b0012c551e5af"
-        "a989ed565022ed30d5026cadd93d1f05")
+        "8f086002a4f4e19fdabe203c328c9253"
+        "c84f63af375b66d2683b947e2ad471de")
 
 
 def _traced_peak_mib(n_kicks):
@@ -402,59 +430,14 @@ def test_suite_memory_does_not_grow_with_the_kicks():
 
 def test_suite_buffers_stay_block_sized_at_the_benchmark_shape():
     # 3 taus x 512 streams x 20 000 kicks: the velocity and position
-    # blocks, the sums' staging rows and the msd curves, about 4.5 MiB
+    # blocks and the msd curves, about 3.1 MiB
     tracemalloc.start()
     try:
         ou_limit_suite(1.0, [0.2, 0.1, 0.05], 20000, ensemble=512)
         peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
-    assert peak < 6.0, peak
-
-
-def _uneven_pieces(n):
-    # piece sizes cycling through 1, 37 and 512, the last one cut to fit
-    sizes, fed = [], 0
-    for size in itertools.cycle([1, 37, 512]):
-        if fed >= n:
-            return sizes
-        sizes.append(min(size, n - fed))
-        fed += sizes[-1]
-
-
-def _check_exact_sum(lengths):
-    rng = np.random.default_rng(16)
-    for n in lengths:
-        values = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
-        want = np.add.reduce(values)
-        for pieces in (_uneven_pieces(n), [n]):
-            acc = _ExactSum(n)
-            for a, b in itertools.pairwise([0, *itertools.accumulate(pieces)]):
-                acc.add(values[a:b])
-            got = acc.total()
-            assert got == want, (
-                f"numpy {np.__version__} no longer sums {n} float64 values "
-                "as the pairwise tree _ExactSum replays (nodes of more than "
-                "128 split at n//2 - (n//2) % 8): "
-                f"{got!r} != np.add.reduce {want!r}")
-
-
-def test_exact_sum_replays_numpy_pairwise_reduce(monkeypatch):
-    leaf = kicked._SUM_LEAF
-    assert leaf >= 128
-    rng = np.random.default_rng(7)
-    lengths = [1, 7, 8, 127, 128, 129, leaf - 1, leaf, leaf + 1,
-               2 * leaf + 9] + [int(n) for n in rng.integers(1, 10 ** 6, 3)]
-    _check_exact_sum(lengths + [10 ** 6])
-    monkeypatch.setattr(kicked, "_SUM_LEAF", 128)  # the smallest legal leaf
-    _check_exact_sum(lengths)
-
-
-def test_exact_sum_needs_every_value():
-    acc = _ExactSum(300)
-    acc.add(np.ones(299))
-    with pytest.raises(ValueError, match="leaves"):
-        acc.total()
+    assert peak < 4.0, peak
 
 
 def test_double_mod_into_a_separate_row():

