@@ -17,6 +17,17 @@ delayed node and noise level (step ``n - 1`` ends on level ``n // q``,
 where step ``n`` starts); only step 0 and step ``m``, whose predecessor
 read node 0's left limit, evaluate it afresh.
 
+Steps run in windows of ``W`` nodes.  Step ``n`` reads delayed nodes up to
+``n - m + 2``, so once the special steps ``n <= 2m + 1`` are past (the
+node-0 jump, the left-limit extrapolation, the one-sided stencils) every
+delayed node the next ``m - 2`` steps read is known.  A window forms their
+mid-stencils, drives and drive products ``c0 D0``, ``cm Dm``, ``c1 D1``
+over ``(W, B)`` slabs for ``B`` paths, and only the sums ``((P y + c0 D0)
++ cm Dm) + c1 D1`` run step by step.  Each element sees the operations of
+a single step in the same order, so the bits do not depend on ``W``.  A
+slab holds at most `_SLAB` values, so ``W`` shrinks as the batch grows, to
+one node per window for the 22 500-path ensembles.
+
 The datum with a unit jump at the starting time (zero path before, one at the
 start) generates the fundamental solution of the linear equation, so the
 read-back is careful at the two places such a jump hurts.  Stencils never
@@ -332,6 +343,43 @@ def _combine(w, rows, out, work):
         np.add(out, work, out=out)
 
 
+def _drive_products(products, d0, dm, d1):
+    """Each ``(c, k, slab)`` of ``products``: ``c`` times drive ``k`` (0:
+    start, 1: half-node, 2: end) of every step of a window into ``slab``.
+    The start drives are the last window's end drive ``d0``, then the end
+    drives ``d1`` of this window's steps but its last."""
+    W = len(d1)
+    for c, k, slab in products:
+        if k == 0:
+            np.multiply(c, d0, out=slab[:1])
+            if W > 1:
+                np.multiply(c, d1[:W - 1], out=slab[1:W])
+        else:
+            np.multiply(c, dm if k == 1 else d1, out=slab[:W])
+
+
+def _affine_steps(plan, y, new, tmp):
+    """The window's steps, each state from the one before (``y`` for the
+    first) into the next row of the component-major ``new``.
+
+    Component i sums ``plan[i]``'s state terms ``(c, k)``, then its
+    product slabs' rows, in that order, as one step alone would."""
+    for j, out in enumerate(new):
+        for (terms, slabs), o in zip(plan, out):
+            for t, (c, k) in enumerate(terms):
+                if t:
+                    np.multiply(c, y[k], out=tmp)
+                    np.add(o, tmp, out=o)
+                else:
+                    np.multiply(c, y[k], out=o)
+            for t, slab in enumerate(slabs, len(terms)):
+                if t:
+                    np.add(o, slab[j], out=o)
+                else:
+                    np.copyto(o, slab[j])
+        y = out
+
+
 def _rk4_coefficients(L, h):
     """``P(hL)`` and the last columns of ``c0``, ``cm``, ``c1`` (see top)."""
     z, eye = h * L, np.eye(len(L))
@@ -383,6 +431,14 @@ def _step_count(T, h):
     return n_steps
 
 
+# Path-rows per window slab (128 KiB): a batch of B paths steps W =
+# min(m - 2, _SLAB // B) nodes per window, at least one.  The outputs do
+# not depend on it.  At 2**14 the slabs, states and ring of a 500-path
+# sine-feedback run (about 1.5 MiB) stay within a 2 MiB L2 cache, and a
+# 22 500-path batch steps one node at a time.
+_SLAB = 2 ** 14
+
+
 def integrate_batch(field, samples, tau: float, T: float, *, t0: float = 0.0,
                     noise_table=None, observer=None) -> np.ndarray:
     """Advance a stack of histories together; returns the final states.
@@ -393,15 +449,27 @@ def integrate_batch(field, samples, tau: float, T: float, *, t0: float = 0.0,
     trajectory (see :meth:`PiecewiseConstantUniform.table`); the segment
     clock starts at ``t0``, and with ``q`` steps per segment step ``n``
     reads level ``n // q`` at its start and midpoint, ``(n + 1) // q`` at
-    its end.  ``observer(k, states)`` is called for every node index ``k =
-    0 .. n`` with the ``(B, d)`` states at that node; the array is freshly
-    allocated per step and may be kept without copying.
+    its end.
+
+    The steps run in windows of ``W = min(m - 2, _SLAB // B)`` nodes for
+    ``B`` paths (at least 1; 1 on the special steps ``n <= 2m + 1``, and
+    the last window takes what is left).  Every delayed node a window
+    reads is known when it starts, so its mid-stencils, drives and drive
+    products are formed over ``(W, B)`` slabs, and only the sums of the
+    affine update run step by step.
+
+    ``observer(k0, states)`` is called once for node 0 and then once per
+    window, with the ``(W, B, d)`` states at nodes ``k0 .. k0 + W - 1``;
+    the array is valid only during the call, so an observer copies what
+    it keeps.  It never sees a non-finite state: each window's states are
+    checked before it is observed, and the first non-finite one raises
+    :class:`~ddlab.errors.DivergenceError` with its time and row.
 
     Every trajectory in the stack sees exactly the arithmetic it would see
-    alone, so integrating any split of the rows (each part with its own
-    rows of ``noise_table``) and concatenating gives the same bits.  All
-    work runs on the calling thread, stepping in place in buffers
-    allocated once per call.
+    alone, at any window size, so integrating any split of the rows (each
+    part with its own rows of ``noise_table``) and concatenating gives the
+    same bits.  All work runs on the calling thread, and the steps write
+    only into buffers allocated once per call.
     """
     arr = check_block(samples, tau)
     nb, rows, d = arr.shape
@@ -412,6 +480,7 @@ def integrate_batch(field, samples, tau: float, T: float, *, t0: float = 0.0,
     h = tau / m
     n_steps = _step_count(T, h)
 
+    width = max(1, min(m - 2, _SLAB // nb))
     noise = getattr(field, "noise", None)
     noise_rows = xi0 = xi1 = None
     if noise is not None:
@@ -425,58 +494,118 @@ def integrate_batch(field, samples, tau: float, T: float, *, t0: float = 0.0,
             raise ValueError(f"noise_table must be shaped ({nb}, >= {needed})")
         # one contiguous row of levels per segment
         noise_rows = np.ascontiguousarray(noise_table.T)
+        xi0s, xi1s = np.empty((2, width, nb))
     elif noise_table is not None:
         raise ValueError("noise_table given but the field has no noise process")
 
-    # Component i of the new state sums, in this order, its nonzero
-    # coefficients times (y_0 .. y_{d-1}, D0, Dm, D1).
-    coefs = np.column_stack(_rk4_coefficients(field.linear_part, h))
-    rules = [(c[c != 0.0], np.flatnonzero(c)) for c in coefs]
+    def levels(n, w, buf):
+        """Levels ``k // q`` of steps ``k = n .. n + w - 1``: one row that
+        broadcasts when they share a segment, else gathered into ``buf``."""
+        a = n // q
+        if a == (n + w - 1) // q:
+            return noise_rows[a:a + 1]
+        return np.take(noise_rows, np.arange(n, n + w) // q, axis=0,
+                       out=buf[:w])
+
     # Ring buffer of the delayed (last) component over absolute node index
     # i (slot (i + m) % size); m + 4 slots retain exactly the nodes the
-    # widest stencil can reach back to.
-    size = m + 4
-    ring = np.empty((size, nb))
+    # widest stencil can reach back to.  Its first width - 1 slots are
+    # repeated past its end, so the rows of any run of at most width nodes
+    # are one slice wherever the run starts.
+    size, mirror = m + 4, width - 1
+    ring = np.empty((size + mirror, nb))
     ring[:m + 1] = arr[:, :, -1].T
-    y = arr[:, m].copy()
-    if observer is not None:
-        observer(0, y.copy())
+    ring[size:] = ring[:mirror]
 
-    # Drive and stencil buffers shared by all steps; only the new state is
-    # allocated per step, because the observer may keep it.
-    d0, dm, d1, xdm, work = (np.empty(nb) for _ in range(5))
-    for n in range(n_steps):
+    def nodes(i, w):
+        """The ring rows of nodes ``i .. i + w - 1``, ``w <= width``."""
+        s = (i + m) % size
+        return ring[s:s + w]
+
+    xdm, dm, work = np.empty((3, width, nb))
+    # Component i of the new state sums, in this order, its nonzero
+    # coefficients times (y_0 .. y_{d-1}, D0, Dm, D1): its state terms
+    # (coefficient, component) step by step, then its drive terms, whose
+    # products (coefficient, drive, slab) are formed over the window.  The
+    # first two product slabs are the mid-stencil and work slabs, done with
+    # by then, so a one-node window's working set stays that of a plain
+    # step.
+    coefs = np.column_stack(_rk4_coefficients(field.linear_part, h))
+    slabs = iter([xdm, work] + [np.empty((width, nb)) for _ in
+                                range(np.count_nonzero(coefs[:, d:]) - 2)])
+    plan, products = [], []
+    for c in coefs:
+        prods = [(c[d + k], k, next(slabs)) for k in np.flatnonzero(c[d:])]
+        plan.append(([(c[k], k) for k in np.flatnonzero(c[:d])],
+                     [slab for _, _, slab in prods]))
+        products += prods
+    tmp = np.empty(nb)
+    # this window's end drives, and the last window's, whose final row is
+    # the next start drive
+    ends = list(np.empty((2, width, nb)))
+    start, xd1s = np.empty((2, 1, nb))
+    # States step component-major, (W, d, B): a vector state in a slab
+    # whose row 0 holds the window's start, a scalar state straight in its
+    # ring rows.
+    states = None if d == 1 else np.empty((width + 1, d, nb))
+    if states is not None:
+        states[0] = arr[:, m].T
+    if observer is not None:
+        observer(0, arr[None, :, m])
+
+    n, d0 = 0, None
+    while n < n_steps:
+        W = 1 if n <= 2 * m + 1 else min(width, n_steps - n)
         if noise_rows is not None:
             # segments start on nodes, so the midpoint shares the start's
-            xi0, xi1 = noise_rows[n // q], noise_rows[(n + 1) // q]
+            xi0, xi1 = levels(n, W, xi0s), levels(n + 1, W, xi1s)
         if n in (0, m):
             # no previous end drive to reuse: the first step, and the step
             # after the one that read node 0's left limit
-            field.drive(d0, ring[n % size], xi0, work)
+            field.drive(start, nodes(n - m, 1), xi0, work[:1])
+            d0 = start
         if n == m - 1:
             # Right edge of the delayed window is the one two-valued node;
             # this step wants its left limit.
-            xd1 = np.empty(nb)
-            _combine(_NODE_EXTRAP, ring[m - 4:m], xd1, work)
+            _combine(_NODE_EXTRAP, [nodes(i, 1) for i in range(-4, 0)], xd1s,
+                     work[:1])
+            xd1 = xd1s
         else:
-            xd1 = ring[(n + 1) % size]
-        w, base = _mid_stencil(n - m, m)
-        _combine(w, [ring[(base + i + m) % size] for i in range(4)], xdm, work)
-        field.drive(dm, xdm, xi0, work)
-        field.drive(d1, xd1, xi1, work)
-        new = np.empty((nb, d))
-        src = [*y.T, d0, dm, d1]
-        for i, (c, keep) in enumerate(rules):
-            _combine(c, [src[k] for k in keep], new[:, i], work)
-        if not np.all(np.isfinite(new)):
-            bad = np.where(~np.isfinite(new).all(axis=1))[0]
-            raise DivergenceError(t0 + (n + 1) * h, index=int(bad[0]))
-        ring[(n + 1 + m) % size] = new[:, -1]
+            xd1 = nodes(n + 1 - m, W)
+        w, base = _mid_stencil(n - m, m)  # one stencil for a whole window
+        _combine(w, [nodes(base + i, W) for i in range(4)], xdm[:W],
+                 work[:W])
+        field.drive(dm[:W], xdm[:W], xi0, work[:W])
+        d1 = ends[0][:W]
+        field.drive(d1, xd1, xi1, work[:W])
+        _drive_products(products, d0, dm[:W], d1)
+        written = nodes(n + 1, W)
+        new = written[:, None] if states is None else states[1:W + 1]
+        _affine_steps(plan, nodes(n, 1) if states is None else states[0],
+                      new, tmp)
+        if not np.isfinite(new).all():
+            ok = np.isfinite(new).all(axis=1)
+            j = int(np.argmin(ok.all(axis=1)))
+            raise DivergenceError(t0 + (n + 1 + j) * h,
+                                  index=int(np.argmin(ok[j])))
+        if states is not None:
+            written[:] = new[:, -1]
+        # keep the mirror: rows written past the end are copied to their
+        # slots, rows written into the first slots to their repeats
+        lo = (n + 1 + m) % size
+        hi = lo + W
+        if hi > size:
+            ring[:hi - size] = ring[size:hi]
+        if lo < mirror:
+            ring[size + lo:size + min(hi, mirror)] = ring[lo:min(hi, mirror)]
         if observer is not None:
-            observer(n + 1, new)
-        y = new
-        d0, d1 = d1, d0
-    return y
+            observer(n + 1, new.transpose(0, 2, 1))
+        if states is not None:
+            states[0] = states[W]
+        d0 = d1[W - 1:W]
+        ends.reverse()
+        n += W
+    return (nodes(n, 1) if states is None else states[0]).T.copy()
 
 
 @dataclass(frozen=True)
@@ -530,8 +659,8 @@ def integrate(field, initial: History, T: float, seed=None) -> Trajectory:
     table = None if noise is None else noise.table(seed, 1, n_steps, h)
     out = np.empty((n_steps + 1, state_dim(field)))
 
-    def _record(k, states):
-        out[k] = states[0]
+    def _record(k0, states):
+        out[k0:k0 + len(states)] = states[:, 0]
 
     integrate_batch(field, initial.samples[None, ...], initial.tau, T,
                     t0=initial.t_now, noise_table=table, observer=_record)

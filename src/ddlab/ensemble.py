@@ -193,10 +193,11 @@ def _node_values(block, tau, field, ks, seed):
     table = None if noise is None else noise.table(
         None if seed is None else (seed, 1), B, k_max, h)
 
-    def obs(k, y):
-        cols = wanted.get(k)
-        if cols is not None and k > 0:
-            out[:, cols] = y[:, :1]
+    def obs(k0, ys):
+        for j, y in enumerate(ys, k0):
+            cols = wanted.get(j)
+            if cols is not None and j > 0:
+                out[:, cols] = y[:, :1]
 
     integrate_batch(field, block, tau, k_max * h,
                     noise_table=table, observer=obs)
@@ -232,16 +233,17 @@ def evolve_trajectories(samples, tau, field, T, burn_in):
     sq_disp = np.empty(t.size)
     pool = np.empty((B, t.size - first))
     x0 = block[:, m, 0].copy()
-    sq, running = np.empty(B), np.empty(B)
 
-    def obs(k, y):
-        np.subtract(y[:, 0], x0, out=sq)
-        np.multiply(sq, sq, out=sq)
-        # a cumulative sum folds strictly in row order, as adding one
-        # trajectory at a time does; sum() would add pairwise
-        sq_disp[k] = np.cumsum(sq, out=running)[-1]
-        if k >= first:
-            pool[:, k - first] = y[:, 1]
+    def obs(k0, ys):
+        k1 = k0 + len(ys)
+        sq = ys[:, :, 0] - x0
+        sq *= sq
+        # a cumulative sum along a node's row folds strictly in row order,
+        # as adding one trajectory at a time does; sum() would add pairwise
+        sq_disp[k0:k1] = np.cumsum(sq, axis=1)[:, -1]
+        if k1 > first:
+            lo = max(k0, first)
+            pool[:, lo - first:k1 - first] = ys[lo - k0:, :, 1].T
 
     integrate_batch(field, block, tau, T, observer=obs)
     return t, sq_disp, pool

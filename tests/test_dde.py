@@ -1,6 +1,8 @@
 """Tests for the method-of-steps delay equation integrator."""
+import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from ddlab import dde
 from ddlab.dde import (_NODE_EXTRAP, _mid_stencil,
                        AffineCircleDelayField, History, LinearDelayField,
                        PiecewiseConstantUniform, SineFeedbackField,
@@ -345,7 +348,7 @@ def test_batch_matches_single_runs_bitwise():
     singles = [integrate(field, h, 6.0).states for h in hists]
     nodes = []
     integrate_batch(field, np.stack([h.samples for h in hists]), 1.0, 6.0,
-                    observer=lambda k, y: nodes.append(y))
+                    observer=lambda k, y: nodes.extend(y.copy()))
     stacked = np.transpose(np.array(nodes), (1, 0, 2))
     for i in range(3):
         assert np.array_equal(stacked[i], singles[i])
@@ -476,22 +479,91 @@ _CASES = ["tent", "linear-jump", "circle", "circle-noise", "circle-noise-q2",
 
 
 def _stepper_nodes(field, samples, T, table):
-    nodes = []
+    """The stepper's states at every node, and each window's (k0, W)."""
+    nodes, windows = [], []
+
+    def obs(k0, ys):
+        assert k0 == len(nodes)
+        assert ys.shape[1:] == (len(samples), state_dim(field))
+        nodes.extend(ys.copy())
+        windows.append((k0, len(ys)))
+
     final = integrate_batch(field, samples, 1.0, T, noise_table=table,
-                            observer=lambda k, y: nodes.append(y))
+                            observer=obs)
     assert np.array_equal(final, nodes[-1])
-    return nodes
+    return nodes, windows[1:]
 
 
-@pytest.mark.parametrize("m", [4, 64])
+@pytest.mark.parametrize("m", [4, 5, 64])
 @pytest.mark.parametrize("name", _CASES)
-def test_stepper_matches_allocating_reference_bitwise(name, m):
+def test_stepper_matches_allocating_reference_bitwise(name, m, monkeypatch):
     field, samples, table = _reference_case(name, m, np.random.default_rng(m))
-    nodes = _stepper_nodes(field, samples, 3.0, table)
-    want = _reference_nodes(field, samples, 1.0, 3.0, table, affine=True)
-    assert len(nodes) == len(want) == 3 * m + 1
-    for got, ref in zip(nodes, want):
-        assert np.array_equal(got, ref)
+    if table is not None:
+        if m % 4:  # one or two steps per segment, as at m = 4
+            noise = field.noise
+            field = dataclasses.replace(field, noise=dataclasses.replace(
+                noise, resample_interval=noise.resample_interval * 4 / m))
+        table = np.random.default_rng(m + 1).uniform(0.0, 0.2, (5, 12 * m + 1))
+    want = _reference_nodes(field, samples, 1.0, 12.0, table, affine=True)
+
+    def wraps(k, count):
+        """Whether nodes k .. k + count - 1 run across the end of the m + 4
+        slot ring, where node k sits in slot (k + m) % (m + 4)."""
+        return (k + m) % (m + 4) + count > m + 4
+
+    for width in sorted({1, min(3, m - 2), m - 2}):
+        # a slab budget of `width` rows per path
+        monkeypatch.setattr(dde, "_SLAB", width * len(samples))
+        nodes, windows = _stepper_nodes(field, samples, 12.0, table)
+        assert len(nodes) == len(want) == 12 * m + 1
+        for got, ref in zip(nodes, want):
+            assert np.array_equal(got, ref)
+        # the special steps n <= 2m + 1 (writing nodes up to 2m + 2) go one
+        # at a time; later windows are full but for the last
+        assert all(w == 1 for k0, w in windows if k0 <= 2 * m + 2)
+        later = [w for k0, w in windows if k0 > 2 * m + 2]
+        assert set(later[:-1]) == {width}
+        # windows whose W written nodes from k0, or the W + 3 nodes their
+        # mid-stencils read from k0 - m - 2, wrap the ring
+        assert sum(wraps(k0, w) or wraps(k0 - m - 2, w + 3)
+                   for k0, w in windows if w > 1) >= (3 if width > 1 else 0)
+
+
+@pytest.mark.parametrize("name", ["circle-noise", "sine-feedback"])
+def test_row_split_with_different_windows_gives_the_whole_block(name):
+    # at m = 64 and the default slab the whole block steps one node at a
+    # time, and its parts step 62, 40, 23 and 1 nodes per window
+    cuts = [0, 100, 500, 1200, 9600]
+    sizes = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
+    assert [min(62, dde._SLAB // b) for b in sizes + [9600]] \
+        == [62, 40, 23, 1, 1]
+    rng = np.random.default_rng(64)
+    field = _reference_case(name, 64, rng)[0]
+    if name == "sine-feedback":
+        samples, table = rng.uniform(-0.5, 0.5, (9600, 65, 2)), None
+    else:  # 16 steps per level, so the long windows gather levels
+        samples = rng.uniform(0.0, 1.0, (9600, 65))
+        table = rng.uniform(0.0, 0.2, (9600, 25))
+    whole = integrate_batch(field, samples, 1.0, 6.0, noise_table=table)
+    parts = [integrate_batch(field, samples[lo:hi], 1.0, 6.0,
+                             noise_table=None if table is None
+                             else table[lo:hi])
+             for lo, hi in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_window_buffers_stay_cache_sized_at_the_brownian_shape():
+    # 500 paths of the sine feedback at m = 32 step 30 nodes per window:
+    # the ring and its mirror, eight (30, 500) slabs and the state slab,
+    # about 1.5 MiB
+    samples = np.zeros((500, 33, 2))
+    tracemalloc.start()
+    try:
+        integrate_batch(SineFeedbackField(1.0, 10.0), samples, 1.0, 4.0)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0, peak
 
 
 # Classical RK4 and its affine form are the same method, so over a couple
@@ -501,7 +573,7 @@ _STAGE_FORM_RTOL = 1e-11
 
 
 def _assert_stage_form(field, samples, table, m):
-    got = np.array(_stepper_nodes(field, samples, 2.0, table))
+    got = np.array(_stepper_nodes(field, samples, 2.0, table)[0])
     want = np.array(_reference_nodes(field, samples, 1.0, 2.0, table))
     assert got.shape == want.shape == (2 * m + 1,) + want.shape[1:]
     assert np.abs(got - want).max() <= _STAGE_FORM_RTOL * np.abs(want).max()
@@ -531,7 +603,7 @@ def test_batch_final_states_match_observer_tail():
     samples = np.vstack([np.linspace(0.2, 0.8, 17), np.full(17, 0.5)])
     last = {}
     final = integrate_batch(field, samples, 1.0, 2.0,
-                            observer=lambda k, y: last.update(y=y))
+                            observer=lambda k, y: last.update(y=y[-1].copy()))
     np.testing.assert_array_equal(final, last["y"])
     assert final.shape == (2, 1)
 
@@ -545,6 +617,30 @@ def test_divergence_raises_with_time_and_index():
     assert 0.0 < err.value.time <= 40.0
     assert err.value.index == 0
     assert "non-finite" in str(err.value)
+
+
+def test_divergence_mid_window_reports_the_reference_step():
+    # x' = 50 x grows about 2**7 a step at m = 8, so the row started at
+    # 1e20 overflows first, at a node inside a window of 6
+    field = LinearDelayField(50.0, 0.0)
+    samples = np.array([1.0, 3.0, 1e20, 2.0])[:, None] * np.ones(9)
+    windows = []
+
+    def obs(k0, ys):
+        assert np.isfinite(ys).all()
+        windows.append((k0, len(ys)))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _reference_nodes(field, samples, 1.0, 40.0, affine=True)
+        with pytest.raises(DivergenceError) as err:
+            integrate_batch(field, samples, 1.0, 40.0, observer=obs)
+    k = next(k for k, y in enumerate(want) if not np.isfinite(y).all())
+    row = int(np.flatnonzero(~np.isfinite(want[k]).all(axis=1))[0])
+    assert err.value.time == 0.0 + k * (1.0 / 8)
+    assert err.value.index == row == 2
+    # the failing window starts after the last observed one, before node k
+    k0, w = windows[-1]
+    assert k0 + w < k
 
 
 def test_sine_feedback_velocity_stays_bounded():

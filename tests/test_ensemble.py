@@ -276,7 +276,7 @@ def _reference_trajectory_statistics(samples, tau, field, T, burn_in):
     rec = np.empty((n + 1, samples.shape[0], samples.shape[2]))
 
     def obs(k, y):
-        rec[k] = y
+        rec[k:k + len(y)] = y
 
     integrate_batch(field, samples, tau, T, observer=obs)
     t = 0.0 + h * np.arange(n + 1)

@@ -533,6 +533,44 @@ def test_brownian_kind_outputs(tmp_path):
     }
 
 
+def _output_digests(text, tmp_path):
+    manifest = run(parse_config(text), outdir=tmp_path)
+    return {rec["name"]: rec["sha256"] for rec in manifest.outputs}
+
+
+def test_windowed_brownian_bytes_are_pinned(tmp_path):
+    # 64 paths at m = 32 step 30 nodes per window; recorded from the
+    # integrator that stepped one node at a time
+    text = ("kind = brownian\n[params]\ngamma = 1.0\nbeta = 10.0\n"
+            "tau = 1.0\nm = 32\nT = 200.0\nmin_samples = 100000\n"
+            "[ensemble]\nspec = uniform\nlo = -0.05\nhi = 0.05\n"
+            "n = 64\nseed = 11\n[output]\nbins = 60\n")
+    assert _output_digests(text, tmp_path) == {
+        "msd.csv":
+            "7388a15e6f602ce2a445a3e30f3e1ffd86799cd35c2881cb1c9928b7f823286f",
+        "stats.csv":
+            "64fa020d256952eb8228a3a77bb1656541970a4e079babdfaa67ad1f6e29491c",
+    }
+
+
+def test_windowed_hat_bytes_are_pinned(tmp_path):
+    # the benchmark's hat run at 500 paths, which step 32 nodes per window
+    # at m = 128 and still detect the period 2.125; recorded from the
+    # integrator that stepped one node at a time
+    text = ("kind = dde-ensemble\n[params]\nfield = hat\nalpha = 10\n"
+            "a = 13\ntau = 1.0\nm = 128\ntol = 0.65\n[ensemble]\n"
+            "spec = uniform\nlo = 0.65\nhi = 0.75\nn = 500\nseed = 11\n"
+            "[output]\nsnapshots = 100:102.875:0.125\nbins = 50\n")
+    assert _output_digests(text, tmp_path) == {
+        "period.csv":
+            "36804db51f05596758d41b2900e0a0fcd74ce8001fa367237743d58907d2fedc",
+        "snapshots.csv":
+            "6148b329be4b21c6aa22d59a0221ff6e50e411994fdd6421efcee2ed0e0841e8",
+    }
+    _, cols = read_csv(tmp_path / "period.csv")
+    assert cols[2][0] == 1 and cols[3][0] == 2.125
+
+
 # ---------------------------------------------------------------------------
 # command line
 
