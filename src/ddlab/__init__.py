@@ -15,12 +15,12 @@ front end.
 
 __version__ = "0.1.0"
 
-from .density import GridDensity, Histogram
+from .density import GridDensity
 from .errors import (ConfigError, DdlabError, DegenerateCovarianceError,
                      DivergenceError, KernelPositivityError)
 
 __all__ = [
-    "GridDensity", "Histogram", "DdlabError", "ConfigError",
+    "GridDensity", "DdlabError", "ConfigError",
     "DivergenceError", "DegenerateCovarianceError",
     "KernelPositivityError", "__version__",
 ]

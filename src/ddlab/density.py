@@ -1,7 +1,10 @@
 """Piecewise-constant densities on uniform grids.
 
 A :class:`GridDensity` stores cell-averaged values of a probability density on
-``n`` equal cells covering ``[lo, hi]``.  The associated cumulative integral
+``n`` equal cells covering ``[lo, hi]``: the state that the transfer
+operators of :mod:`ddlab.maps` push forward.  (An ensemble's histograms are
+not grid densities: `ddlab.ensemble.Snapshots` keeps a whole run's counts
+as one array on one frozen grid.)  The associated cumulative integral
 is piecewise linear and, because it is built from prefix sums of nonnegative
 numbers, is nondecreasing even in floating point — the transfer-operator
 pushforwards in :mod:`ddlab.maps` rely on that to stay nonnegative exactly.
@@ -52,36 +55,10 @@ def cumulative_at(values: np.ndarray, prefix: np.ndarray, cells) -> np.ndarray:
     return prefix[idx] + values[idx] * frac
 
 
-class UniformGrid:
-    """``n`` equal cells over ``[lo, hi]``: the geometry shared by
-    :class:`GridDensity`, :class:`Histogram` and the ensemble's joint
-    histogram."""
+class GridDensity:
+    """Cell-averaged density on ``n`` equal cells over ``[lo, hi]``."""
 
-    __slots__ = ("lo", "hi", "n")
-
-    def __init__(self, lo, hi, n):
-        self.lo = float(lo)
-        self.hi = float(hi)
-        self.n = int(n)
-
-    @property
-    def bin_width(self) -> float:
-        return (self.hi - self.lo) / self.n
-
-    @property
-    def edges(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.n + 1)
-
-    def _check_same_grid(self, other, message) -> None:
-        if (self.n != other.n or abs(self.lo - other.lo) > 1e-12
-                or abs(self.hi - other.hi) > 1e-12):
-            raise ValueError(message)
-
-
-class GridDensity(UniformGrid):
-    """Cell-averaged density on a uniform grid over ``[lo, hi]``."""
-
-    __slots__ = ("values",)
+    __slots__ = ("lo", "hi", "n", "values")
 
     def __init__(self, values, lo=0.0, hi=1.0):
         values = np.ascontiguousarray(values, dtype=float)
@@ -93,7 +70,9 @@ class GridDensity(UniformGrid):
             raise ValueError("density values must be nonnegative")
         if not hi > lo:
             raise ValueError("require hi > lo")
-        super().__init__(lo, hi, values.size)
+        self.lo = float(lo)
+        self.hi = float(hi)
+        self.n = values.size
         self.values = values
 
     # -- construction ------------------------------------------------------
@@ -104,7 +83,13 @@ class GridDensity(UniformGrid):
 
     # -- basic geometry ----------------------------------------------------
 
-    cell_width = UniformGrid.bin_width
+    @property
+    def cell_width(self) -> float:
+        return (self.hi - self.lo) / self.n
+
+    @property
+    def edges(self) -> np.ndarray:
+        return np.linspace(self.lo, self.hi, self.n + 1)
 
     @property
     def centers(self) -> np.ndarray:
@@ -132,7 +117,9 @@ class GridDensity(UniformGrid):
         return float(c[1] - c[0])
 
     def l1_distance(self, other: "GridDensity") -> float:
-        self._check_same_grid(other, "densities live on different grids")
+        if (self.n != other.n or abs(self.lo - other.lo) > 1e-12
+                or abs(self.hi - other.hi) > 1e-12):
+            raise ValueError("densities live on different grids")
         return float(np.abs(self.values - other.values).sum() * self.cell_width)
 
     # -- io ----------------------------------------------------------------
@@ -145,48 +132,3 @@ class GridDensity(UniformGrid):
     def __repr__(self):
         return (f"GridDensity(n={self.n}, lo={self.lo:g}, hi={self.hi:g}, "
                 f"mass={self.mass():.6g})")
-
-
-class Histogram(UniformGrid):
-    """Counts over frozen uniform bins, with a density view."""
-
-    __slots__ = ("counts", "total")
-
-    def __init__(self, counts, lo, hi, total=None):
-        self.counts = np.asarray(counts, dtype=np.int64)
-        super().__init__(lo, hi, self.counts.size)
-        self.total = int(total) if total is not None else int(self.counts.sum())
-
-    @classmethod
-    def from_samples(cls, samples, bins, lo=None, hi=None):
-        """Histogram samples; bin edges default to the sample range.
-
-        A degenerate range (all samples equal) is widened to a single
-        occupied bin of tiny but positive width.
-        """
-        samples = np.asarray(samples, dtype=float)
-        if lo is None:
-            lo = float(samples.min())
-        if hi is None:
-            hi = float(samples.max())
-        if hi <= lo:
-            pad = max(abs(lo) * 1e-9, 1e-12)
-            lo, hi = lo - pad, hi + pad
-        counts, _ = np.histogram(samples, bins=bins, range=(lo, hi))
-        return cls(counts, lo, hi, total=samples.size)
-
-    def densities(self) -> np.ndarray:
-        """Counts normalized by total sample count and bin width.
-
-        Samples falling outside the frozen range are excluded from the
-        counts but still divide, so the mass reflects the captured fraction.
-        """
-        return self.counts / (self.total * self.bin_width)
-
-    def density(self) -> GridDensity:
-        return GridDensity(self.densities(), self.lo, self.hi)
-
-    def l1_distance(self, other: "Histogram") -> float:
-        self._check_same_grid(other, "histograms use different binnings")
-        return float(np.abs(self.densities() - other.densities()).sum()
-                     * self.bin_width)

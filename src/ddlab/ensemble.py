@@ -2,9 +2,10 @@
 
 The workflow is: describe an initial ensemble (`IidUniformPath`,
 `ConstantPath`, `GaussianHistory`, `Mixture`), draw it with
-`sample_initial`, push it through a field with `evolve_ensemble`, and
-interrogate the resulting histogram snapshots with
-`detect_density_period`.  Trajectory-level statistics (mean-square
+`sample_initial`, push it through a field with `evolve_ensemble`, which
+returns its histograms as one `Snapshots` record, and interrogate them
+with `detect_density_period` or write them with `write_snapshot_csv` and
+`write_joint_csv`.  Trajectory-level statistics (mean-square
 displacement, stationary velocity moments) come from one
 `evolve_trajectories` pass, which streams the displacement sum and the
 velocity pool, fed to `msd_curve` and `velocity_stats`.
@@ -18,7 +19,12 @@ the consumers that integrate.
 Binning convention: the first snapshot in the requested schedule fixes
 the histogram range, which is then frozen; later samples are clipped
 into it before counting, so every snapshot accounts for all n
-trajectories and its density integrates to one exactly.
+trajectories and its density integrates to one exactly.  All K
+snapshots therefore share one grid, and a run's histograms are arrays
+on it: counts ``(K, bins)``, and optionally the joint counts of
+(x(t), x(t - tau)) ``(K, bins, bins)``, over the edges
+``linspace(lo, hi, bins + 1)``, with densities ``counts / (n w)`` for
+the bin width ``w``.
 
 Determinism: a noisy field's segment levels for the whole block are one
 draw from the stream ``(seed, 1)`` (`PiecewiseConstantUniform.table`;
@@ -36,7 +42,6 @@ import numpy as np
 
 from .dde import _GRID_RTOL, _block_array, _grid_index, _step_count, \
     check_block, integrate_batch
-from .density import Histogram, UniformGrid
 from .fit import r_squared, tail_line_fit
 from .gaussian import sample_gaussian_paths
 from .tabular import write_csv
@@ -253,33 +258,37 @@ def evolve_trajectories(samples, tau, field, T, burn_in):
 # density snapshots
 
 
-class JointHistogram(UniformGrid):
-    """Square 2-D histogram of (x(t), x(t - tau)) pairs on shared edges."""
+@dataclass(frozen=True, eq=False)
+class Snapshots:
+    """The ensemble's histograms at K instants, on one frozen grid.
 
-    __slots__ = ("counts", "total")
+    ``counts[i]`` bins the n values at ``t[i]`` into ``bins`` equal bins
+    over ``[lo, hi]``; ``joint[i]``, when kept, bins the pairs
+    (x(t[i]), x(t[i] - tau)) on the same edges in both axes.
+    """
 
-    def __init__(self, counts, lo, hi):
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
-            raise ValueError("joint counts must be a square matrix")
-        if not hi > lo:
-            raise ValueError("need hi > lo")
-        super().__init__(lo, hi, counts.shape[0])
-        self.counts = counts
-        self.total = int(counts.sum())
+    t: np.ndarray  # (K,)
+    lo: float
+    hi: float
+    counts: np.ndarray  # (K, bins) int64
+    joint: np.ndarray | None  # (K, bins, bins) int64
+    n: int
+
+    @property
+    def width(self) -> float:
+        return (self.hi - self.lo) / self.counts.shape[1]
+
+    @property
+    def edges(self) -> np.ndarray:
+        return np.linspace(self.lo, self.hi, self.counts.shape[1] + 1)
 
     def densities(self) -> np.ndarray:
-        return self.counts / (self.total * self.bin_width ** 2)
+        """``(K, bins)`` counts over the sample count and the bin width."""
+        return self.counts / (self.n * self.width)
 
-
-@dataclass(frozen=True)
-class DensitySnapshot:
-    """The ensemble's histogram at one instant."""
-
-    t: float
-    marginal: Histogram
-    joint: JointHistogram | None
-    n: int
+    def joint_densities(self) -> np.ndarray:
+        """``(K, bins, bins)`` joint counts over n and the cell area."""
+        return self.joint / (self.n * self.width ** 2)
 
 
 def check_snapshot_times(times, T):
@@ -292,13 +301,14 @@ def check_snapshot_times(times, T):
 
 
 def evolve_ensemble(samples, tau, field, T, snapshot_times, *, bins=100,
-                    seed=None, joint=True):
+                    seed=None, joint=True) -> Snapshots:
     """Integrate the ensemble and histogram it at each snapshot time.
 
-    The first listed snapshot sets the bin range for the whole sequence.
-    When ``joint`` is true each snapshot also carries the 2-D histogram
-    of (x(t), x(t - tau)) on the same edges, whose x-marginal matches
-    the 1-D histogram count for count.
+    The first listed snapshot's values set the bin range for the whole
+    sequence (widened to a tiny positive width when they are all equal).
+    When ``joint`` is true the record also carries the 2-D histograms of
+    (x(t), x(t - tau)) on the same edges, whose x-marginals match the 1-D
+    histograms count for count.
     """
     snapshot_times = [float(t) for t in snapshot_times]
     check_snapshot_times(snapshot_times, T)
@@ -310,23 +320,22 @@ def evolve_ensemble(samples, tau, field, T, snapshot_times, *, bins=100,
         # one delay back is m nodes back: no second rounding of t - tau
         ks += [k - m for k in ks]
     vals = _node_values(block, tau, field, ks, seed)
-    B = vals.shape[0]
+    B, K = vals.shape[0], len(snapshot_times)
 
-    first = Histogram.from_samples(vals[:, 0], bins)
-    lo, hi = first.lo, first.hi
-
-    out = []
-    for i, t in enumerate(snapshot_times):
-        x = np.clip(vals[:, i], lo, hi)
-        marg = Histogram.from_samples(x, bins, lo=lo, hi=hi)
-        jh = None
+    lo, hi = float(vals[:, 0].min()), float(vals[:, 0].max())
+    if hi <= lo:
+        pad = max(abs(lo) * 1e-9, 1e-12)
+        lo, hi = lo - pad, hi + pad
+    np.clip(vals, lo, hi, out=vals)
+    counts = np.empty((K, bins), dtype=np.int64)
+    pairs = np.empty((K, bins, bins), dtype=np.int64) if joint else None
+    for i in range(K):
+        counts[i] = np.histogram(vals[:, i], bins=bins, range=(lo, hi))[0]
         if joint:
-            y = np.clip(vals[:, len(snapshot_times) + i], lo, hi)
-            counts2, _, _ = np.histogram2d(x, y, bins=bins,
-                                           range=[[lo, hi], [lo, hi]])
-            jh = JointHistogram(counts2, lo, hi)
-        out.append(DensitySnapshot(t=t, marginal=marg, joint=jh, n=B))
-    return out
+            pairs[i] = np.histogram2d(vals[:, i], vals[:, K + i], bins=bins,
+                                      range=[[lo, hi], [lo, hi]])[0]
+    return Snapshots(t=np.array(snapshot_times), lo=lo, hi=hi, counts=counts,
+                     joint=pairs, n=B)
 
 
 def check_period_schedule(times, dt):
@@ -336,6 +345,15 @@ def check_period_schedule(times, dt):
     for prev, nxt in zip(times, times[1:]):
         if abs((nxt - prev) - dt) > _GRID_RTOL * max(1.0, abs(nxt)):
             raise ValueError("snapshots are not spaced by dt")
+
+
+def _offset_scores(snapshots) -> dict:
+    """Mean L1 distance between the densities r snapshots apart, for
+    r = 1 .. K - 2."""
+    d, w = snapshots.densities(), snapshots.width
+    # each row sums alone, exactly as one pair's 1-d distance would
+    return {r: float((np.abs(d[:-r] - d[r:]).sum(axis=1) * w).mean())
+            for r in range(1, len(d) - 1)}
 
 
 def detect_density_period(snapshots, dt, tol=0.1):
@@ -349,17 +367,12 @@ def detect_density_period(snapshots, dt, tol=0.1):
     that is simply stationary therefore reports None — every offset
     matches equally well, so no offset separates from the rest.
     """
-    check_period_schedule([s.t for s in snapshots], dt)
-    hists = [s.marginal for s in snapshots]
-    K = len(hists)
-    r_max = K - 2
-    if r_max < 1:
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    check_period_schedule(snapshots.t, dt)
+    dist = _offset_scores(snapshots)
+    if not dist:
         return None
-    dist = {}
-    for r in range(1, r_max + 1):
-        dist[r] = float(np.mean([
-            hists[i].l1_distance(hists[i + r]) for i in range(K - r)
-        ]))
 
     def accepted(r):
         other = [dist[q] for q in dist if q % r != 0]
@@ -507,26 +520,20 @@ def velocity_stats(pool, *, bins=60, min_samples=1_000_000) -> VelocityStats:
 
 def write_snapshot_csv(path, snapshots) -> None:
     """All marginal histograms, one row per (snapshot, bin)."""
-    hists = [snap.marginal for snap in snapshots]
-    edges = [hist.edges for hist in hists]
+    K, bins = snapshots.counts.shape
+    e = snapshots.edges
     write_csv(path, ["t", "bin_left", "bin_right", "density"],
-              [np.repeat([snap.t for snap in snapshots],
-                         [hist.n for hist in hists]),
-               np.concatenate([e[:-1] for e in edges]),
-               np.concatenate([e[1:] for e in edges]),
-               np.concatenate([hist.densities() for hist in hists])])
+              [np.repeat(snapshots.t, bins), np.tile(e[:-1], K),
+               np.tile(e[1:], K), snapshots.densities().ravel()])
 
 
 def write_joint_csv(path, snapshots) -> None:
     """Occupied joint-histogram cells, one row per (snapshot, cell)."""
-    rows = []
-    for snap in snapshots:
-        if snap.joint is None:
-            continue
-        jh = snap.joint
-        edges = jh.edges
-        xi, yi = np.nonzero(jh.counts)
-        rows.append((np.full(xi.size, snap.t), edges[xi], edges[xi + 1],
-                     edges[yi], edges[yi + 1], jh.densities()[xi, yi]))
+    if snapshots.joint is None:
+        raise ValueError("these snapshots were taken without joint=True")
+    k, xi, yi = np.nonzero(snapshots.joint)
+    e = snapshots.edges
     write_csv(path, ["t", "x_left", "x_right", "y_left", "y_right",
-                     "density"], [np.concatenate(col) for col in zip(*rows)])
+                     "density"],
+              [snapshots.t[k], e[xi], e[xi + 1], e[yi], e[yi + 1],
+               snapshots.joint_densities()[k, xi, yi]])

@@ -30,7 +30,6 @@ import numpy as np
 
 from ..density import locate
 from ..errors import KernelPositivityError
-from ..tabular import read_csv, write_csv
 
 
 def _window(tau) -> float:
@@ -201,28 +200,3 @@ class TabulatedKernel(CovKernel):
 
     def kinks(self, c):
         return self.grid
-
-    @classmethod
-    def from_csv(cls, path):
-        header, (s1, s2, r) = read_csv(path)
-        if header != ["s1", "s2", "R"]:
-            raise ValueError("expected header s1,s2,R")
-        grid = np.unique(s1)
-        n = grid.size
-        if n * n != s1.size:
-            raise ValueError("rows do not form a full square grid")
-        tau = -float(grid[0])
-        values = np.full((n, n), np.nan)
-        h = tau / (n - 1)
-        i = np.rint((s1 - grid[0]) / h).astype(int)
-        j = np.rint((s2 - grid[0]) / h).astype(int)
-        values[i, j] = r
-        if np.isnan(values).any():
-            raise ValueError("rows do not form a full square grid")
-        return cls(values, tau)
-
-    def to_csv(self, path):
-        n = self.grid.size
-        s1 = np.repeat(self.grid, n)
-        s2 = np.tile(self.grid, n)
-        write_csv(path, ["s1", "s2", "R"], [s1, s2, self.values.ravel()])

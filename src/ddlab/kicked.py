@@ -1,12 +1,12 @@
 """Brownian-like motion driven by deterministic chaotic kicks.
 
 A particle obeys dx/dt = v, dv/dt = -gamma v between kicks; at times
-j*tau the velocity jumps by kappa * h(xi_j), where xi advances under a
-chaotic interval map.  Both pieces of the flow have closed forms, so
-`evolve_kicked` is exact: the only approximation anywhere is float
-rounding.
+j*tau the velocity jumps by kappa * h(xi_j), where xi advances under the
+chaotic slope-2 tent map, the only kick map (`KickConfig.map`).  Both
+pieces of the flow have closed forms, so `evolve_kicked` is exact: the
+only approximation anywhere is float rounding.
 
-The slope-2 map needs care: in floating point every seed is a dyadic
+That map needs care: in floating point every seed is a dyadic
 rational, and repeated doubling drags any dyadic orbit onto the fixed
 point at 0 within ~53 steps.  The stream therefore iterates the
 conjugate angle-doubling map in exact rational arithmetic (numerators
@@ -67,13 +67,15 @@ class KickConfig:
     """Parameters of the kicked flow.
 
     ``kappa`` defaults to sqrt(tau), the scaling under which the kick
-    strength per unit time stays finite as tau -> 0.
+    strength per unit time stays finite as tau -> 0.  The kick map is
+    always the slope-2 tent map, which `_DoublingStream` iterates exactly.
     """
+
+    map = TentMap(2.0)  # a class constant, not a field
 
     gamma: float
     tau: float
     kappa: float = None
-    map: object = TentMap(2.0)
     observable: object = None
 
     def __post_init__(self):
@@ -133,32 +135,6 @@ class _DoublingStream:
         return 1.0 - 2.0 * abs(t - 0.5)
 
 
-class _FloatStream:
-    """Plain float iteration for maps without an exact representation."""
-
-    __slots__ = ("map", "xi")
-
-    def __init__(self, map_obj, xi0):
-        xi = float(xi0)
-        if not 0.0 <= xi <= 1.0:
-            raise ValueError("xi0 must lie in [0, 1]")
-        self.map = map_obj
-        self.xi = xi
-
-    def advance(self) -> float:
-        self.xi = float(self.map(self.xi))
-        return self.xi
-
-    def value(self) -> float:
-        return self.xi
-
-
-def _make_stream(map_obj, xi0):
-    if isinstance(map_obj, TentMap) and map_obj.a == 2.0:
-        return _DoublingStream(xi0)
-    return _FloatStream(map_obj, xi0)
-
-
 def evolve_kicked(cfg: KickConfig, x0, v0, xi0, n_kicks: int) \
         -> KickedTrajectory:
     """Run the kicked flow for ``n_kicks`` impulses.
@@ -173,7 +149,7 @@ def evolve_kicked(cfg: KickConfig, x0, v0, xi0, n_kicks: int) \
     n_kicks = int(n_kicks)
     if n_kicks < 0:
         raise ValueError("n_kicks must be nonnegative")
-    stream = _make_stream(cfg.map, xi0)
+    stream = _DoublingStream(xi0)
     decay = math.exp(-cfg.gamma * cfg.tau)
     drift = (1.0 - decay) / cfg.gamma
 

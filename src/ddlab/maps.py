@@ -292,8 +292,8 @@ def detect_asymptotic_period(map_obj, f0: GridDensity, *, burn_in: int = 200,
     """
     if max_period < 1:
         raise ValueError("max_period must be positive")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     f = iterate(map_obj, f0, burn_in)
     snaps = iterate(map_obj, f, 3 * max_period, keep=True)
     for r in range(1, max_period + 1):

@@ -177,7 +177,7 @@ _SCHEMAS = {
             "noise_lo": _opt(_float),
             "noise_hi": _opt(_float),
             "noise_interval": _opt(_float),
-            "tol": _opt(_float, 0.1),
+            "tol": _opt(_positive, 0.1),
             "joint": _opt(_bool, False),
         },
         "ensemble": {

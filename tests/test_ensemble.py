@@ -9,14 +9,12 @@ import ddlab.ensemble as ensemble
 from ddlab.dde import LinearDelayField, PiecewiseConstantUniform, \
     AffineCircleDelayField, SineFeedbackField, TentDelayField, \
     integrate_batch
-from ddlab.density import Histogram
 from ddlab.ensemble import (
     ConstantPath,
-    DensitySnapshot,
     GaussianHistory,
     IidUniformPath,
-    JointHistogram,
     Mixture,
+    Snapshots,
     as_velocity_histories,
     detect_density_period,
     ensemble_values,
@@ -122,11 +120,10 @@ def test_velocity_lift():
 def test_pure_decay_point_mass_at_exp_minus_one():
     hs = sample_initial(ConstantPath(1.0), 50, 32, 1.0)
     snaps = evolve_ensemble(hs, 1.0, LinearDelayField(-1.0, 0.0), 1.0, [1.0])
-    snap = snaps[0]
-    assert snap.n == 50
-    occupied = np.nonzero(snap.marginal.counts)[0]
+    assert snaps.n == 50
+    occupied = np.nonzero(snaps.counts[0])[0]
     assert len(occupied) == 1
-    center = snap.marginal.edges[occupied[0]:occupied[0] + 2].mean()
+    center = snaps.edges[occupied[0]:occupied[0] + 2].mean()
     assert abs(center - math.exp(-1.0)) < 1e-6
 
 
@@ -134,14 +131,13 @@ def test_snapshot_mass_and_joint_marginal_are_exact():
     hs = sample_initial(IidUniformPath(-1.0, 1.0), 4000, 16, 1.0, seed=3)
     snaps = evolve_ensemble(hs, 1.0, LinearDelayField(-0.5, 0.3), 2.0,
                             [0.5, 1.0, 2.0], bins=37)
-    for snap in snaps:
-        assert int(snap.marginal.counts.sum()) == snap.n
-        mass = snap.marginal.densities().sum() * snap.marginal.bin_width
+    assert snaps.joint is not None
+    for i in range(3):
+        assert int(snaps.counts[i].sum()) == snaps.n
+        mass = snaps.densities()[i].sum() * snaps.width
         assert abs(mass - 1.0) < 1e-12
-        assert snap.joint is not None
-        assert np.array_equal(snap.joint.counts.sum(axis=1),
-                              snap.marginal.counts)
-        assert snap.joint.total == snap.n
+        assert np.array_equal(snaps.joint[i].sum(axis=1), snaps.counts[i])
+        assert int(snaps.joint[i].sum()) == snaps.n
 
 
 def test_joint_lag_is_m_nodes_back():
@@ -151,8 +147,8 @@ def test_joint_lag_is_m_nodes_back():
     field = LinearDelayField(-0.5, 0.3)
     off = evolve_ensemble(hs, 1.0, field, 2.0, [1.5000000012], bins=9)
     exact = evolve_ensemble(hs, 1.0, field, 2.0, [1.5], bins=9)
-    assert np.array_equal(off[0].joint.counts, exact[0].joint.counts)
-    assert off[0].joint.total == 300
+    assert np.array_equal(off.joint[0], exact.joint[0])
+    assert int(off.joint[0].sum()) == 300
 
 
 def test_bins_frozen_from_first_snapshot():
@@ -160,10 +156,9 @@ def test_bins_frozen_from_first_snapshot():
     # growing solutions drift out of the initial range and get clipped
     snaps = evolve_ensemble(hs, 1.0, LinearDelayField(0.2, 0.0), 6.0,
                             [0.0, 6.0], bins=20)
-    assert snaps[0].marginal.lo == snaps[1].marginal.lo
-    assert snaps[0].marginal.hi == snaps[1].marginal.hi
-    assert int(snaps[1].marginal.counts.sum()) == 500
-    assert snaps[1].marginal.counts[-1] == 500  # everything in the top bin
+    assert (snaps.lo, snaps.hi) == (hs[:, -1].min(), hs[:, -1].max())
+    assert int(snaps.counts[1].sum()) == 500
+    assert snaps.counts[1, -1] == 500  # everything in the top bin
 
 
 def test_snapshot_time_validation():
@@ -361,15 +356,33 @@ def test_noisy_row_prefix_gets_the_same_values():
 # period detection
 
 
-def _snap(counts, t):
-    return DensitySnapshot(t=t, marginal=Histogram(counts, 0.0, 1.0),
-                           joint=None, n=int(np.sum(counts)))
+def _snaps(counts, times):
+    """Snapshots of the given count rows on [0, 1], each summing to n."""
+    counts = np.array(counts, dtype=np.int64)
+    n = int(counts[0].sum())
+    assert np.all(counts.sum(axis=1) == n)
+    return Snapshots(t=np.array(times, dtype=float), lo=0.0, hi=1.0,
+                     counts=counts, joint=None, n=n)
+
+
+def _l1(snaps, i, j):
+    """The L1 distance of snapshots i and j as one 1-d pair, the way
+    `detect_density_period` scored each pair before it read the rows."""
+    d = snaps.densities()
+    return float(np.abs(d[i] - d[j]).sum() * snaps.width)
+
+
+def _pairwise_scores(snaps):
+    K = len(snaps.t)
+    return {r: float(np.mean([_l1(snaps, i, i + r) for i in range(K - r)]))
+            for r in range(1, K - 1)}
 
 
 def test_alternating_histograms_give_period_two_steps():
     a = np.array([30, 0, 0, 10], dtype=np.int64)
     b = np.array([0, 25, 15, 0], dtype=np.int64)
-    snaps = [_snap(a if i % 2 == 0 else b, 0.5 * i) for i in range(12)]
+    snaps = _snaps([a if i % 2 == 0 else b for i in range(12)],
+                   [0.5 * i for i in range(12)])
     assert detect_density_period(snaps, 0.5) == pytest.approx(1.0)
 
 
@@ -377,7 +390,8 @@ def test_period_three_pattern():
     pats = [np.array([40, 0, 0, 0], dtype=np.int64),
             np.array([0, 40, 0, 0], dtype=np.int64),
             np.array([0, 0, 0, 40], dtype=np.int64)]
-    snaps = [_snap(pats[i % 3], 0.25 * i) for i in range(15)]
+    snaps = _snaps([pats[i % 3] for i in range(15)],
+                   [0.25 * i for i in range(15)])
     assert detect_density_period(snaps, 0.25) == pytest.approx(0.75)
 
 
@@ -386,40 +400,65 @@ def test_smallest_passing_divisor_is_the_period():
     # matches exactly and scores lowest, but 2 passes the same test
     a = np.array([30, 0, 0, 10], dtype=np.int64)
     b = np.array([0, 25, 15, 0], dtype=np.int64)
-    snaps = []
+    rows = []
     for i in range(18):
         counts = (a if i % 2 == 0 else b).copy()
         j = (i // 2) % 3
         lo, hi = (0, 3) if i % 2 == 0 else (1, 2)
         counts[lo] -= j
         counts[hi] += j
-        snaps.append(_snap(counts, 0.5 * i))
-    l1 = [snaps[i].marginal.l1_distance(snaps[i + 6].marginal)
-          for i in range(12)]
+        rows.append(counts)
+    snaps = _snaps(rows, [0.5 * i for i in range(18)])
+    l1 = [_l1(snaps, i, i + 6) for i in range(12)]
     assert max(l1) == 0.0
     assert detect_density_period(snaps, 0.5) == pytest.approx(1.0)
 
 
 def test_constant_sequence_reports_none():
     c = np.array([10, 20, 10], dtype=np.int64)
-    snaps = [_snap(c, 1.0 * i) for i in range(10)]
+    snaps = _snaps([c] * 10, [1.0 * i for i in range(10)])
     assert detect_density_period(snaps, 1.0) is None
 
 
 def test_noisy_stationary_sequence_reports_none():
     rng = np.random.default_rng(0)
     p = np.array([0.2, 0.5, 0.3])
-    snaps = [_snap(rng.multinomial(300, p), 0.5 * i) for i in range(14)]
+    snaps = _snaps([rng.multinomial(300, p) for i in range(14)],
+                   [0.5 * i for i in range(14)])
     assert detect_density_period(snaps, 0.5) is None
 
 
 def test_period_detection_validation():
     c = np.array([5, 5], dtype=np.int64)
     with pytest.raises(ValueError):
-        detect_density_period([_snap(c, 0.0)], 1.0)
-    bad = [_snap(c, 0.0), _snap(c, 1.0), _snap(c, 2.5)]
+        detect_density_period(_snaps([c], [0.0]), 1.0)
+    bad = _snaps([c] * 3, [0.0, 1.0, 2.5])
     with pytest.raises(ValueError):
         detect_density_period(bad, 1.0)
+    good = _snaps([c] * 3, [0.0, 1.0, 2.0])
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            detect_density_period(good, 1.0, tol=tol)
+
+
+@pytest.mark.parametrize("bins", [4, 5, 37, 128, 129, 1000])
+def test_offset_scores_equal_the_pairwise_loop_bit_for_bit(bins):
+    rng = np.random.default_rng(bins)
+    for K in (2, 3, 17, 24):
+        snaps = _snaps(rng.multinomial(500, np.full(bins, 1.0 / bins), K),
+                       [0.5 * i for i in range(K)])
+        assert ensemble._offset_scores(snaps) == _pairwise_scores(snaps)
+
+
+def test_offset_scores_of_the_four_bin_patterns():
+    a = np.array([30, 0, 0, 10], dtype=np.int64)
+    b = np.array([0, 25, 15, 0], dtype=np.int64)
+    pats = [np.array([40, 0, 0, 0], dtype=np.int64),
+            np.array([0, 40, 0, 0], dtype=np.int64),
+            np.array([0, 0, 0, 40], dtype=np.int64)]
+    for rows in ([a, b] * 6, pats * 5, [a, b, b, a] * 4):
+        snaps = _snaps(rows, [0.25 * i for i in range(len(rows))])
+        assert ensemble._offset_scores(snaps) == _pairwise_scores(snaps)
 
 
 def test_hat_ensemble_cycles_inside_the_folding_window():
@@ -439,7 +478,7 @@ def test_hat_ensemble_below_the_window_contracts_to_a_point():
     times = [60.0 + 0.125 * i for i in range(24)]
     snaps = evolve_ensemble(hs, 1.0, TentDelayField(13.0, 10.0), 63.0, times,
                             joint=False)
-    assert snaps[0].marginal.hi < 1e-4
+    assert snaps.hi < 1e-4
     assert detect_density_period(snaps, 0.125) is None
 
 
@@ -458,14 +497,13 @@ def test_density_error_shrinks_like_root_n():
 
     def l1_error(n, seed):
         hs = sample_initial(spec, n, 32, 1.0, seed=seed)
-        snap = evolve_ensemble(hs, 1.0, field, 1.0, [1.0], bins=40,
-                               joint=False)[0]
-        edges = snap.marginal.edges
+        snaps = evolve_ensemble(hs, 1.0, field, 1.0, [1.0], bins=40,
+                                joint=False)
+        edges = snaps.edges
         cdf = np.array([0.5 * (1.0 + math.erf(e / (sigma * math.sqrt(2.0))))
                         for e in edges])
-        exact = np.diff(cdf) / snap.marginal.bin_width
-        err = np.abs(snap.marginal.densities() - exact).sum() \
-            * snap.marginal.bin_width
+        exact = np.diff(cdf) / snaps.width
+        err = np.abs(snaps.densities()[0] - exact).sum() * snaps.width
         return err
 
     sizes = [1000, 10000, 100000]
@@ -620,20 +658,22 @@ def test_snapshot_csv_roundtrip(tmp_path):
     assert header == ["t", "bin_left", "bin_right", "density"]
     assert len(cols[0]) == 2 * 12
     first = cols[3][:12]
-    assert np.allclose(first, snaps[0].marginal.densities())
+    assert np.allclose(first, snaps.densities()[0])
 
     jpath = tmp_path / "joint.csv"
     write_joint_csv(jpath, snaps)
     jheader, jcols = read_csv(jpath)
     assert jheader == ["t", "x_left", "x_right", "y_left", "y_right",
                        "density"]
-    w = snaps[0].marginal.bin_width
+    w = snaps.width
     sel = jcols[0] == 1.0
     assert jcols[5][sel].sum() * w * w == pytest.approx(1.0, abs=1e-12)
 
 
-def test_joint_histogram_validation():
-    with pytest.raises(ValueError):
-        JointHistogram(np.zeros((3, 4), dtype=np.int64), 0.0, 1.0)
-    with pytest.raises(ValueError):
-        JointHistogram(np.zeros((3, 3), dtype=np.int64), 1.0, 1.0)
+def test_joint_csv_needs_joint_snapshots(tmp_path):
+    hs = sample_initial(IidUniformPath(0.0, 1.0), 30, 8, 1.0, seed=2)
+    snaps = evolve_ensemble(hs, 1.0, LinearDelayField(-0.5, 0.1), 2.0,
+                            [1.0, 2.0], bins=12, joint=False)
+    with pytest.raises(ValueError, match="joint=True"):
+        write_joint_csv(tmp_path / "joint.csv", snaps)
+    assert not (tmp_path / "joint.csv").exists()

@@ -450,14 +450,10 @@ def test_lag_cov_curve_matches_tight_pointwise_evaluation_late():
         np.testing.assert_allclose(curve, tight, rtol=rel, atol=abs_)
 
 
-def test_tabulated_kernel_roundtrip_and_covariance(tmp_path):
+def test_tabulated_kernel_covariance():
     grid = np.linspace(-1.0, 0.0, 17)
     values = np.cos(grid[:, None] - grid[None, :])
     tab = TabulatedKernel(values, 1.0)
-    path = tmp_path / "kernel.csv"
-    tab.to_csv(path)
-    again = TabulatedKernel.from_csv(path)
-    np.testing.assert_array_equal(again.values, tab.values)
     # bilinear interpolation of a smooth kernel: r_t should track the exact
     # kernel's covariance to interpolation accuracy, far better than 1e-2
     exact = r_t(COSINE, P01, 0.7, -0.6, 0.0)

@@ -6,6 +6,7 @@ estimate of the exact cell-averaged pushforward, so the only gap is sampling
 noise (no discretization term).
 """
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -330,3 +331,9 @@ def test_period_detection_gives_none_without_convergence():
                                    burn_in=0, max_period=4, tol=1e-12)
     assert rep.period is None
     assert rep.burn_in == 0
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_period_detection_rejects_a_tolerance_that_is_not_positive(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        detect_asymptotic_period(TentMap(1.3), random_density(8), tol=tol)

@@ -768,10 +768,13 @@ def _ddlab_lines(err):
     ("brownian", BROWNIAN.replace("gamma = 1.0", "gamma = nan")),
     ("brownian", BROWNIAN.replace("T = 250.0", "T = inf")),
     ("map-iterate", MINIMAL.replace("a = 2.0", "a = nan")),
+    ("dde-ensemble", HAT.replace("m = 8", "m = 8\ntol = nan")),
+    ("dde-ensemble", HAT.replace("m = 8", "m = 8\ntol = -1")),
+    ("dde-ensemble", HAT.replace("m = 8", "m = 8\ntol = 0")),
 ], ids=["hat-negative-snapshot", "hat-one-snapshot", "gaussian-T-off-dt",
         "gaussian-dt-nan", "gaussian-dt-inf", "brownian-short-window",
         "brownian-small-pool", "brownian-gamma-nan", "brownian-T-inf",
-        "map-a-nan"])
+        "map-a-nan", "hat-tol-nan", "hat-tol-negative", "hat-tol-zero"])
 def test_cli_dry_run_rejects_what_the_run_rejects(tmp_path, capsys, kind,
                                                   text):
     cfg = _write(tmp_path, "run.cfg", text)
@@ -811,7 +814,8 @@ _FAMILIES = {
                           "seed": 1},
              "output": {"snapshots": "1:2:0.5", "bins": 10}},
             {"alpha": [0.0, "nan"], "tau": [0.5, 2.0], "m": [4],
-             "joint": ["true"], "lo": ["-inf", 0.8], "n": [0, 1],
+             "joint": ["true"], "tol": [0.0, "nan"], "lo": ["-inf", 0.8],
+             "n": [0, 1],
              "bins": [0, 1],
              "snapshots": ["-0.5:1:0.5", "5:5:1", "1:2:0.3", "0:0.5:0.5",
                            "0:1:0.25", "2.3:3.3:0.5", "0.3:1.3:0.5",
