@@ -42,7 +42,7 @@ import numpy as np
 
 from .dde import _GRID_RTOL, _block_array, _grid_index, _step_count, \
     check_block, integrate_batch
-from .fit import r_squared, tail_line_fit
+from .fit import line_fit, tail_line_fit
 from .gaussian import sample_gaussian_paths
 from .tabular import write_csv
 
@@ -460,7 +460,8 @@ def velocity_stats(pool, *, bins=60, min_samples=1_000_000) -> VelocityStats:
     per row, read in row-major order.  Reports the standard deviation, the
     largest |v| seen, and a least-squares fit of log density against
     -C v^2 over the central 80% of the support (a Gaussian-shape check:
-    curvature C and the R^2 of that fit).  The tail statistics (see
+    curvature C and the R^2 of that fit, both NaN when the samples fill
+    fewer than two histogram bins).  The tail statistics (see
     `TAIL_QUANTILES`) come from the top |v| of each row block, and the
     deviations are summed block by block, so no temporary is pool-sized.
     """
@@ -484,8 +485,11 @@ def velocity_stats(pool, *, bins=60, min_samples=1_000_000) -> VelocityStats:
         np.abs(block, out=dev)
         row_max[i:i + step] = dev.max(axis=1)
         dev = dev.reshape(-1)
-        if dev.size > k:  # a copy, so the partitioned block is freed
-            dev = np.partition(dev, dev.size - k)[dev.size - k:].copy()
+        if dev.size > k:
+            # partition the scratch block in place (np.partition would copy
+            # it) and keep a copy of its top k, so the block is freed
+            dev.partition(dev.size - k)
+            dev = dev[dev.size - k:].copy()
         top.append(dev)
     top = np.sort(np.concatenate(top))[-k:]  # top[i - base]: rank i of |v|
     base, tails = count - k, []
@@ -502,13 +506,10 @@ def velocity_stats(pool, *, bins=60, min_samples=1_000_000) -> VelocityStats:
                                density=True)
     mids = 0.5 * (edges[:-1] + edges[1:])
     keep = hist > 0
-    logd = np.log(hist[keep])
-    design = np.stack([-mids[keep] ** 2, np.ones(keep.sum())], axis=1)
-    coef, *_ = np.linalg.lstsq(design, logd, rcond=None)
+    curvature, _, r2 = line_fit(-mids[keep] ** 2, np.log(hist[keep]))
     return VelocityStats(
         std=math.sqrt(sq_dev / count), support_bound=max(hi, -lo),
-        fit_curvature=float(coef[0]),
-        fit_r_squared=r_squared(logd, design @ coef), n_samples=count,
+        fit_curvature=curvature, fit_r_squared=r2, n_samples=count,
         tail_quantiles=tuple(tails),
         prefix_max=tuple(float(row_max[:max(1, len(rows) // f)].max())
                          for f in ROW_FRACTIONS))

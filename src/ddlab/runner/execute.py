@@ -6,13 +6,14 @@ there.  Its writer then writes plain CSV (plot data, not plots) into one
 output directory, and ``run`` records a ``manifest.json`` holding the
 normalized config, its hash, and a content hash per output file.  Outputs
 are byte reproducible: the same config produces the same files, so
-manifests can be compared across machines.  All work runs on the calling
-thread; the ``threads`` setting is accepted and validated for
-compatibility but changes nothing, so no output byte depends on it.
+manifests can be compared across machines.  The hashes are SHA-256,
+computed by CPython's built-in module rather than through OpenSSL.  All
+work runs on the calling thread; the ``threads`` setting is accepted and
+validated for compatibility but changes nothing, so no output byte
+depends on it.
 """
 
 import ctypes
-import hashlib
 import json
 import math
 import os
@@ -47,6 +48,17 @@ from ..maps import AffineCircleMap, TentMap, iterate
 from ..tabular import write_csv
 from .config import RunConfig, normalize
 
+# CPython's built-in SHA-256 gives hashlib's digests without loading
+# OpenSSL's libcrypto, a few MiB of resident memory that nothing else in a
+# run needs; hashlib is the fallback for an interpreter built without it
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 ENV_OUT_ROOT = "DDLAB_OUT"
 
 # glibc keeps freed heap below a trim threshold that large frees raise to
@@ -80,7 +92,7 @@ class RunManifest:
 
 
 def _file_hash(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _kernel(name, tau):
@@ -378,7 +390,7 @@ def run(config: RunConfig, *, threads=None, dry_run=False,
     if threads is not None and int(threads) < 1:
         raise ValueError("threads must be positive")
     text = normalize(config)
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    digest = sha256(text.encode("utf-8")).hexdigest()
     if outdir is None:
         outdir = config.output.get("directory")
     out = Path(outdir) if outdir is not None else default_outdir(config, digest)

@@ -594,7 +594,10 @@ def test_velocity_stats_on_gaussian_samples():
 def test_velocity_tail_statistics_match_numpy(monkeypatch, block):
     monkeypatch.setattr(ensemble, "_BLOCK", block)
     pool = _gaussian_velocities(0.1, 37, 301, seed=8)[:, 1:]
+    before = pool.copy()
     stats = velocity_stats(pool, min_samples=1000)
+    # the blocks are partitioned in place in scratch space, never the pool
+    assert np.array_equal(pool, before)
     absolute = np.abs(pool)
     assert stats.tail_quantiles == tuple(
         np.quantile(absolute, q) for q in ensemble.TAIL_QUANTILES)

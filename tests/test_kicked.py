@@ -9,6 +9,7 @@ import pytest
 
 import ddlab.kicked as kicked
 from ddlab.density import GridDensity
+from ddlab.fit import tail_line_fit
 from ddlab.kicked import (
     _SEED_DEN,
     KickConfig,
@@ -342,7 +343,7 @@ def _big_int_suite(gamma, tau_list, n_kicks, ensemble):
         resid = msd[mask] - (slope * t[mask] + intercept)
         centered = msd[mask] - msd[mask].mean()
         r2 = 1.0 - float(resid @ resid) / float(centered @ centered)
-        reports.append(dict(tau=tau, pool=pooled,
+        reports.append(dict(tau=tau, pool=pooled, t=t, msd=msd,
                             normality_stat=abs(float(m4 / m2 ** 2 - 3.0)),
                             msd_slope=float(slope), msd_r2=r2,
                             n_samples=len(pooled)))
@@ -383,6 +384,14 @@ def test_suite_matches_big_int_reference():
                                   ("normality_stat", abs(excess), 5e-15)):
             value = Fraction(getattr(rep, field))
             assert abs(value - exact) <= rel * abs(exact), field
+        # the stream and positions are exact: the suite's tail line is the
+        # closed-form fit of the reference's own msd curve, bit for bit,
+        # and agrees with LAPACK's np.polyfit to rounding
+        slope, _, r2 = tail_line_fit(ref.pop("t"), ref.pop("msd"))
+        assert (rep.msd_slope, rep.msd_r2) == (slope, r2)
+        for field in ("msd_slope", "msd_r2"):
+            assert getattr(rep, field) == pytest.approx(
+                ref.pop(field), rel=1e-13, abs=0.0), field
         for field, value in ref.items():
             assert getattr(rep, field) == value, field
 
@@ -403,13 +412,14 @@ def test_suite_does_not_depend_on_the_kick_block(monkeypatch):
 
 def test_six_thousand_kick_report_bytes_are_pinned(tmp_path):
     # recorded from the one-pass suite, whose moments come from power
-    # sums folded kick by kick, after the exact-moment check above passed
+    # sums folded kick by kick, after the exact-moment check above passed,
+    # with the closed-form tail line
     path = tmp_path / "report.csv"
     write_kick_report(path, ou_limit_suite(1.0, [0.2, 0.1, 0.05], 6000,
                                            ensemble=192))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "8f086002a4f4e19fdabe203c328c9253"
-        "c84f63af375b66d2683b947e2ad471de")
+        "8abbf4e5fbcbe7b8921cf695ff3488d0"
+        "0f3917d2da97a66df609bf6132fdbd2b")
 
 
 def _traced_peak_mib(n_kicks):

@@ -239,6 +239,47 @@ def test_manifest_config_reparses_equal(tmp_path):
     assert parse_config(manifest.config) == cfg
 
 
+_DIGEST_INPUTS = [b"", b"abc", bytes(range(256)) * 4097 + b"tail"]
+
+
+@pytest.mark.parametrize("data", _DIGEST_INPUTS,
+                         ids=["empty", "short", "over-1MiB"])
+def test_hashes_are_hashlib_sha256(tmp_path, data):
+    # `_file_hash` hashes the outputs and `sha256` the config text
+    path = tmp_path / "data"
+    path.write_bytes(data)
+    want = hashlib.sha256(data).hexdigest()
+    assert execute._file_hash(path) == want
+    assert execute.sha256(data).hexdigest() == want
+
+
+def test_manifest_digests_are_hashlib_sha256(tmp_path):
+    cfg = parse_config(MINIMAL)
+    manifest = run(cfg, outdir=tmp_path)
+    assert manifest.config_hash == hashlib.sha256(
+        normalize(cfg).encode("utf-8")).hexdigest()
+    for rec in manifest.outputs:
+        assert rec["sha256"] == hashlib.sha256(
+            (tmp_path / rec["name"]).read_bytes()).hexdigest()
+
+
+_HASHLIB_FALLBACK = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import hashlib
+from ddlab.runner import execute
+assert execute.sha256 is hashlib.sha256
+for data in (b"", b"abc", bytes(range(256)) * 4097 + b"tail"):
+    assert execute.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+print("ok")
+"""
+
+
+def test_hashes_fall_back_to_hashlib():
+    # an interpreter built without the built-in SHA-256 module
+    assert _printed(_HASHLIB_FALLBACK) == "ok"
+
+
 def test_reruns_and_thread_counts_reproduce_hashes(tmp_path):
     cfg = parse_config(NOISY_CIRCLE)
     first = run(cfg, outdir=tmp_path / "a", threads=1)
@@ -327,19 +368,21 @@ print(hashlib.sha256(open(sys.argv[1] + "/sigma2.csv", "rb").read())
 """
 
 
-def _printed_at_blas_threads(snippet, *args):
-    """What ``snippet`` prints in a fresh interpreter at 1 and 2 BLAS
-    threads, as a set."""
+def _printed(snippet, *args, **env):
+    """What ``snippet`` prints in a fresh interpreter that imports this
+    checkout's ``ddlab``, with ``env`` added to the environment."""
     src = str(Path(execute.__file__).resolve().parents[2])
-    printed = set()
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        res = subprocess.run([sys.executable, "-c", snippet, *args], env=env,
-                             capture_output=True, text=True, check=True)
-        printed.add(res.stdout.strip())
-    return printed
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", snippet, *args], env=env,
+                          capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def _printed_at_blas_threads(snippet, *args):
+    """What ``snippet`` prints at 1 and 2 BLAS threads, as a set."""
+    return {_printed(snippet, *args, OPENBLAS_NUM_THREADS=threads)
+            for threads in ("1", "2")}
 
 
 def test_gaussian_sigma2_bytes_are_pinned(tmp_path):
@@ -357,10 +400,12 @@ def test_gaussian_sigma2_bytes_are_pinned(tmp_path):
         want}
 
 
+_KICKED_SMALL = ("kind = kicked\n[params]\ngamma = 1.0\n"
+                 "taus = 0.4, 0.2\nn_kicks = 300\nstreams = 16\n")
+
+
 def test_kicked_kind_report_rows(tmp_path):
-    text = ("kind = kicked\n[params]\ngamma = 1.0\n"
-            "taus = 0.4, 0.2\nn_kicks = 300\nstreams = 16\n")
-    run(parse_config(text), outdir=tmp_path)
+    run(parse_config(_KICKED_SMALL), outdir=tmp_path)
     header, cols = read_csv(tmp_path / "report.csv")
     assert header == ["tau", "var_v", "normality_stat", "msd_slope", "msd_r2"]
     assert list(cols[0]) == [0.4, 0.2]
@@ -369,13 +414,14 @@ def test_kicked_kind_report_rows(tmp_path):
 
 def test_kicked_report_bytes_are_pinned(tmp_path):
     # recorded from the one-pass suite, whose moments come from power
-    # sums; how the suite is blocked must never move a byte of the report
+    # sums, with the closed-form tail line; how the suite is blocked must
+    # never move a byte of the report
     text = ("kind = kicked\n[params]\ngamma = 1.0\n"
             "taus = 0.2, 0.1, 0.05\nn_kicks = 1500\nstreams = 64\n")
     run(parse_config(text), outdir=tmp_path)
     digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
-    assert digest == ("26ac0e5ebed525c0bec0d728a83b5c8d"
-                      "0d4674afa9240b21e252e47446f168f6")
+    assert digest == ("d4d9f8e5a407ba5964967cbe7324fffa"
+                      "b3cc386b383ff4ca2b88d8981e8033c3")
 
 
 def test_compare_kind_matches_analytic(tmp_path):
@@ -505,11 +551,13 @@ def test_compare_writer_buffers_stay_cache_sized(tmp_path, kernel):
     assert _compare_writer_peak(tmp_path, kernel) < 5 * 2**20
 
 
+_BROWNIAN_SMALL = ("kind = brownian\n[params]\ngamma = 1.0\nbeta = 10.0\n"
+                   "T = 250.0\nburn_in = 50.0\nm = 8\nmin_samples = 5000\n"
+                   "[ensemble]\nn = 120\nseed = 3\n")
+
+
 def test_brownian_kind_outputs(tmp_path):
-    text = ("kind = brownian\n[params]\ngamma = 1.0\nbeta = 10.0\n"
-            "T = 250.0\nburn_in = 50.0\nm = 8\nmin_samples = 5000\n"
-            "[ensemble]\nn = 120\nseed = 3\n")
-    run(parse_config(text), outdir=tmp_path)
+    run(parse_config(_BROWNIAN_SMALL), outdir=tmp_path)
     header, cols = read_csv(tmp_path / "stats.csv")
     assert header[:4] == ["v_std", "support_bound", "fit_curvature",
                           "fit_r_squared"]
@@ -522,15 +570,59 @@ def test_brownian_kind_outputs(tmp_path):
     msd_header, msd_cols = read_csv(tmp_path / "msd.csv")
     assert msd_header == ["t", "msd"]
     assert np.all(np.isfinite(msd_cols[1]))
-    # pinned bytes: the MSD sum and the velocity pool keep a fixed order
+    # pinned bytes: the MSD sum and the velocity pool keep a fixed order;
+    # stats.csv recorded with the closed-form line fits
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("msd.csv", "stats.csv")}
     assert digests == {
         "msd.csv":
             "30a435d4bc18d4e4f26eeda59c48b2f0162e25973cb9cb8466d02484c6625c5e",
         "stats.csv":
-            "661b06ab9c9c11edfaf457db516f18de3c89469dd5f56127ffdbbb9ce92e7c8b",
+            "4af1a76d551464fd0436d7be8a1a79c2652d88777d4f9c520c34bcf17c056e23",
     }
+
+
+def test_collapsed_velocity_pool_writes_a_nan_fit(tmp_path):
+    # a zero history never moves: the whole pool lands in one histogram
+    # bin, and no line through one point is defined
+    text = ("kind = brownian\n[params]\ngamma = 1.0\nbeta = 10.0\nm = 8\n"
+            "T = 120.0\nmin_samples = 1000\n[ensemble]\nspec = constant\n"
+            "value = 0\nn = 100\nseed = 1\n")
+    run(parse_config(text), outdir=tmp_path)
+    header, cols = read_csv(tmp_path / "stats.csv")
+    stats = {name: col[0] for name, col in zip(header, cols)}
+    assert math.isnan(stats["fit_curvature"])
+    assert math.isnan(stats["fit_r_squared"])
+    assert stats["v_std"] == 0.0 and stats["support_bound"] == 0.0
+    assert stats["msd_slope"] == 0.0 and stats["msd_r_squared"] == 1.0
+
+
+_OPENSSL_LOADED = f"""
+import sys
+from pathlib import Path
+from ddlab.runner import parse_config, run
+for i, text in enumerate(({_KICKED_SMALL!r}, {_GAUSSIAN_BENCH!r},
+                          {MINIMAL!r})):
+    run(parse_config(text), outdir=Path(sys.argv[1]) / str(i))
+print("_hashlib" in sys.modules)
+"""
+
+
+def test_exact_runs_leave_openssl_unloaded(tmp_path):
+    # hashlib's OpenSSL binding maps libcrypto, several MiB resident, and
+    # the exact layers (the benchmark's exact-theory kinds) need none of it
+    assert _printed(_OPENSSL_LOADED, str(tmp_path)) == "False"
+
+
+def test_runs_fit_lines_without_lapack(tmp_path, monkeypatch):
+    # a first LAPACK call maps its workspace; every fit is a closed form
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run fitted a line through LAPACK")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np, "polyfit", refuse)
+    for i, text in enumerate((_KICKED_SMALL, _BROWNIAN_SMALL)):
+        run(parse_config(text), outdir=tmp_path / str(i))
 
 
 def _output_digests(text, tmp_path):
@@ -540,7 +632,8 @@ def _output_digests(text, tmp_path):
 
 def test_windowed_brownian_bytes_are_pinned(tmp_path):
     # 64 paths at m = 32 step 30 nodes per window; recorded from the
-    # integrator that stepped one node at a time
+    # integrator that stepped one node at a time (stats.csv again with the
+    # closed-form line fits)
     text = ("kind = brownian\n[params]\ngamma = 1.0\nbeta = 10.0\n"
             "tau = 1.0\nm = 32\nT = 200.0\nmin_samples = 100000\n"
             "[ensemble]\nspec = uniform\nlo = -0.05\nhi = 0.05\n"
@@ -549,7 +642,7 @@ def test_windowed_brownian_bytes_are_pinned(tmp_path):
         "msd.csv":
             "7388a15e6f602ce2a445a3e30f3e1ffd86799cd35c2881cb1c9928b7f823286f",
         "stats.csv":
-            "64fa020d256952eb8228a3a77bb1656541970a4e079babdfaa67ad1f6e29491c",
+            "7301139581c5c9a9c2292f1598af673fe0eb64228f5d7d30f16299a60cc4f406",
     }
 
 
